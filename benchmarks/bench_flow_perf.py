@@ -8,10 +8,11 @@ repeated measurement rounds.
 
 from conftest import build_alu_design, build_counter, build_mac_pipe
 
-from repro.core import OPEN, FlowOptions, run_flow
+from repro.core import COMMERCIAL, OPEN, FlowOptions, run_flow
+from repro.ip.catalog import generate
 from repro.layout import build_chip_gds, write_gds
 from repro.pdk import get_pdk
-from repro.pnr import implement, make_floorplan, place
+from repro.pnr import grid_capacity, implement, make_floorplan, place, route
 from repro.sim import Simulator
 from repro.synth import lower, optimize, synthesize
 
@@ -59,6 +60,35 @@ def test_perf_backend(benchmark):
         implement, args=(mapped, pdk), rounds=3, iterations=1
     )
     assert design.routing.nets
+
+
+def test_perf_route_congested(benchmark):
+    """Global routing through every rip-up round: tinycpu's COMMERCIAL
+    placement stays congested, so all eight rounds run."""
+    pdk = get_pdk("edu130")
+    mapped = synthesize(
+        generate("tinycpu").module,
+        pdk.library,
+        objective=COMMERCIAL.mapping_objective,
+        opt_passes=COMMERCIAL.opt_passes,
+        sizing=COMMERCIAL.gate_sizing,
+        max_load_per_drive_ff=COMMERCIAL.max_load_per_drive_ff,
+    ).mapped
+    floorplan = make_floorplan(
+        mapped, pdk.node, utilization=COMMERCIAL.utilization
+    )
+    placement = place(
+        mapped, floorplan,
+        detailed_passes=COMMERCIAL.detailed_placement_passes, seed=1,
+    )
+    capacity = grid_capacity(pdk.node, pdk.layers)
+    result = benchmark.pedantic(
+        lambda: route(mapped, placement, pdk.node, capacity=capacity,
+                      max_iterations=8),
+        rounds=3, iterations=1,
+    )
+    assert result.iterations == 8
+    assert result.overflow == 397
 
 
 def test_perf_gds_export(benchmark):

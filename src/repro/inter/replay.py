@@ -3,7 +3,10 @@
 Routing dominates flow runtime, but the maze router's A* search for one
 net only ever *reads* the usage/history of the grid cells it explores.
 :class:`ReplayRouter` exploits that: every live route records the set of
-cells whose cost was queried (the *explored set*).  On the next run it
+cells whose cost was read (the *explored set*).  The search kernel
+reports the cells it expanded, and the explored set is their
+neighbours: a search reads the cost of exactly the neighbours of each
+cell it expands, and of no other cell.  On the next run it
 walks the merged, sorted sequence of old and new nets while maintaining
 the exact signed *divergence delta* — per grid cell, warm-run usage
 minus recorded-run usage at this point of the sequence, plus the same
@@ -47,10 +50,8 @@ from dataclasses import dataclass, field
 
 from ..pdk.node import ProcessNode
 from ..pnr.placement import Placement
-from ..pnr.route import GridRouter, RoutedNet, RoutingResult
+from ..pnr.route import Cell, GridRouter, RoutedNet, RoutingResult
 from ..synth.mapped import MappedNetlist
-
-Cell = tuple[int, int, int]
 
 
 @dataclass
@@ -147,18 +148,24 @@ def _applied_cells(routed: RoutedNet) -> set[Cell]:
 class ReplayRouter(GridRouter):
     """A :class:`GridRouter` that records and verifiably replays runs."""
 
-    _tracking: set[Cell] | None = None
-
-    def _cell_cost(self, cell: Cell) -> float:
-        if self._tracking is not None:
-            self._tracking.add(cell)
-        return super()._cell_cost(cell)
-
     def _params(self, max_iterations: int, rip_up: bool) -> tuple:
+        grid = self.grid
         return (
-            self.pitch, self.cols, self.rows, self.capacity,
+            grid.pitch, grid.cols, grid.rows, self.capacity,
             max_iterations, rip_up,
         )
+
+    def _route_live(
+        self, pins: list[tuple[float, float]]
+    ) -> tuple[RoutedNet | None, frozenset[Cell]]:
+        """Route one net and return it with its search's explored set:
+        the neighbours of every cell the kernel expanded, which are
+        exactly the cells whose cost the search read."""
+        expanded: list[int] = []
+        result = self._route_net(pins, expanded)
+        adjacent = self._adjacent
+        read = {edge[0] for index in expanded for edge in adjacent[index]}
+        return result, frozenset(map(self._cells.__getitem__, read))
 
     def route_with_baseline(
         self,
@@ -216,16 +223,14 @@ class ReplayRouter(GridRouter):
                     routed[net] = replayed
                     self._apply_usage(replayed, +1)
                     continue
-                self._tracking = explored = set()
-                result = self._route_net(multi[net])
-                self._tracking = None
+                result, explored = self._route_live(multi[net])
                 stats.routed += 1
                 if record is not None:
                     div.charge_usage(record.applied(), -1)
                 if result is None:
                     failed.append(net)
                     new_baseline.records[net] = NetRecord(
-                        pins=pins, explored=frozenset(explored), cells=None,
+                        pins=pins, explored=explored, cells=None,
                     )
                     continue
                 result.net = net
@@ -233,7 +238,7 @@ class ReplayRouter(GridRouter):
                 self._apply_usage(result, +1)
                 new_baseline.records[net] = NetRecord(
                     pins=pins,
-                    explored=frozenset(explored),
+                    explored=explored,
                     cells=tuple(result.cells),
                     pin_cells=result.pin_cells,
                     wirelength_um=result.wirelength_um,
@@ -265,18 +270,13 @@ class ReplayRouter(GridRouter):
                     else None
                 )
                 with self.tracer.span("route.rip_up") as sp:
-                    congested = {
-                        cell
-                        for cell, used in self.usage.items()
-                        if used > self.capacity
-                    }
+                    congested = self._congested()
                     # Both runs bump history on their own congested set;
                     # the deltas cancel wherever the sets agree.
                     div.charge_hist(congested, +1)
                     if base_round is not None:
                         div.charge_hist(base_round.congested, -1)
-                    for cell in congested:
-                        self.history[cell] = self.history.get(cell, 0.0) + 2.0
+                    self._bump_history(congested)
                     victims = [
                         net
                         for net, rn in routed.items()
@@ -341,13 +341,11 @@ class ReplayRouter(GridRouter):
                             continue
                         round_live += 1
                         stats.routed += 1
-                        self._tracking = explored = set()
-                        result = self._route_net(multi[net])
-                        self._tracking = None
+                        result, explored = self._route_live(multi[net])
                         if result is None:
                             rec = NetRecord(
                                 pins=pins,
-                                explored=frozenset(explored),
+                                explored=explored,
                                 cells=None,
                             )
                             failed.append(net)
@@ -356,7 +354,7 @@ class ReplayRouter(GridRouter):
                             result.net = net
                             rec = NetRecord(
                                 pins=pins,
-                                explored=frozenset(explored),
+                                explored=explored,
                                 cells=tuple(result.cells),
                                 pin_cells=result.pin_cells,
                                 wirelength_um=result.wirelength_um,
@@ -378,7 +376,7 @@ class ReplayRouter(GridRouter):
 
         result = RoutingResult(
             nets=routed,
-            grid_pitch_um=self.pitch,
+            grid_pitch_um=self.grid.pitch,
             overflow=self._overflow(),
             iterations=iterations,
             failed_nets=failed,

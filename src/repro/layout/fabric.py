@@ -31,6 +31,7 @@ from collections import defaultdict
 
 from ..pdk.layers import NET_DATATYPE
 from ..pnr.physical import PhysicalDesign
+from ..pnr.route import RoutingGrid
 from .gds import GdsBoundary, GdsStruct, to_db
 
 #: Lattice quantum in nm.  Lines are multiples of Q; with HALF-width
@@ -144,16 +145,9 @@ def draw_net_fabric(top: GdsStruct, design: PhysicalDesign) -> None:
     via1 = pdk.layers.by_name("via1").gds_layer
     met2 = pdk.layers.by_name("met2").gds_layer
 
-    pitch_um = design.routing.grid_pitch_um
-    p = to_db(pitch_um)
-    cols = max(2, int(fp.die_width / pitch_um) + 1)
-    rows = max(2, int(fp.die_height / pitch_um) + 1)
-
-    def snap(x_um: float, y_um: float) -> tuple[int, int]:
-        # Mirrors GridRouter._snap exactly.
-        col = min(cols - 1, max(0, int(round(x_um / pitch_um))))
-        row = min(rows - 1, max(0, int(round(y_um / pitch_um))))
-        return col, row
+    grid = RoutingGrid.over(fp, design.routing.grid_pitch_um)
+    p = to_db(grid.pitch)
+    snap = grid.snap
 
     def rect(layer: int, x0: int, y0: int, x1: int, y1: int) -> None:
         top.boundaries.append(

@@ -7,6 +7,14 @@ driver to each sink in turn, reusing the net's own wires as free sources
 overflowed cells charge a growing history cost and overflowing nets are
 ripped up and re-routed for a few rounds — the PathFinder recipe in
 miniature.
+
+The A* kernel works on flat lists.  :class:`RoutingGrid` numbers every
+cell with an integer index that sorts like its ``(col, row, layer)``
+tuple, adjacency is built once per router, and each cell's search cost
+sits in a table refreshed whenever the cell's usage or history changes.
+The kernel reports the cells it expands, so the replay router
+(:mod:`repro.inter.replay`) can recover the cells whose cost a search
+read without hooking the cost lookup.
 """
 
 from __future__ import annotations
@@ -19,6 +27,8 @@ from ..pdk.node import ProcessNode
 from ..synth.mapped import MappedNetlist
 from .floorplan import Floorplan
 from .placement import Placement, net_pin_positions
+
+INF = float("inf")
 
 
 @dataclass
@@ -65,8 +75,86 @@ class RoutingResult:
         }
 
 
+Cell = tuple[int, int, int]
+
+
+@dataclass(frozen=True)
+class RoutingGrid:
+    """The routing grid over one die: pitch, extent, snapping, cell indices.
+
+    Cell ``(col, row, layer)`` has the flat index
+    ``(col * rows + row) * 2 + layer``, which sorts exactly like the
+    tuple, so a search keyed on indices breaks ties as one keyed on
+    tuples would.
+    """
+
+    pitch: float
+    cols: int
+    rows: int
+
+    @classmethod
+    def over(cls, floorplan: Floorplan, pitch: float) -> "RoutingGrid":
+        return cls(
+            pitch,
+            max(2, int(floorplan.die_width / pitch) + 1),
+            max(2, int(floorplan.die_height / pitch) + 1),
+        )
+
+    @property
+    def size(self) -> int:
+        """Number of cells over both layers."""
+        return self.cols * self.rows * 2
+
+    def snap(self, x: float, y: float) -> tuple[int, int]:
+        col = min(self.cols - 1, max(0, int(round(x / self.pitch))))
+        row = min(self.rows - 1, max(0, int(round(y / self.pitch))))
+        return col, row
+
+    def index(self, cell: Cell) -> int:
+        col, row, layer = cell
+        return (col * self.rows + row) * 2 + layer
+
+    def cell(self, index: int) -> Cell:
+        node, layer = divmod(index, 2)
+        col, row = divmod(node, self.rows)
+        return col, row, layer
+
+
+def _adjacency(grid: RoutingGrid) -> list[tuple[tuple[int, float, int, int], ...]]:
+    """Per cell index: ``(neighbour, edge weight, its col, its row)``.
+
+    Layer 0 steps horizontally, layer 1 vertically; a via to the other
+    layer costs half a step.
+    """
+    index = grid.index
+    adjacency = []
+    for i in range(grid.size):
+        col, row, layer = grid.cell(i)
+        steps = []
+        if layer == 0:  # horizontal layer
+            if col > 0:
+                steps.append(((col - 1, row, 0), 1.0))
+            if col < grid.cols - 1:
+                steps.append(((col + 1, row, 0), 1.0))
+        else:  # vertical layer
+            if row > 0:
+                steps.append(((col, row - 1, 1), 1.0))
+            if row < grid.rows - 1:
+                steps.append(((col, row + 1, 1), 1.0))
+        steps.append(((col, row, 1 - layer), 0.5))  # via
+        adjacency.append(tuple(
+            (index(cell), edge, cell[0], cell[1]) for cell, edge in steps
+        ))
+    return adjacency
+
+
 class GridRouter:
-    """Two-layer A* maze router over one placement."""
+    """Two-layer A* maze router over one placement.
+
+    Per-cell state lives in flat lists indexed by :meth:`RoutingGrid.index`:
+    ``usage``, ``history`` and ``cost``, the cell's search cost, which
+    :meth:`_refresh_cost` recomputes whenever usage or history changes.
+    """
 
     def __init__(
         self,
@@ -81,14 +169,15 @@ class GridRouter:
         self.placement = placement
         self.node = node
         self.tracer = tracer if tracer is not None else get_tracer()
-        fp = placement.floorplan
-        self.pitch = pitch_um or default_pitch(node)
-        self.cols = max(2, int(fp.die_width / self.pitch) + 1)
-        self.rows = max(2, int(fp.die_height / self.pitch) + 1)
+        self.grid = grid = RoutingGrid.over(
+            placement.floorplan, pitch_um or default_pitch(node)
+        )
         self.capacity = capacity
-        # usage[(col, row, layer)] -> number of nets using the cell
-        self.usage: dict[tuple[int, int, int], int] = {}
-        self.history: dict[tuple[int, int, int], float] = {}
+        self.usage = [0] * grid.size
+        self.history = [0.0] * grid.size
+        self.cost = [1.0] * grid.size
+        self._cells = [grid.cell(i) for i in range(grid.size)]
+        self._adjacent = _adjacency(grid)
         # Pin positions per net, resolved once against the placement; the
         # netlist connectivity behind them is memoized on MappedNetlist,
         # so this costs one template resolution, not an index rebuild.
@@ -97,91 +186,88 @@ class GridRouter:
 
     # -- helpers ---------------------------------------------------------------
 
-    def _snap(self, x: float, y: float) -> tuple[int, int]:
-        col = min(self.cols - 1, max(0, int(round(x / self.pitch))))
-        row = min(self.rows - 1, max(0, int(round(y / self.pitch))))
-        return col, row
-
-    def _neighbors(self, cell: tuple[int, int, int]):
-        col, row, layer = cell
-        if layer == 0:  # horizontal layer
-            if col > 0:
-                yield (col - 1, row, 0), 1.0
-            if col < self.cols - 1:
-                yield (col + 1, row, 0), 1.0
-        else:  # vertical layer
-            if row > 0:
-                yield (col, row - 1, 1), 1.0
-            if row < self.rows - 1:
-                yield (col, row + 1, 1), 1.0
-        yield (col, row, 1 - layer), 0.5  # via
-
-    def _cell_cost(self, cell: tuple[int, int, int]) -> float:
-        used = self.usage.get(cell, 0)
+    def _refresh_cost(self, index: int) -> None:
+        """Recompute one cell's search cost from its usage and history."""
+        used = self.usage[index]
         congestion = 0.0
         if used >= self.capacity:
             congestion = 4.0 * (used - self.capacity + 1)
-        return 1.0 + congestion + self.history.get(cell, 0.0)
+        self.cost[index] = 1.0 + congestion + self.history[index]
 
     def _astar(
         self,
-        sources: set[tuple[int, int, int]],
+        sources: set[int],
         target: tuple[int, int],
-    ) -> list[tuple[int, int, int]] | None:
-        """Cheapest path from any source to the target column/row."""
+        expanded: list[int],
+    ) -> list[int] | None:
+        """Cheapest path from any source cell to the target column/row.
 
-        def heuristic(cell) -> float:
-            return abs(cell[0] - target[0]) + abs(cell[1] - target[1])
-
-        open_heap: list[tuple[float, float, tuple[int, int, int]]] = []
-        best: dict[tuple[int, int, int], float] = {}
-        parent: dict[tuple[int, int, int], tuple[int, int, int]] = {}
+        Appends every cell it expands to ``expanded``: the neighbours of
+        those cells are exactly the cells whose cost the search read.
+        """
+        tcol, trow = target
+        goal = tcol * self.grid.rows + trow
+        cells = self._cells
+        adjacent = self._adjacent
+        cost = self.cost
+        best = [INF] * len(cost)
+        parent = [-1] * len(cost)
+        open_heap: list[tuple[float, float, int]] = []
         for source in sources:
             best[source] = 0.0
-            heapq.heappush(open_heap, (heuristic(source), 0.0, source))
+            col, row, _ = cells[source]
+            open_heap.append((abs(col - tcol) + abs(row - trow), 0.0, source))
+        heapq.heapify(open_heap)
+        heappop, heappush = heapq.heappop, heapq.heappush
 
         while open_heap:
-            _, cost, cell = heapq.heappop(open_heap)
-            if cost > best.get(cell, float("inf")):
+            _, g, index = heappop(open_heap)
+            if g > best[index]:
                 continue
-            if (cell[0], cell[1]) == target:
-                path = [cell]
-                while cell in parent:
-                    cell = parent[cell]
-                    path.append(cell)
+            if index >> 1 == goal:
+                path = [index]
+                while parent[index] >= 0:
+                    index = parent[index]
+                    path.append(index)
                 path.reverse()
                 return path
-            for neighbor, edge in self._neighbors(cell):
-                new_cost = cost + edge * self._cell_cost(neighbor)
-                if new_cost < best.get(neighbor, float("inf")):
+            expanded.append(index)
+            for neighbor, edge, col, row in adjacent[index]:
+                new_cost = g + edge * cost[neighbor]
+                if new_cost < best[neighbor]:
                     best[neighbor] = new_cost
-                    parent[neighbor] = cell
-                    heapq.heappush(
+                    parent[neighbor] = index
+                    heappush(
                         open_heap,
-                        (new_cost + heuristic(neighbor), new_cost, neighbor),
+                        (new_cost + (abs(col - tcol) + abs(row - trow)),
+                         new_cost, neighbor),
                     )
         return None
 
     # -- routing -------------------------------------------------------------
 
-    def _route_net(self, pins: list[tuple[float, float]]) -> RoutedNet | None:
-        start = self._snap(*pins[0])
-        pin_cells = frozenset(self._snap(*pin) for pin in pins)
-        tree: set[tuple[int, int, int]] = {(start[0], start[1], 0),
-                                           (start[0], start[1], 1)}
-        cells: set[tuple[int, int, int]] = set()
+    def _route_net(
+        self, pins: list[tuple[float, float]], expanded: list[int]
+    ) -> RoutedNet | None:
+        grid = self.grid
+        start = grid.snap(*pins[0])
+        pin_cells = frozenset(grid.snap(*pin) for pin in pins)
+        first = grid.index((start[0], start[1], 0))
+        tree: set[int] = {first, first + 1}
+        path_cells: set[int] = set()
         for pin in pins[1:]:
-            target = self._snap(*pin)
-            if (target[0], target[1], 0) in tree or (
-                target[0], target[1], 1
-            ) in tree:
+            target = grid.snap(*pin)
+            layer0 = grid.index((target[0], target[1], 0))
+            if layer0 in tree or layer0 + 1 in tree:
                 continue
-            path = self._astar(tree, target)
+            path = self._astar(tree, target, expanded)
             if path is None:
                 return None
-            cells.update(path)
-            for cell in path:
-                tree.add(cell)
+            path_cells.update(path)
+            tree.update(path)
+        # Fresh tuples per net, not the shared ``_cells`` table: a pickled
+        # result then carries no cross-net object references.
+        cells = {grid.cell(index) for index in path_cells}
         routed = RoutedNet(net=-1, cells=sorted(cells), pin_cells=pin_cells)
         steps = 0
         vias = 0
@@ -194,20 +280,38 @@ class GridRouter:
                 steps += 1
             if layer == 0 and (col, row, 1) in cells:
                 vias += 1
-        routed.wirelength_um = steps * self.pitch
+        routed.wirelength_um = steps * grid.pitch
         routed.vias = vias
         return routed
 
     def _apply_usage(self, routed: RoutedNet, delta: int) -> None:
+        index = self.grid.index
         for cell in routed.cells:
             if (cell[0], cell[1]) in routed.pin_cells:
                 continue
-            self.usage[cell] = self.usage.get(cell, 0) + delta
+            i = index(cell)
+            self.usage[i] += delta
+            self._refresh_cost(i)
+
+    def _congested(self) -> set[Cell]:
+        return {
+            self._cells[i]
+            for i, used in enumerate(self.usage)
+            if used > self.capacity
+        }
+
+    def _bump_history(self, congested: set[Cell]) -> None:
+        """Charge one rip-up round's congestion history to its cells."""
+        index = self.grid.index
+        for cell in congested:
+            i = index(cell)
+            self.history[i] += 2.0
+            self._refresh_cost(i)
 
     def _overflow(self) -> int:
         return sum(
             used - self.capacity
-            for used in self.usage.values()
+            for used in self.usage
             if used > self.capacity
         )
 
@@ -222,7 +326,7 @@ class GridRouter:
         failed: list[int] = []
         with self.tracer.span("route.initial") as sp:
             for net, pins in sorted(multi.items()):
-                result = self._route_net(pins)
+                result = self._route_net(pins, [])
                 if result is None:
                     failed.append(net)
                     continue
@@ -239,13 +343,8 @@ class GridRouter:
                 if self._overflow() == 0:
                     break
                 with self.tracer.span("route.rip_up") as sp:
-                    congested = {
-                        cell
-                        for cell, used in self.usage.items()
-                        if used > self.capacity
-                    }
-                    for cell in congested:
-                        self.history[cell] = self.history.get(cell, 0.0) + 2.0
+                    congested = self._congested()
+                    self._bump_history(congested)
                     victims = [
                         net
                         for net, rn in routed.items()
@@ -253,7 +352,7 @@ class GridRouter:
                     ]
                     for net in victims:
                         self._apply_usage(routed[net], -1)
-                        result = self._route_net(multi[net])
+                        result = self._route_net(multi[net], [])
                         if result is None:
                             failed.append(net)
                             del routed[net]
@@ -268,7 +367,7 @@ class GridRouter:
 
         return RoutingResult(
             nets=routed,
-            grid_pitch_um=self.pitch,
+            grid_pitch_um=self.grid.pitch,
             overflow=self._overflow(),
             iterations=iterations,
             failed_nets=failed,

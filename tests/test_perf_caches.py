@@ -1,20 +1,28 @@
 """Equivalence and invalidation tests for the performance caches.
 
 The backend's incremental kernels (per-net HPWL cache, memoized netlist
-indexes, the STA stage-delay table, the simulator's batched input path)
-are all pure speedups: every one must produce *bit-identical* results to
-the straightforward from-scratch computation.  These tests pin that
-contract down so future cache changes cannot silently drift.
+indexes, the STA stage-delay table, the simulator's batched input path,
+the router's flat-array A* search) are all pure speedups: every one must
+produce *bit-identical* results to the straightforward from-scratch
+computation.  These tests pin that contract down so future cache changes
+cannot silently drift.
 """
 
+import heapq
+import pickle
 import random
 
 import pytest
 
+from repro.core import COMMERCIAL, OPEN
 from repro.hdl import HdlError, ModuleBuilder, mux
+from repro.inter import ReplayRouter
+from repro.ip.catalog import generate
 from repro.pdk import get_pdk
 from repro.pnr import (
+    GridRouter,
     IncrementalHpwl,
+    grid_capacity,
     hpwl,
     make_floorplan,
     net_pin_positions,
@@ -291,3 +299,176 @@ class TestSimulatorBatchedInputs:
         sim = Simulator(build_alu())
         with pytest.raises(HdlError):
             sim.set("y", 1)
+
+
+class DictSearchRouter(ReplayRouter):
+    """The router's search before the flat-array kernel, as the oracle.
+
+    Cells are ``(col, row, layer)`` tuples, ``best`` and ``parent`` are
+    dicts, neighbours come from a generator and every neighbour's cost is
+    computed from usage and history when read.  As a replay router it
+    records, per live search, the cells its ``_cell_cost`` was called on.
+    """
+
+    _tracking = None
+
+    def _neighbors(self, cell):
+        col, row, layer = cell
+        if layer == 0:  # horizontal layer
+            if col > 0:
+                yield (col - 1, row, 0), 1.0
+            if col < self.grid.cols - 1:
+                yield (col + 1, row, 0), 1.0
+        else:  # vertical layer
+            if row > 0:
+                yield (col, row - 1, 1), 1.0
+            if row < self.grid.rows - 1:
+                yield (col, row + 1, 1), 1.0
+        yield (col, row, 1 - layer), 0.5  # via
+
+    def _cell_cost(self, cell):
+        if self._tracking is not None:
+            self._tracking.add(cell)
+        index = self.grid.index(cell)
+        used = self.usage[index]
+        congestion = 0.0
+        if used >= self.capacity:
+            congestion = 4.0 * (used - self.capacity + 1)
+        return 1.0 + congestion + self.history[index]
+
+    def _astar(self, sources, target, expanded):
+        sources = {self.grid.cell(index) for index in sources}
+
+        def heuristic(cell):
+            return abs(cell[0] - target[0]) + abs(cell[1] - target[1])
+
+        open_heap = []
+        best = {}
+        parent = {}
+        for source in sources:
+            best[source] = 0.0
+            heapq.heappush(open_heap, (heuristic(source), 0.0, source))
+
+        while open_heap:
+            _, cost, cell = heapq.heappop(open_heap)
+            if cost > best.get(cell, float("inf")):
+                continue
+            if (cell[0], cell[1]) == target:
+                path = [cell]
+                while cell in parent:
+                    cell = parent[cell]
+                    path.append(cell)
+                path.reverse()
+                return [self.grid.index(cell) for cell in path]
+            for neighbor, edge in self._neighbors(cell):
+                new_cost = cost + edge * self._cell_cost(neighbor)
+                if new_cost < best.get(neighbor, float("inf")):
+                    best[neighbor] = new_cost
+                    parent[neighbor] = cell
+                    heapq.heappush(
+                        open_heap,
+                        (new_cost + heuristic(neighbor), new_cost, neighbor),
+                    )
+        return None
+
+    def _route_live(self, pins):
+        self._tracking = read = set()
+        result = self._route_net(pins, [])
+        self._tracking = None
+        return result, frozenset(read)
+
+
+def _case(name, pdk_name, preset=OPEN, **router):
+    """A catalogue design placed under ``preset``, plus router keywords."""
+    pdk = get_pdk(pdk_name)
+    mapped = synthesize(
+        generate(name).module,
+        pdk.library,
+        objective=preset.mapping_objective,
+        opt_passes=preset.opt_passes,
+        sizing=preset.gate_sizing,
+        max_load_per_drive_ff=preset.max_load_per_drive_ff,
+    ).mapped
+    fp = make_floorplan(mapped, pdk.node, utilization=preset.utilization)
+    placement = place(
+        mapped, fp, detailed_passes=preset.detailed_placement_passes, seed=1
+    )
+    router.setdefault("capacity", grid_capacity(pdk.node, pdk.layers))
+    return mapped, placement, pdk, router
+
+
+def _hopeless_grid():
+    """The 2x2 grid of the integration suite's router-failure test."""
+    pdk = get_pdk("edu130")
+    b = ModuleBuilder("wide")
+    a = b.input("a", 16)
+    c = b.input("c", 16)
+    b.output("y", a + c)
+    mapped = synthesize(b.build(), pdk.library).mapped
+    fp = make_floorplan(mapped, pdk.node, utilization=0.6)
+    return mapped, place(mapped, fp), pdk, {
+        "pitch_um": fp.die_width, "capacity": 1,
+    }
+
+
+#: name -> (inputs, route() keywords, rounds the route must take).
+ROUTER_CASES = {
+    # Small catalogue designs: one overflow-free pass.
+    "alu-edu130": (lambda: _case("alu", "edu130"), {}, 1),
+    "fifo-edu130": (lambda: _case("fifo", "edu130"), {}, 1),
+    "uart_tx-edu180": (lambda: _case("uart_tx", "edu180"), {}, 1),
+    "seven_seg-edu180": (lambda: _case("seven_seg", "edu180"), {}, 1),
+    # Every rip-up round runs and congestion stays.
+    "tinycpu-commercial": (
+        lambda: _case("tinycpu", "edu130", COMMERCIAL),
+        {"max_iterations": 8},
+        8,
+    ),
+    "counter-cap1": (
+        lambda: _case("counter", "edu130", capacity=1),
+        {"max_iterations": 4},
+        4,
+    ),
+    "counter-cap1-no-ripup": (
+        lambda: _case("counter", "edu130", capacity=1),
+        {"rip_up": False},
+        1,
+    ),
+    "hopeless-2x2": (_hopeless_grid, {"max_iterations": 2}, 1),
+}
+
+
+def _explored(baseline):
+    """Per pass (initial, then each rip-up round): net -> explored set."""
+    passes = [baseline.records] + [r.records for r in baseline.rounds]
+    return [{net: rec.explored for net, rec in p.items()} for p in passes]
+
+
+class TestRouterKernel:
+    """The flat-array A* reproduces the dict-based search bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(ROUTER_CASES))
+    def test_matches_dict_search(self, case):
+        build, route_kw, rounds = ROUTER_CASES[case]
+        mapped, placement, pdk, router_kw = build()
+
+        def make(cls):
+            return cls(mapped, placement, pdk.node, **router_kw)
+
+        fast = make(GridRouter).route(**route_kw)
+        oracle = make(DictSearchRouter).route(**route_kw)
+        # Pickled bytes: the routed-net dict's insertion order counts.
+        assert pickle.dumps(fast) == pickle.dumps(oracle)
+
+        replayed, baseline, _ = make(ReplayRouter).route_with_baseline(
+            None, **route_kw
+        )
+        oracle_replayed, oracle_baseline, _ = make(
+            DictSearchRouter
+        ).route_with_baseline(None, **route_kw)
+        assert pickle.dumps(replayed) == pickle.dumps(fast)
+        assert pickle.dumps(oracle_replayed) == pickle.dumps(fast)
+        # Explored set == the cells the oracle's _cell_cost was called on.
+        assert _explored(baseline) == _explored(oracle_baseline)
+        assert baseline == oracle_baseline
+        assert fast.iterations == rounds
