@@ -9,8 +9,10 @@ repeated measurement rounds.
 from conftest import build_alu_design, build_counter, build_mac_pipe
 
 from repro.core import COMMERCIAL, OPEN, FlowOptions, run_flow
+from repro.extract import run_lvs
 from repro.ip.catalog import generate
 from repro.layout import build_chip_gds, write_gds
+from repro.obs.metrics import MetricsRegistry
 from repro.pdk import get_pdk
 from repro.pnr import grid_capacity, implement, make_floorplan, place, route
 from repro.sim import Simulator
@@ -101,6 +103,29 @@ def test_perf_gds_export(benchmark):
 
     data = benchmark(export)
     assert len(data) > 100
+
+
+def test_perf_lvs_from_bytes(benchmark):
+    """GDS-in LVS on tinycpu's COMMERCIAL layout from the stream bytes
+    alone: parse, identify, touch-graph extraction, net-by-net compare
+    and the LEC miter."""
+    pdk = get_pdk("edu130")
+    flow = run_flow(generate("tinycpu").module, pdk,
+                    FlowOptions(preset=COMMERCIAL, seed=1))
+    mapped = flow.synthesis.mapped
+    pins = {pin.name for pin in flow.physical.floorplan.io_pins}
+
+    def lvs():
+        metrics = MetricsRegistry()
+        report = run_lvs(flow.gds_bytes, mapped, pdk, expected_pins=pins,
+                         metrics=metrics)
+        return report, metrics.counter("extract.shapes").value
+
+    report, shapes = benchmark.pedantic(lvs, rounds=5, iterations=1)
+    assert report.clean, report.mismatches[:5]
+    assert report.lec_equivalent is True
+    assert shapes == 9602
+    assert report.nets_checked == 498
 
 
 def test_perf_full_flow(benchmark):

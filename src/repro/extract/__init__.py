@@ -9,7 +9,7 @@ seeded layout trojans that the CI gate asserts are caught.
 """
 
 from .compare import compare_netlists, run_lvs, to_mapped
-from .geom import Rect, RectIndex, UnionFind, touches
+from .geom import Rect, touches
 from .identify import (
     identify_masters,
     infer_top,
@@ -23,9 +23,7 @@ __all__ = [
     "ExtractedInstance",
     "ExtractionResult",
     "Rect",
-    "RectIndex",
     "TROJAN_KINDS",
-    "UnionFind",
     "compare_netlists",
     "extract_netlist",
     "identify_masters",

@@ -10,12 +10,14 @@ The pipeline, given nothing but a stream and a PDK:
    (:data:`repro.pdk.layers.NET_DATATYPE`) — instance pin pads carry
    their ``(instance, pin)`` owner, resolved through the master's
    ``met1``-layer pin labels;
-4. union-find over the touch graph: same-layer contact merges, ``lic``
-   joins ``li``/``met1``, ``via1`` joins ``met1``/``met2``; crossings
-   without a cut stay separate;
-5. connected components become nets; top-level port labels bind to the
-   li pad under them; geometry attached to no pin or port is flagged as
-   floating (legitimate fabric is always attached by construction).
+4. one ``(n, 4)`` rect array per layer goes through the array touch
+   kernel (:mod:`repro.extract.geom`): same-layer contact merges,
+   ``lic`` joins ``li``/``met1``, ``via1`` joins ``met1``/``met2``;
+   crossings without a cut stay separate;
+5. connected components become nets, numbered in order of their lowest
+   shape id; top-level port labels bind to the li pad under them;
+   geometry attached to no pin or port is flagged as floating
+   (legitimate fabric is always attached by construction).
 
 The output is a gate-level view — instances with per-pin net ids plus
 port bit vectors — that :mod:`repro.extract.compare` checks against the
@@ -27,12 +29,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..layout.gds import GdsLibrary, read_gds
 from ..obs.trace import get_tracer
 from ..pdk.cells import StandardCell
 from ..pdk.layers import NET_DATATYPE
 from ..pdk.pdks import Pdk
-from .geom import Rect, RectIndex, UnionFind, connect_touching
+from .geom import Rect, components, rect_array, touching_pairs
 from .identify import identify_masters, infer_top
 
 _PORT_RE = re.compile(r"^(.+)\[(\d+)\]$")
@@ -169,9 +173,10 @@ def extract_netlist(
 
     # Flatten every net-purpose shape; pads remember their owner pin.
     with tracer.span("extract.flatten") as sp:
-        by_layer: dict[int, list[tuple[int, Rect]]] = {
+        rects: dict[int, list[Rect]] = {
             li: [], lic: [], met1: [], via1: [], met2: [],
         }
+        ids: dict[int, list[int]] = {layer: [] for layer in rects}
         owner: dict[int, tuple[int, str]] = {}
         next_id = 0
 
@@ -179,7 +184,8 @@ def extract_netlist(
             nonlocal next_id
             sid = next_id
             next_id += 1
-            by_layer[layer].append((sid, rect))
+            rects[layer].append(rect)
+            ids[layer].append(sid)
             return sid
 
         for index, sref in enumerate(top.srefs):
@@ -199,41 +205,32 @@ def extract_netlist(
                 sid = add(li, (x0 + dx, y0 + dy, x1 + dx, y1 + dy))
                 owner[sid] = (index, pin)
         for b in top.boundaries:
-            if b.datatype != NET_DATATYPE or b.layer not in by_layer:
+            if b.datatype != NET_DATATYPE or b.layer not in rects:
                 continue
-            add(b.layer, (
-                min(p[0] for p in b.points), min(p[1] for p in b.points),
-                max(p[0] for p in b.points), max(p[1] for p in b.points),
-            ))
+            xs, ys = zip(*b.points)
+            add(b.layer, (min(xs), min(ys), max(xs), max(ys)))
+        shapes = {layer: rect_array(rects[layer]) for layer in rects}
+        sids = {layer: np.array(ids[layer], dtype=np.int64) for layer in ids}
         result.shapes = next_id
         if tracer.enabled:
             sp.set(shapes=next_id, placements=len(top.srefs))
 
-    # Touch-graph connectivity.
+    # Touch-graph connectivity: same-layer contact merges, and cut
+    # layers join their two neighbours.  Nets are numbered in order of
+    # their lowest shape id.
     with tracer.span("extract.connect") as sp:
-        uf = UnionFind(next_id)
-        indexes: dict[int, RectIndex] = {}
-        for layer in (li, met1, met2):
-            index = indexes[layer] = RectIndex()
-            for sid, rect in by_layer[layer]:
-                index.add(sid, rect)
-        # Same-layer contact merges...
-        for layer in (li, met1, met2):
-            connect_touching(uf, by_layer[layer], indexes[layer])
-        # ...and cut layers join their two neighbours.
-        for cut_layer, joined in ((lic, (li, met1)), (via1, (met1, met2))):
-            for target in joined:
-                connect_touching(uf, by_layer[cut_layer], indexes[target])
-
-        net_of_root: dict[int, int] = {}
-        net_of: list[int] = [0] * next_id
-        for sid in range(next_id):
-            root = uf.find(sid)
-            net = net_of_root.get(root)
-            if net is None:
-                net = net_of_root[root] = len(net_of_root)
-            net_of[sid] = net
-        result.n_nets = len(net_of_root)
+        joins = (
+            (li, li), (met1, met1), (met2, met2),
+            (lic, li), (lic, met1), (via1, met1), (via1, met2),
+        )
+        root = components(next_id, (
+            (sids[layer_a][i], sids[layer_b][j])
+            for layer_a, layer_b in joins
+            for i, j in touching_pairs(shapes[layer_a], shapes[layer_b])
+        ))
+        is_root = root == np.arange(next_id)
+        net_of: list[int] = (np.cumsum(is_root) - 1)[root].tolist()
+        result.n_nets = int(is_root.sum())
         if tracer.enabled:
             sp.set(nets=result.n_nets)
 
@@ -255,16 +252,21 @@ def extract_netlist(
             )
 
     # Port labels bind to the li pad underneath them.
-    li_index = indexes[li]
-    port_bits: dict[str, dict[int, int]] = {}
+    labels = []
     for text in top.texts:
         if text.layer != label:
             continue
         match = _PORT_RE.match(text.text)
-        if match is None:
-            continue
-        base, bit = match.group(1), int(match.group(2))
-        hits = {net_of[sid] for sid in li_index.at_point(*text.position)}
+        if match is not None:
+            labels.append((text, match.group(1), int(match.group(2))))
+    # Each label is a zero-size rect touching the li shapes under it.
+    points = rect_array(text.position * 2 for text, _, _ in labels)
+    hits_of: list[set[int]] = [set() for _ in labels]
+    for i, j in touching_pairs(points, shapes[li]):
+        for index, sid in zip(i.tolist(), sids[li][j].tolist()):
+            hits_of[index].add(net_of[sid])
+    port_bits: dict[str, dict[int, int]] = {}
+    for (text, base, bit), hits in zip(labels, hits_of):
         if not hits:
             result.mismatches.append(
                 f"port label {text.text} sits on no net geometry"

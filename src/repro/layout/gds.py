@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 # Record types (subset).
 HEADER = 0x00
@@ -209,18 +210,36 @@ def write_gds(library: GdsLibrary) -> bytes:
     return bytes(out)
 
 
+_ELEMENTS = {BOUNDARY: "BOUNDARY", SREF: "SREF", TEXT: "TEXT"}
+_HEADER_RECORD = struct.Struct(">HBB")
+_INT16 = struct.Struct(">h")
+
+
+@lru_cache(maxsize=None)
+def _xy_struct(count: int) -> struct.Struct:
+    """Decoder for an XY record of ``count`` points (at most 8191: the
+    record length is 16 bits)."""
+    return struct.Struct(f">{2 * count}i")
+
+
 def read_gds(data: bytes) -> GdsLibrary:
     """Parse GDSII stream bytes (records written by :func:`write_gds`).
 
     Malformed input raises :class:`ValueError` carrying the byte offset
-    of the offending record — never :class:`IndexError` or
-    :class:`struct.error` — so callers can treat any non-``ValueError``
-    as a parser bug rather than a bad file.
+    of the offending record — never :class:`IndexError`,
+    :class:`struct.error` or a bare :class:`UnicodeDecodeError` — so
+    callers can treat any other exception as a parser bug rather than a
+    bad file.
     """
     offset = 0
     library = GdsLibrary(name="")
     current: GdsStruct | None = None
-    element: dict | None = None
+    # The open element: its record type (None outside BOUNDARY, SREF
+    # and TEXT) and the fields its records have set so far.
+    kind: int | None = None
+    layer = datatype = 0
+    points: list[tuple[int, int]] = []
+    sname = string = ""
 
     def short(record: int, payload: bytes, expected: int, name: str) -> bytes:
         if len(payload) < expected:
@@ -230,27 +249,76 @@ def read_gds(data: bytes) -> GdsLibrary:
             )
         return payload
 
-    while offset < len(data):
+    def ascii(record: int, payload: bytes, name: str) -> str:
+        try:
+            return payload.rstrip(b"\x00").decode("ascii")
+        except UnicodeDecodeError as error:
+            raise ValueError(
+                f"{name} record at offset {record} is not ASCII "
+                f"(byte {payload[error.start]:#04x} at {error.start})"
+            ) from None
+
+    end = len(data)
+    while offset < end:
         record_offset = offset
-        if offset + 4 > len(data):
+        if offset + 4 > end:
             raise ValueError(
                 f"truncated GDSII record header at offset {offset}"
             )
-        length, rtype, dtype = struct.unpack_from(">HBB", data, offset)
+        length, rtype, dtype = _HEADER_RECORD.unpack_from(data, offset)
         if length < 4:
             raise ValueError(
                 f"invalid record length {length} at offset {offset}"
             )
-        if offset + length > len(data):
+        if offset + length > end:
             raise ValueError(
                 f"record at offset {offset} overruns the stream "
-                f"({length} bytes declared, {len(data) - offset} left)"
+                f"({length} bytes declared, {end - offset} left)"
             )
         payload = data[offset + 4 : offset + length]
         offset += length
 
-        if rtype == LIBNAME:
-            library.name = payload.rstrip(b"\x00").decode("ascii")
+        # Element records first: they are nearly all of a layout.
+        if rtype == XY and kind is not None:
+            if len(payload) % 8:
+                raise ValueError(
+                    f"XY record at offset {record_offset} has "
+                    f"{len(payload)} payload bytes (not a multiple of 8)"
+                )
+            flat = _xy_struct(len(payload) // 8).unpack(payload)
+            points = list(zip(flat[0::2], flat[1::2]))
+        elif rtype == LAYER and kind is not None:
+            short(record_offset, payload, 2, "LAYER")
+            layer = _INT16.unpack_from(payload)[0]
+        elif rtype == DATATYPE and kind is not None:
+            short(record_offset, payload, 2, "DATATYPE")
+            datatype = _INT16.unpack_from(payload)[0]
+        elif rtype == ENDEL and kind is not None and current is not None:
+            if not points:
+                raise ValueError(
+                    f"{_ELEMENTS[kind]} element ending at offset "
+                    f"{record_offset} has no XY coordinates"
+                )
+            if kind == BOUNDARY:
+                current.boundaries.append(
+                    GdsBoundary(layer, datatype, points)
+                )
+            elif kind == SREF:
+                current.srefs.append(GdsSRef(sname, points[0]))
+            else:
+                current.texts.append(GdsText(layer, string, points[0]))
+            kind = None
+        elif rtype in _ELEMENTS:
+            kind = rtype
+            layer = datatype = 0
+            points = []
+            sname = string = ""
+        elif rtype == SNAME and kind is not None:
+            sname = ascii(record_offset, payload, "SNAME")
+        elif rtype == STRING and kind is not None:
+            string = ascii(record_offset, payload, "STRING")
+        elif rtype == LIBNAME:
+            library.name = ascii(record_offset, payload, "LIBNAME")
         elif rtype == UNITS:
             short(record_offset, payload, 16, "UNITS")
             db_in_user = _parse_real8(payload[0:8])
@@ -267,64 +335,13 @@ def read_gds(data: bytes) -> GdsLibrary:
         elif rtype == BGNSTR:
             current = GdsStruct(name="")
         elif rtype == STRNAME and current is not None:
-            current.name = payload.rstrip(b"\x00").decode("ascii")
+            current.name = ascii(record_offset, payload, "STRNAME")
         elif rtype == ENDSTR:
             # A bare ENDSTR (no preceding BGNSTR) closes nothing; skip it
             # rather than recording a phantom structure.
             if current is not None:
                 library.structs.append(current)
             current = None
-        elif rtype in (BOUNDARY, SREF, TEXT):
-            element = {"kind": rtype, "layer": 0, "datatype": 0,
-                       "points": [], "name": "", "text": ""}
-        elif rtype == LAYER and element is not None:
-            short(record_offset, payload, 2, "LAYER")
-            element["layer"] = struct.unpack_from(">h", payload)[0]
-        elif rtype == DATATYPE and element is not None:
-            short(record_offset, payload, 2, "DATATYPE")
-            element["datatype"] = struct.unpack_from(">h", payload)[0]
-        elif rtype == SNAME and element is not None:
-            element["name"] = payload.rstrip(b"\x00").decode("ascii")
-        elif rtype == STRING and element is not None:
-            element["text"] = payload.rstrip(b"\x00").decode("ascii")
-        elif rtype == XY and element is not None:
-            if len(payload) % 8:
-                raise ValueError(
-                    f"XY record at offset {record_offset} has "
-                    f"{len(payload)} payload bytes (not a multiple of 8)"
-                )
-            count = len(payload) // 8
-            element["points"] = [
-                struct.unpack_from(">ii", payload, i * 8) for i in range(count)
-            ]
-            element["xy_offset"] = record_offset
-        elif rtype == ENDEL and element is not None and current is not None:
-            kind = element["kind"]
-            if kind == BOUNDARY:
-                current.boundaries.append(
-                    GdsBoundary(element["layer"], element["datatype"],
-                                [tuple(p) for p in element["points"]])
-                )
-            elif kind == SREF:
-                if not element["points"]:
-                    raise ValueError(
-                        f"SREF element ending at offset {record_offset} "
-                        "has no XY coordinates"
-                    )
-                current.srefs.append(
-                    GdsSRef(element["name"], tuple(element["points"][0]))
-                )
-            elif kind == TEXT:
-                if not element["points"]:
-                    raise ValueError(
-                        f"TEXT element ending at offset {record_offset} "
-                        "has no XY coordinates"
-                    )
-                current.texts.append(
-                    GdsText(element["layer"], element["text"],
-                            tuple(element["points"][0]))
-                )
-            element = None
         elif rtype == ENDLIB:
             break
     return library

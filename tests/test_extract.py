@@ -9,9 +9,16 @@ has to catch.
 
 import random
 import struct as struct_mod
+from collections import defaultdict
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import repro.extract.geom as geom
+import repro.extract.netlist as netlist_module
 from repro.cli import main
 from repro.core.flow import FlowResult, run_flow
 from repro.core.options import FlowOptions
@@ -26,9 +33,12 @@ from repro.extract import (
     mutate_gds,
     reference_fingerprints,
     run_lvs,
+    touches,
 )
+from repro.extract.geom import components, rect_array, touching_pairs
 from repro.ip.catalog import catalogue, generate
 from repro.layout import build_chip_gds, read_gds, write_gds
+from repro.layout.gds import GdsLibrary, GdsSRef, GdsStruct, GdsText
 from repro.layout.chip import cell_master_struct
 from repro.layout.lvs import LvsReport, check_lvs
 from repro.pdk import get_pdk
@@ -42,12 +52,41 @@ def pdk():
 
 
 @pytest.fixture(scope="module")
+def catalogue_layouts():
+    """PDK name -> ``(design, chip library)`` for every catalogue design,
+    built once per module on first use."""
+    built = {}
+
+    def layouts(pdk_name):
+        if pdk_name not in built:
+            pdk = get_pdk(pdk_name)
+            built[pdk_name] = [
+                (name, build_chip_gds(implement(synthesize(
+                    generate(name).module, pdk.library, verify=False,
+                ).mapped, pdk)))
+                for name in catalogue()
+            ]
+        return built[pdk_name]
+
+    return layouts
+
+
+@pytest.fixture(scope="module")
 def counter_stack(pdk):
     """(mapped, design, gds bytes) for the catalogue counter."""
     mapped = synthesize(generate("counter").module, pdk.library).mapped
     design = implement(mapped, pdk)
     data = write_gds(build_chip_gds(design))
     return mapped, design, data
+
+
+def records(data):
+    """Yield ``(offset, record type)`` of every record in a stream."""
+    offset = 0
+    while offset < len(data):
+        (length,) = struct_mod.unpack_from(">H", data, offset)
+        yield offset, data[offset + 2]
+        offset += length
 
 
 class TestGdsHardening:
@@ -59,8 +98,8 @@ class TestGdsHardening:
         for cut in range(0, min(len(data), 4000), 7):
             try:
                 read_gds(data[:cut])
-            except ValueError:
-                pass  # the only acceptable exception
+            except ValueError as error:  # the only acceptable exception
+                assert "offset" in str(error)
 
     def test_garbage_never_crashes(self):
         rng = random.Random(7)
@@ -68,8 +107,8 @@ class TestGdsHardening:
             blob = bytes(rng.randrange(256) for _ in range(200))
             try:
                 read_gds(blob)
-            except ValueError:
-                pass
+            except ValueError as error:
+                assert "offset" in str(error)
 
     def test_bitflips_never_crash(self, counter_stack):
         _, _, data = counter_stack
@@ -80,8 +119,8 @@ class TestGdsHardening:
             blob[pos] ^= 1 << rng.randrange(8)
             try:
                 read_gds(bytes(blob))
-            except ValueError:
-                pass
+            except ValueError as error:
+                assert "offset" in str(error)
 
     def test_error_carries_offset(self):
         with pytest.raises(ValueError, match="offset 0"):
@@ -108,6 +147,37 @@ class TestGdsHardening:
         with pytest.raises(ValueError, match="no XY"):
             read_gds(blob)
 
+    def test_boundary_without_xy_rejected(self):
+        library = GdsLibrary("lib")
+        library.add(GdsStruct("top")).add_rect_um(10, 0, 0.0, 0.0, 1.0, 1.0)
+        data = write_gds(library)
+        xy = next(offset for offset, rtype in records(data) if rtype == 0x10)
+        (length,) = struct_mod.unpack_from(">H", data, xy)
+        # ENDEL now starts where the excised XY record did.
+        with pytest.raises(
+            ValueError,
+            match=f"BOUNDARY element ending at offset {xy} has no XY",
+        ):
+            read_gds(data[:xy] + data[xy + length:])
+
+    @pytest.mark.parametrize("rtype, name", [
+        (0x02, "LIBNAME"), (0x06, "STRNAME"), (0x12, "SNAME"),
+        (0x19, "STRING"),
+    ])
+    def test_non_ascii_name_rejected(self, rtype, name):
+        library = GdsLibrary("lib")
+        library.add(GdsStruct("leaf"))
+        top = library.add(GdsStruct("top"))
+        top.srefs.append(GdsSRef("leaf", (0, 0)))
+        top.texts.append(GdsText(1, "a", (0, 0)))
+        blob = bytearray(write_gds(library))
+        offset = next(o for o, r in records(bytes(blob)) if r == rtype)
+        blob[offset + 4] = 0xE9
+        with pytest.raises(
+            ValueError, match=f"{name} record at offset {offset} is not ASCII"
+        ):
+            read_gds(bytes(blob))
+
     def test_endstr_without_struct_skipped(self):
         # ENDSTR with no open structure parses to an empty library.
         blob = (
@@ -125,10 +195,8 @@ class TestGdsHardening:
         with pytest.raises(ValueError, match="UNITS"):
             read_gds(bytes(blob))
 
-    def test_roundtrip_every_catalogue_design(self, pdk):
-        for name in catalogue():
-            mapped = synthesize(generate(name).module, pdk.library).mapped
-            library = build_chip_gds(implement(mapped, pdk))
+    def test_roundtrip_every_catalogue_design(self, catalogue_layouts):
+        for _, library in catalogue_layouts("edu130"):
             parsed = read_gds(write_gds(library))
             assert [s.name for s in parsed.structs] == [
                 s.name for s in library.structs
@@ -137,6 +205,200 @@ class TestGdsHardening:
                 assert copy.boundaries == original.boundaries
                 assert copy.srefs == original.srefs
                 assert copy.texts == original.texts
+
+
+# -- the bucket-grid touch search the array kernel replaced: test oracle --
+
+
+class UnionFind:
+    """Disjoint sets over ``range(n)`` with path halving."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, a):
+        parent = self.parent
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[rb] = ra
+
+
+class RectIndex:
+    """Spatial grid over rectangles for near-linear touch queries."""
+
+    def __init__(self, bucket=4096):
+        self.bucket = bucket
+        self.cells = defaultdict(list)
+        self.rects = []
+        self.ids = []
+
+    def add(self, shape_id, rect):
+        index = len(self.rects)
+        self.rects.append(rect)
+        self.ids.append(shape_id)
+        b = self.bucket
+        for bx in range(rect[0] // b, rect[2] // b + 1):
+            for by in range(rect[1] // b, rect[3] // b + 1):
+                self.cells[(bx, by)].append(index)
+
+    def touching(self, rect):
+        """Yield ``(shape_id, rect)`` of every indexed rect touching
+        ``rect`` (deduplicated)."""
+        b = self.bucket
+        seen = set()
+        for bx in range(rect[0] // b, rect[2] // b + 1):
+            for by in range(rect[1] // b, rect[3] // b + 1):
+                for index in self.cells.get((bx, by), ()):
+                    if index in seen:
+                        continue
+                    seen.add(index)
+                    other = self.rects[index]
+                    if touches(rect, other):
+                        yield self.ids[index], other
+
+
+def connect_touching(uf, shapes_a, index_b):
+    """Union every shape in ``shapes_a`` with every touching shape of
+    ``index_b`` (shape ids are union-find element ids)."""
+    for sid, rect in shapes_a:
+        for other_id, _ in index_b.touching(rect):
+            if other_id != sid:
+                uf.union(sid, other_id)
+
+
+def oracle_pairs(a, b):
+    """Every ``(i, j)`` with ``a[i]`` touching ``b[j]``, by bucket grid."""
+    index = RectIndex()
+    for j, rect in enumerate(b):
+        index.add(j, tuple(rect))
+    return {
+        (i, j) for i, rect in enumerate(a)
+        for j, _ in index.touching(tuple(rect))
+    }
+
+
+def kernel_pairs(a, b):
+    """The same pair set from the array kernel, all batches joined."""
+    return {
+        (i, j)
+        for ia, jb in touching_pairs(rect_array(a), rect_array(b))
+        for i, j in zip(ia.tolist(), jb.tolist())
+    }
+
+
+def recorded_touch_calls(source, pdk):
+    """Extract ``source`` and return the ``(a, b)`` rect arrays of every
+    touch search extraction ran, in call order."""
+    calls = []
+
+    def spy(a, b):
+        calls.append((a.tolist(), b.tolist()))
+        return touching_pairs(a, b)
+
+    with mock.patch.object(netlist_module, "touching_pairs", spy):
+        extract_netlist(source, pdk)
+    return calls
+
+
+def assert_kernel_matches_oracle(source, pdk):
+    calls = recorded_touch_calls(source, pdk)
+    # li, met1, met2 with themselves; lic with li and met1; via1 with
+    # met1 and met2; then the port-label points against li.
+    assert len(calls) == 8
+    for a, b in calls:
+        assert kernel_pairs(a, b) == oracle_pairs(a, b)
+
+
+rect_coord = st.builds(
+    lambda cell, jitter: cell * 1000 + jitter,
+    st.integers(-6, 6), st.sampled_from([-1, 0, 0, 1]),
+)
+# 0 makes zero-width rects; 5000 and 9000 outrun the old 4096 nm bucket.
+rect_size = st.sampled_from([0, 2, 1000, 2000, 5000, 9000])
+rect_soup = st.lists(
+    st.builds(
+        lambda x, y, w, h: (x, y, x + w, y + h),
+        rect_coord, rect_coord, rect_size, rect_size,
+    ),
+    max_size=40,
+).map(lambda rects: rects + rects[: len(rects) // 4])  # duplicates
+
+
+class TestTouchKernel:
+    """The array kernel finds exactly the pairs the bucket-grid search
+    found, and numbers nets exactly as union-find did."""
+
+    @pytest.mark.parametrize("pdk_name", ["edu130", "edu180"])
+    def test_catalogue_layers_match_oracle(self, pdk_name, catalogue_layouts):
+        pdk = get_pdk(pdk_name)
+        for _, library in catalogue_layouts(pdk_name):
+            assert_kernel_matches_oracle(library, pdk)
+
+    def test_mutant_layers_match_oracle(self, counter_stack, pdk):
+        _, _, data = counter_stack
+        for kind in TROJAN_KINDS:
+            for seed in range(3):
+                mutant, _ = mutate_gds(data, seed=seed, kind=kind)
+                assert_kernel_matches_oracle(mutant, pdk)
+
+    @given(a=rect_soup, b=rect_soup, batch=st.sampled_from([1, 7, 1 << 20]))
+    @example(
+        # Runs past the 4096 nm bucket in both orientations on one layer,
+        # a shared corner, a duplicate, and zero-size negative points.
+        a=[(0, 0, 9000, 2), (4000, -5000, 4002, 5000), (9000, 2, 9002, 900),
+           (0, 0, 9000, 2), (-3000, -3000, -3000, -3000)],
+        b=[(9000, 2, 9000, 2), (-3000, -3001, -2999, -3000), (4002, 5000,
+           4002, 9000)],
+        batch=1,
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_rect_soups_match_oracle(self, a, b, batch):
+        with mock.patch.object(geom, "_BATCH", batch):
+            assert kernel_pairs(a, a) == oracle_pairs(a, a)
+            assert kernel_pairs(a, b) == oracle_pairs(a, b)
+            assert kernel_pairs(b, a) == oracle_pairs(b, a)
+
+    @given(
+        metal=rect_soup, cuts=rect_soup, batch=st.sampled_from([1, 1 << 20])
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_components_number_nets_like_union_find(self, metal, cuts, batch):
+        # Shape ids: metal first, then cuts; cuts join metal only.
+        sids_metal = list(range(len(metal)))
+        sids_cut = list(range(len(metal), len(metal) + len(cuts)))
+        n = len(metal) + len(cuts)
+        uf = UnionFind(n)
+        index = RectIndex()
+        for sid, rect in zip(sids_metal, metal):
+            index.add(sid, rect)
+        connect_touching(uf, list(zip(sids_metal, metal)), index)
+        connect_touching(uf, list(zip(sids_cut, cuts)), index)
+        lowest, net_of_root = {}, {}
+        for sid in range(n):
+            lowest.setdefault(uf.find(sid), sid)
+            net_of_root.setdefault(uf.find(sid), len(net_of_root))
+
+        with mock.patch.object(geom, "_BATCH", batch):
+            metal_array, cut_array = rect_array(metal), rect_array(cuts)
+            ids_metal, ids_cut = np.array(sids_metal), np.array(sids_cut)
+            root = components(n, [
+                *((ids_metal[i], ids_metal[j])
+                  for i, j in touching_pairs(metal_array, metal_array)),
+                *((ids_cut[i], ids_metal[j])
+                  for i, j in touching_pairs(cut_array, metal_array)),
+            ])
+        assert root.tolist() == [lowest[uf.find(s)] for s in range(n)]
+        # Lowest-id order is union-find's first-appearance net order.
+        is_root = root == np.arange(n)
+        assert (np.cumsum(is_root) - 1)[root].tolist() == [
+            net_of_root[uf.find(s)] for s in range(n)
+        ]
 
 
 class TestIdentify:
