@@ -11,9 +11,10 @@ a multi-tenant campaign service:
   (fair-share across tenants, EDF tie-breaks, deterministic under a
   seed), the :class:`FifoScheduler` baseline, and the simulated-minutes
   schedule evaluator;
-* :mod:`~repro.campaign.cache` — the global content-hash result cache
-  (memory + directory backends, LRU-bounded) built on the *same*
+* :mod:`~repro.campaign.cache` — the key and signature of the global
+  content-hash result cache, built on the *same*
   :func:`~repro.resil.cachekey.flow_cache_key` the checkpointer uses;
+  results live in a :class:`~repro.resil.store.Store`;
 * :mod:`~repro.campaign.executor` — serial or process-pool execution
   with in-flight dedup of identical submissions;
 * :mod:`~repro.campaign.report` — throughput, cache hit rate and p95
@@ -24,13 +25,7 @@ This package imports :mod:`repro.core` submodules (flow, options), so
 :mod:`repro.core` must only import it lazily (the hub does).
 """
 
-from .cache import (
-    DirectoryResultCache,
-    MemoryResultCache,
-    ResultCache,
-    result_cache_key,
-    result_signature,
-)
+from .cache import result_cache_key, result_signature
 from .engine import Campaign, CampaignError
 from .executor import CampaignExecutor
 from .queue import CampaignJob, CampaignQueue, estimate_flow_minutes
@@ -51,11 +46,8 @@ __all__ = [
     "CampaignJob",
     "CampaignQueue",
     "CampaignReport",
-    "DirectoryResultCache",
     "FairShareScheduler",
     "FifoScheduler",
-    "MemoryResultCache",
-    "ResultCache",
     "Scheduler",
     "SimSchedule",
     "build_report",

@@ -1,34 +1,28 @@
-"""Global content-hash result cache: memoized whole-flow results.
+"""Global content-hash result cache: the key and signature of a result.
 
-This generalizes :mod:`repro.resil.checkpoint` from per-run stage
-artifacts into a cross-tenant, cross-campaign memoization store: the
-key (:func:`result_cache_key`) is the *same*
+A campaign memoizes whole :class:`~repro.core.flow.FlowResult` objects
+in a :class:`~repro.resil.store.Store`, the store checkpoints use too.
+This module holds what is specific to results.  The key
+(:func:`result_cache_key`) is the *same*
 :func:`~repro.resil.cachekey.flow_cache_key` the checkpointer uses —
 one implementation, no drift — extended with every remaining
 result-affecting knob on :class:`~repro.core.options.FlowOptions`
 (clock period, DRC/lint strictness, formal LEC, …).  At classroom
 scale most submissions are byte-identical (the same assignment,
 the same starter code), so a campaign's second copy of a design costs
-one hash and one unpickle instead of a flow run.
+one hash and one store read instead of a flow run.
 
-Both backends store pickled :class:`~repro.core.flow.FlowResult` blobs
-and evict least-recently-used entries once ``max_entries`` /
-``max_bytes`` budgets are exceeded.  ``FlowResult`` is read-only
-downstream of ``run_flow``, so the in-memory backend hands every hit
-the *same* deserialized instance — a hit costs one dict lookup, not an
-unpickle of the whole artifact graph.  Pass ``private_copies=True`` to
-deserialize a fresh copy per ``get`` instead (defensive isolation when
-callers might mutate results); the directory backend re-reads disk on
-every ``get`` and therefore always returns private copies.
+``FlowResult`` is read-only downstream of ``run_flow``: a
+:class:`~repro.resil.store.MemoryStore` keeps the producer's own
+instance and hands every hit that same object, while a
+:class:`~repro.resil.store.DirectoryStore` unpickles a private copy
+per read.  :func:`result_signature` digests what a run produced.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import pickle
-from collections import OrderedDict
 
 from ..core.options import FlowOptions
 from ..resil.cachekey import canonical, flow_cache_key
@@ -87,212 +81,3 @@ def result_signature(result) -> str:
     }
     text = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:24]
-
-
-class ResultCache:
-    """Pickled FlowResult blobs keyed by content hash; LRU-bounded."""
-
-    def __init__(self, max_entries: int | None = None,
-                 max_bytes: int | None = None,
-                 private_copies: bool = False):
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be at least 1")
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError("max_bytes must be at least 1")
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
-        self.private_copies = private_copies
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    # -- backend contract ----------------------------------------------------
-
-    def _read(self, key: str) -> bytes | None:
-        raise NotImplementedError
-
-    def _write(self, key: str, data: bytes) -> None:
-        raise NotImplementedError
-
-    def keys(self) -> list[str]:
-        """Stored keys, least-recently-used first."""
-        raise NotImplementedError
-
-    def total_bytes(self) -> int:
-        raise NotImplementedError
-
-    # -- public API ----------------------------------------------------------
-
-    def get(self, key: str):
-        """The cached FlowResult, or ``None`` on a miss.
-
-        The result is to be treated as read-only unless the backend
-        guarantees private copies (``private_copies=True``, or the
-        directory backend which re-reads disk every time).
-        """
-        result = self._load(key)
-        if result is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return result
-
-    def _load(self, key: str):
-        data = self._read(key)
-        if data is None:
-            return None
-        return pickle.loads(data)
-
-    def put(self, key: str, result) -> None:
-        self._write(key, pickle.dumps(result, protocol=4))
-
-    def has(self, key: str) -> bool:
-        """Presence probe; does not count as a hit/miss or touch recency."""
-        return key in self.keys()
-
-    def __len__(self) -> int:
-        return len(self.keys())
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-
-class MemoryResultCache(ResultCache):
-    """In-process store: an OrderedDict in recency order.
-
-    ``put`` pickles once (size accounting, and to decouple the cache
-    from later mutations by the producer) and keeps one deserialized
-    instance that every subsequent hit shares.
-    """
-
-    def __init__(self, max_entries: int | None = None,
-                 max_bytes: int | None = None,
-                 private_copies: bool = False):
-        super().__init__(max_entries, max_bytes, private_copies)
-        self._blobs: OrderedDict[str, bytes] = OrderedDict()
-        self._objects: dict[str, object] = {}
-
-    def _load(self, key):
-        data = self._blobs.get(key)
-        if data is None:
-            return None
-        self._blobs.move_to_end(key)
-        if self.private_copies:
-            return pickle.loads(data)
-        return self._objects[key]
-
-    def _write(self, key, data):
-        self._blobs[key] = data
-        self._blobs.move_to_end(key)
-        self._objects[key] = pickle.loads(data)
-        while len(self._blobs) > 1 and (
-            (self.max_entries is not None
-             and len(self._blobs) > self.max_entries)
-            or (self.max_bytes is not None
-                and sum(len(b) for b in self._blobs.values()) > self.max_bytes)
-        ):
-            evicted, _ = self._blobs.popitem(last=False)
-            self._objects.pop(evicted, None)
-            self.evictions += 1
-
-    def keys(self):
-        return list(self._blobs)
-
-    def total_bytes(self):
-        return sum(len(b) for b in self._blobs.values())
-
-
-class DirectoryResultCache(ResultCache):
-    """Filesystem store: ``root/<key>.res`` files, shared across
-    processes and campaigns (the semester-long cache).  Every ``get``
-    re-reads disk, so hits are always private copies regardless of
-    ``private_copies``.
-
-    Recency follows the same convention as
-    :class:`~repro.resil.checkpoint.DirectoryCheckpointStore`: an
-    in-process sequence number per path, with file mtime ordering
-    entries inherited from earlier processes below anything touched in
-    this one.
-    """
-
-    def __init__(self, root: str, max_entries: int | None = None,
-                 max_bytes: int | None = None):
-        super().__init__(max_entries, max_bytes)
-        self.root = root
-        self._seq = 0
-        self._recency: dict[str, int] = {}
-
-    def _path(self, key: str) -> str:
-        return os.path.join(self.root, f"{key}.res")
-
-    def _touch(self, key: str) -> None:
-        self._seq += 1
-        self._recency[key] = self._seq
-
-    def _entries(self) -> list[tuple[str, int]]:
-        try:
-            names = os.listdir(self.root)
-        except OSError:
-            return []
-        found = []
-        for name in names:
-            if not name.endswith(".res"):
-                continue
-            path = os.path.join(self.root, name)
-            try:
-                found.append((name[: -len(".res")], os.path.getsize(path)))
-            except OSError:
-                continue
-        return found
-
-    def _coldness(self, key: str):
-        if key in self._recency:
-            return (1, self._recency[key])
-        try:
-            return (0, os.path.getmtime(self._path(key)))
-        except OSError:
-            return (0, 0.0)
-
-    def _read(self, key):
-        try:
-            with open(self._path(key), "rb") as handle:
-                data = handle.read()
-        except OSError:
-            return None
-        self._touch(key)
-        return data
-
-    def _write(self, key, data):
-        os.makedirs(self.root, exist_ok=True)
-        with open(self._path(key), "wb") as handle:
-            handle.write(data)
-        self._touch(key)
-        entries = sorted(self._entries(), key=lambda e: self._coldness(e[0]))
-        total = sum(size for _, size in entries)
-        count = len(entries)
-        for entry_key, size in entries:
-            over = (
-                (self.max_entries is not None and count > self.max_entries)
-                or (self.max_bytes is not None and total > self.max_bytes)
-            )
-            if not over:
-                break
-            if entry_key == key:
-                continue
-            try:
-                os.remove(self._path(entry_key))
-            except OSError:
-                continue
-            self._recency.pop(entry_key, None)
-            self.evictions += 1
-            total -= size
-            count -= 1
-
-    def keys(self):
-        return [k for k, _ in
-                sorted(self._entries(), key=lambda e: self._coldness(e[0]))]
-
-    def total_bytes(self):
-        return sum(size for _, size in self._entries())

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from ..obs.metrics import MetricsRegistry, get_metrics
 from ..obs.trace import Tracer, get_tracer
-from .cache import MemoryResultCache, ResultCache, result_cache_key
+from ..resil.store import MemoryStore, Store
+from .cache import result_cache_key
 from .executor import CampaignExecutor
 from .queue import CampaignJob, CampaignQueue
 from .report import CampaignReport, build_report
@@ -36,15 +37,15 @@ class Campaign:
 
     ``workers=0`` (or 1) executes serially in-process; higher values
     fan cache misses out to a process pool of that size.  ``cache``
-    defaults to a fresh in-memory store — pass a shared
-    :class:`~repro.campaign.cache.DirectoryResultCache` (or the hub's
+    defaults to a fresh :class:`~repro.resil.store.MemoryStore` — pass a
+    shared :class:`~repro.resil.store.DirectoryStore` (or the hub's
     store) to memoize across campaigns.  ``cache_hit_minutes`` is the
     simulated service time a cache hit is billed in the latency model
-    (serving a pickled result is not free, but it is not a flow run).
+    (serving a stored result is not free, but it is not a flow run).
     """
 
     def __init__(self, scheduler: Scheduler | None = None,
-                 cache: ResultCache | None = None, workers: int = 0,
+                 cache: Store | None = None, workers: int = 0,
                  seed: int = 1, cache_hit_minutes: float = 0.05,
                  tracer: Tracer | None = None,
                  metrics: MetricsRegistry | None = None):
@@ -53,7 +54,7 @@ class Campaign:
         self.scheduler = (
             scheduler if scheduler is not None else FairShareScheduler()
         )
-        self.cache = cache if cache is not None else MemoryResultCache()
+        self.cache = cache if cache is not None else MemoryStore()
         self.workers = workers
         self.seed = seed
         self.cache_hit_minutes = cache_hit_minutes
@@ -101,6 +102,6 @@ class Campaign:
                 failed=sum(1 for j in ordered if j.status == "failed"),
             )
         return build_report(
-            ordered, sim, self.cache, self.scheduler.name, self.workers,
-            self.seed, elapsed, self.metrics,
+            ordered, sim, self.scheduler.name, self.workers, self.seed,
+            elapsed, self.metrics,
         )

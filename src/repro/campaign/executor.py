@@ -3,8 +3,9 @@
 The executor consumes the scheduler's dispatch order and settles every
 job against the result cache:
 
-* a key already in the cache is a **hit** — the job gets a private copy
-  of the memoized :class:`~repro.core.flow.FlowResult`;
+* a key already in the cache is a **hit** — the job gets the memoized
+  :class:`~repro.core.flow.FlowResult` (the one shared, read-only
+  instance from a memory store; a private copy from a directory store);
 * a key already *in flight* (an identical design running right now in
   the pool) makes the job a **follower**: it waits for that execution
   and then reads the cache, so duplicate submissions never run twice
@@ -17,10 +18,12 @@ Accounting is mode-invariant by construction: a follower only counts
 its cache hit after the owning execution completes, and a follower of a
 *failed* execution is promoted to run (and count a miss) itself —
 exactly the sequence the serial loop produces.  ``FlowOptions`` is
-threaded through to ``run_flow`` unchanged; note the process-pool
-boundary for its ``checkpoints`` store (DESIGN.md "Campaign
-architecture"): an in-memory store pickled into a worker cannot
-propagate writes back, a directory store works across processes.
+threaded through to ``run_flow`` unchanged.  At the process-pool
+boundary its ``checkpoints`` store behaves by backend (DESIGN.md
+"Campaign architecture"): a :class:`~repro.resil.store.MemoryStore`
+pickles as an empty store, so a worker starts cold and its writes stay
+in the worker, while a :class:`~repro.resil.store.DirectoryStore` is
+shared through the file system.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from ..core.flow import run_flow
 from ..obs.metrics import MetricsRegistry, get_metrics
 from ..pdk.pdks import get_pdk
-from .cache import ResultCache
+from ..resil.store import Store
 from .queue import CampaignJob
 
 #: Execution-latency histogram bucket bounds (wall seconds).
@@ -71,7 +74,7 @@ class CampaignExecutor:
     def serial(self) -> bool:
         return self.workers <= 1
 
-    def run(self, ordered: list[CampaignJob], cache: ResultCache) -> float:
+    def run(self, ordered: list[CampaignJob], cache: Store) -> float:
         """Execute every job; returns elapsed wall seconds."""
         start = time.perf_counter()
         if self.serial:
@@ -96,7 +99,7 @@ class CampaignExecutor:
         job.cache_hit = True
         job.result = result
 
-    def _settle_run(self, job: CampaignJob, cache: ResultCache,
+    def _settle_run(self, job: CampaignJob, cache: Store,
                     result, exec_s: float) -> None:
         cache.put(job.key, result)
         job.status = "done"

@@ -22,7 +22,6 @@ import json
 from dataclasses import dataclass, field
 
 from ..obs.metrics import MetricsRegistry
-from .cache import ResultCache
 from .queue import CampaignJob
 from .sched import SimSchedule
 
@@ -103,9 +102,9 @@ class CampaignReport:
         return "\n".join(lines)
 
 
-def build_report(jobs: list[CampaignJob], sim: SimSchedule,
-                 cache: ResultCache, scheduler: str, workers: int, seed: int,
-                 elapsed_s: float, metrics: MetricsRegistry) -> CampaignReport:
+def build_report(jobs: list[CampaignJob], sim: SimSchedule, scheduler: str,
+                 workers: int, seed: int, elapsed_s: float,
+                 metrics: MetricsRegistry) -> CampaignReport:
     """Assemble the report and emit it through the metrics registry."""
     completed = sum(1 for j in jobs if j.status == "done")
     failed = sum(1 for j in jobs if j.status == "failed")

@@ -121,9 +121,9 @@ def _cmd_flow(args) -> int:
     pdk = get_pdk(args.pdk)
     store = None
     if args.checkpoint_dir:
-        from .resil import DirectoryCheckpointStore
+        from .resil import DirectoryStore
 
-        store = DirectoryCheckpointStore(args.checkpoint_dir)
+        store = DirectoryStore(args.checkpoint_dir)
     options = FlowOptions(
         preset=args.preset,
         clock_period_ps=args.period_ps,

@@ -8,10 +8,6 @@ request::
 
     run_flow(module, pdk, FlowOptions(preset="commercial", seed=7))
 
-The legacy keyword surface (``preset=``, ``clock_period_ps=``, ...) still
-works through a deprecation shim that emits one :class:`DeprecationWarning`
-and builds the equivalent options object.
-
 Every stage runs inside a tracing span (:mod:`repro.obs`): step runtimes
 in the :class:`StepReport` list are *derived from the spans*, so they are
 non-overlapping by construction and sum to ≈ the flow's wall time.
@@ -32,7 +28,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 from dataclasses import asdict, dataclass, field
 
 from ..formal.lec import LecReport, lec_flow
@@ -339,71 +334,18 @@ class FlowResult:
 _STAGE_SPAN_NAMES = {step: f"step.{step.value}" for step in FlowStep}
 _STEP_BY_VALUE = {step.value: step for step in FlowStep}
 
-#: Keywords the pre-FlowOptions signature accepted, shimmed for one cycle.
-_LEGACY_KEYS = frozenset(
-    {
-        "preset",
-        "clock_period_ps",
-        "frequency_mhz",
-        "strict_drc",
-        "seed",
-        "lint_waivers",
-        "strict_lint",
-    }
-)
-
-
-def _coerce_options(options, legacy: dict) -> FlowOptions:
-    """Resolve the (options | legacy-kwargs) call surface to FlowOptions."""
-    if isinstance(options, FlowPreset):
-        # Pre-FlowOptions positional call: run_flow(module, pdk, preset).
-        legacy = dict(legacy)
-        if "preset" in legacy:
-            raise TypeError("preset passed both positionally and by keyword")
-        legacy["preset"] = options
-        options = None
-    if legacy:
-        unknown = sorted(set(legacy) - _LEGACY_KEYS)
-        if unknown:
-            raise TypeError(
-                f"run_flow() got unexpected keyword argument(s) {unknown}; "
-                f"new knobs live on FlowOptions"
-            )
-        if options is not None:
-            raise TypeError(
-                "pass options=FlowOptions(...) or legacy keywords, not both"
-            )
-        warnings.warn(
-            "calling run_flow() with individual keyword knobs is "
-            "deprecated; pass options=FlowOptions(...) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return FlowOptions(**legacy)
-    if options is None:
-        return FlowOptions()
-    if not isinstance(options, FlowOptions):
-        raise TypeError(f"options must be FlowOptions, got {type(options)!r}")
-    return options
-
-
 def run_flow(
     module: Module,
     pdk: Pdk,
-    options: FlowOptions | FlowPreset | None = None,
+    options: FlowOptions | None = None,
     *,
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
-    **legacy,
 ) -> FlowResult:
     """Run the complete RTL→GDSII flow as described by ``options``.
 
     ``options`` is a :class:`~repro.core.options.FlowOptions`; omitted it
-    defaults to ``FlowOptions()``.  The legacy keyword surface
-    (``preset=``, ``clock_period_ps=``, ``strict_drc=``, ``seed=``,
-    ``frequency_mhz=``, ``lint_waivers=``, ``strict_lint=``) and the
-    positional ``FlowPreset`` third argument still work via a shim that
-    emits one :class:`DeprecationWarning` per call.
+    defaults to ``FlowOptions()``.
 
     With ``options.strict_drc`` any DRC violation raises
     :class:`FlowError` (signoff semantics); otherwise violations are
@@ -416,7 +358,7 @@ def run_flow(
     :class:`~repro.resil.failure.FlowFailure` to
     :attr:`FlowResult.failures` instead of raising, and every stage whose
     inputs still exist runs anyway.  ``options.checkpoints`` (a
-    :class:`~repro.resil.checkpoint.CheckpointStore`) saves each
+    :class:`~repro.resil.store.Store`) saves each
     completed stage keyed by a content hash of (RTL, PDK, preset, seed);
     a re-run with the same store skips finished stages.
 
@@ -424,7 +366,9 @@ def run_flow(
     argument, else the installed process-wide default, else (for timing)
     a private tracer, because step runtimes are span-derived.
     """
-    opts = _coerce_options(options, legacy)
+    opts = options if options is not None else FlowOptions()
+    if not isinstance(opts, FlowOptions):
+        raise TypeError(f"options must be FlowOptions, got {type(opts)!r}")
     preset = opts.preset
     if tracer is None:
         tracer = get_tracer()

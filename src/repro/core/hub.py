@@ -19,9 +19,9 @@ from ..ip.catalog import catalogue, generate
 from ..obs.metrics import MetricsRegistry, get_metrics
 from ..obs.trace import get_tracer
 from ..pdk.pdks import Pdk, get_pdk, list_pdks
-from ..resil.checkpoint import CheckpointStore, MemoryCheckpointStore
 from ..resil.failure import FlowFailure
 from ..resil.retry import ExponentialBackoff, RetryPolicy
+from ..resil.store import MemoryStore, Store
 from .cloud import CloudPlatform, estimate_job_minutes
 from .flow import FlowError, FlowResult, run_flow
 from .licensing import AccessDecision, User, evaluate_access
@@ -89,17 +89,15 @@ class EnablementHub:
     failing flow and how long (in simulated minutes) it backs off between
     attempts; ``checkpoints`` is the hub-wide store those retries resume
     from, so a retry recomputes only the stage that failed.
+    ``result_cache`` memoizes whole flow results across tenants and
+    campaigns (keyed by :func:`~repro.campaign.cache.result_cache_key`).
     """
 
     name: str = "eu-design-hub"
     cloud: CloudPlatform = field(default_factory=_default_cloud)
     retry_policy: RetryPolicy = field(default_factory=ExponentialBackoff)
-    checkpoints: CheckpointStore = field(
-        default_factory=MemoryCheckpointStore
-    )
-    #: Cross-tenant flow memoization store (repro.campaign.cache); built
-    #: lazily in ``__post_init__`` to keep the campaign import one-way.
-    result_cache: object = None
+    checkpoints: Store = field(default_factory=MemoryStore)
+    result_cache: Store = field(default_factory=MemoryStore)
     tracer: object = None
     metrics: MetricsRegistry | None = None
     _users: dict[str, Enrollment] = field(default_factory=dict)
@@ -111,10 +109,6 @@ class EnablementHub:
             self.tracer = get_tracer()
         if self.metrics is None:
             self.metrics = get_metrics()
-        if self.result_cache is None:
-            from ..campaign.cache import MemoryResultCache
-
-            self.result_cache = MemoryResultCache()
 
     # -- enrollment & access -------------------------------------------------
 
@@ -202,7 +196,7 @@ class EnablementHub:
                 preset=preset_name, clock_period_ps=clock_period_ps
             )
         if options.checkpoints is None:
-            options = options.with_overrides(checkpoints=self.checkpoints)
+            options = options.replace(checkpoints=self.checkpoints)
         record = HubJobRecord(
             user=user_name, design=module.name, pdk=pdk_name,
             preset=preset_name, deadline_minute=deadline_minute,
@@ -324,7 +318,7 @@ class EnablementHub:
             if options is None:
                 options = FlowOptions(preset=preset_name)
             if options.checkpoints is None:
-                options = options.with_overrides(checkpoints=self.checkpoints)
+                options = options.replace(checkpoints=self.checkpoints)
             prepared.append((request, options, preset_name))
 
         campaign = Campaign(

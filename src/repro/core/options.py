@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from ..lint import Waiver
-from ..resil.checkpoint import CheckpointStore
 from ..resil.faults import FaultInjector
+from ..resil.store import Store
 from .presets import OPEN, FlowPreset, get_preset
 
 
@@ -60,7 +60,7 @@ class FlowOptions:
     extract_lvs: bool = False
     # -- resilience ---------------------------------------------------------
     continue_on_error: bool = False
-    checkpoints: CheckpointStore | None = field(
+    checkpoints: Store | None = field(
         default=None, compare=False, repr=False
     )
     resume: bool = True
@@ -82,11 +82,7 @@ class FlowOptions:
         if self.clock_period_ps <= 0:
             raise ValueError("clock period must be positive")
 
-    def with_overrides(self, **kwargs) -> "FlowOptions":
-        """A copy with selected knobs changed."""
-        return replace(self, **kwargs)
-
     def replace(self, **kwargs) -> "FlowOptions":
-        """A copy with selected knobs changed (alias of
-        :meth:`with_overrides`, mirroring :func:`dataclasses.replace`)."""
+        """A copy with selected knobs changed (mirrors
+        :func:`dataclasses.replace`)."""
         return replace(self, **kwargs)

@@ -226,13 +226,13 @@ class Workspace:
     ) -> "Workspace":
         """Run one full flow over ``design`` and keep the session warm.
 
-        ``options`` follows :func:`~repro.core.run_flow` conventions (a
-        :class:`FlowOptions`, a preset, a preset name, or ``None``); the
+        ``options`` is a :class:`FlowOptions`, a preset, a preset name,
+        or ``None`` for ``FlowOptions()``; the
         preset's placer is overridden to the region-stable ``"hier"``
         placer, which both incremental and fallback rebuilds share.
-        ``cache`` (a :class:`~repro.campaign.cache.ResultCache`) serves
-        the opening flow from the campaign's memo when it already holds
-        an identical request.
+        ``cache`` (a :class:`~repro.resil.store.Store`) serves the
+        opening flow from the campaign's memo when it already holds an
+        identical request.
         """
         if options is None:
             opts = FlowOptions()

@@ -11,6 +11,9 @@ simulator and the flow runner:
 * :mod:`~repro.resil.retry` — pluggable :class:`RetryPolicy` with
   :class:`ExponentialBackoff` (jitter, caps, deadline-aware give-up),
   budgeted in simulated minutes;
+* :mod:`~repro.resil.store` — the one content-addressed :class:`Store`
+  (:class:`MemoryStore`, :class:`DirectoryStore`, LRU-bounded) behind
+  both checkpoints and the campaign result cache;
 * :mod:`~repro.resil.checkpoint` — content-hash-keyed per-stage flow
   checkpoints so a retried or resumed flow skips completed stages;
 * :mod:`~repro.resil.failure` — structured :class:`FlowFailure` records
@@ -22,21 +25,14 @@ package, never the other way around.
 """
 
 from .cachekey import canonical, flow_cache_key
-from .checkpoint import (
-    CHECKPOINT_STAGES,
-    CheckpointStore,
-    DirectoryCheckpointStore,
-    MemoryCheckpointStore,
-    StageCheckpointer,
-)
+from .checkpoint import StageCheckpointer
 from .failure import FAILURE_KINDS, FlowFailure, InjectedFault
 from .faults import FaultInjector, FaultModel, FaultSampler
 from .retry import ExponentialBackoff, RetryPolicy
+from .store import DirectoryStore, MemoryStore, Store
 
 __all__ = [
-    "CHECKPOINT_STAGES",
-    "CheckpointStore",
-    "DirectoryCheckpointStore",
+    "DirectoryStore",
     "ExponentialBackoff",
     "FAILURE_KINDS",
     "FaultInjector",
@@ -44,9 +40,10 @@ __all__ = [
     "FaultSampler",
     "FlowFailure",
     "InjectedFault",
-    "MemoryCheckpointStore",
+    "MemoryStore",
     "RetryPolicy",
     "StageCheckpointer",
+    "Store",
     "canonical",
     "flow_cache_key",
 ]

@@ -7,18 +7,16 @@ RTL's canonical Verilog, the PDK, the preset knobs and the seed — so a
 retried or resumed run skips every stage that already completed, and a
 request whose inputs changed in any way misses cleanly.
 
-Two stores share one pickle-based contract: :class:`MemoryCheckpointStore`
-(per-process; used by the hub's retry loop) and
-:class:`DirectoryCheckpointStore` (survives the process; used by the CLI
-``--checkpoint-dir``).  Both round-trip through ``pickle.dumps`` even in
-memory, so a loaded artifact is always a private copy — a resumed flow
-can never mutate the checkpointed bytes of an earlier one.
+The artifacts live in a :class:`~repro.resil.store.Store`: a
+:class:`~repro.resil.store.MemoryStore` for the hub's retry loop, a
+:class:`~repro.resil.store.DirectoryStore` for the CLI
+``--checkpoint-dir``.  :class:`StageCheckpointer` stores pickled bytes,
+so a loaded artifact is a private copy on either backend — a resumed
+flow can never mutate the checkpointed state of an earlier one.
 """
 
 from __future__ import annotations
 
-import itertools
-import os
 import pickle
 from dataclasses import dataclass
 
@@ -27,199 +25,7 @@ from dataclasses import dataclass
 # memoization paths can never drift.  Re-exported here for its
 # historical import site.
 from .cachekey import flow_cache_key  # noqa: F401
-
-#: Stage names a full flow run checkpoints, in order.
-CHECKPOINT_STAGES = (
-    "synthesis", "floorplan", "placement", "clock_tree", "routing",
-)
-
-
-class CheckpointStore:
-    """Pickle-serialized stage artifacts; subclasses supply the backend."""
-
-    def __init__(self):
-        self.hits = 0
-        self.misses = 0
-
-    # -- backend contract --------------------------------------------------
-
-    def _read(self, key: str, stage: str) -> bytes | None:
-        raise NotImplementedError
-
-    def _write(self, key: str, stage: str, data: bytes) -> None:
-        raise NotImplementedError
-
-    def stages(self, key: str) -> list[str]:
-        """Checkpointed stage names for ``key`` (canonical order first)."""
-        raise NotImplementedError
-
-    # -- public API --------------------------------------------------------
-
-    def save(self, key: str, stage: str, obj) -> None:
-        self._write(key, stage, pickle.dumps(obj, protocol=4))
-
-    def load(self, key: str, stage: str):
-        """The checkpointed artifact, or ``None`` on a miss."""
-        data = self._read(key, stage)
-        if data is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return pickle.loads(data)
-
-    def has(self, key: str, stage: str) -> bool:
-        return self._read(key, stage) is not None
-
-
-class MemoryCheckpointStore(CheckpointStore):
-    """In-process store: a dict of pickled blobs."""
-
-    def __init__(self):
-        super().__init__()
-        self._blobs: dict[tuple[str, str], bytes] = {}
-
-    def _read(self, key, stage):
-        return self._blobs.get((key, stage))
-
-    def _write(self, key, stage, data):
-        self._blobs[(key, stage)] = data
-
-    def stages(self, key):
-        found = {s for k, s in self._blobs if k == key}
-        ordered = [s for s in CHECKPOINT_STAGES if s in found]
-        return ordered + sorted(found.difference(CHECKPOINT_STAGES))
-
-
-class DirectoryCheckpointStore(CheckpointStore):
-    """Filesystem store: ``root/<key>/<stage>.ckpt`` files.
-
-    By default the store grows without bound — fine for one run's
-    ``--checkpoint-dir``, wrong for a semester-long shared cache.
-    ``max_entries`` / ``max_bytes`` cap it with least-recently-used
-    eviction: each load or save refreshes a file's recency, and a save
-    that pushes the store over budget deletes the coldest ``.ckpt``
-    files (never the one just written) until it fits again.  Recency is
-    tracked in-process with a monotonic sequence and falls back to file
-    mtime for entries inherited from an earlier process, so eviction
-    order is deterministic within a run.
-    """
-
-    def __init__(self, root: str, max_entries: int | None = None,
-                 max_bytes: int | None = None):
-        super().__init__()
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be at least 1")
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError("max_bytes must be at least 1")
-        self.root = root
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
-        self.evictions = 0
-        self._seq = itertools.count()
-        self._recency: dict[str, int] = {}
-
-    def _path(self, key: str, stage: str) -> str:
-        return os.path.join(self.root, key, f"{stage}.ckpt")
-
-    def _touch(self, path: str) -> None:
-        self._recency[path] = next(self._seq)
-
-    def _entries(self) -> list[tuple[str, int]]:
-        """Every ``(path, size)`` currently in the store."""
-        found = []
-        try:
-            keys = os.listdir(self.root)
-        except OSError:
-            return found
-        for key in keys:
-            key_dir = os.path.join(self.root, key)
-            try:
-                names = os.listdir(key_dir)
-            except OSError:
-                continue
-            for name in names:
-                if not name.endswith(".ckpt"):
-                    continue
-                path = os.path.join(key_dir, name)
-                try:
-                    found.append((path, os.path.getsize(path)))
-                except OSError:
-                    continue
-        return found
-
-    def _evict(self, keep: str) -> None:
-        """Delete cold entries until the store fits its budget."""
-        if self.max_entries is None and self.max_bytes is None:
-            return
-        entries = self._entries()
-
-        def coldness(entry):
-            path, _ = entry
-            if path in self._recency:
-                return (1, self._recency[path])
-            # Inherited from an earlier process: colder than anything
-            # this process touched, ordered among themselves by mtime.
-            try:
-                return (0, os.path.getmtime(path))
-            except OSError:
-                return (0, 0.0)
-
-        entries.sort(key=coldness)
-        total = sum(size for _, size in entries)
-        count = len(entries)
-        for path, size in entries:
-            over = (
-                (self.max_entries is not None and count > self.max_entries)
-                or (self.max_bytes is not None and total > self.max_bytes)
-            )
-            if not over:
-                break
-            if path == keep:
-                continue
-            try:
-                os.remove(path)
-            except OSError:
-                continue
-            self._recency.pop(path, None)
-            self.evictions += 1
-            total -= size
-            count -= 1
-            key_dir = os.path.dirname(path)
-            try:
-                if not os.listdir(key_dir):
-                    os.rmdir(key_dir)
-            except OSError:
-                pass
-
-    def _read(self, key, stage):
-        path = self._path(key, stage)
-        try:
-            with open(path, "rb") as handle:
-                data = handle.read()
-        except OSError:
-            return None
-        self._touch(path)
-        return data
-
-    def _write(self, key, stage, data):
-        os.makedirs(os.path.join(self.root, key), exist_ok=True)
-        path = self._path(key, stage)
-        with open(path, "wb") as handle:
-            handle.write(data)
-        self._touch(path)
-        self._evict(keep=path)
-
-    def stages(self, key):
-        try:
-            found = {
-                name[: -len(".ckpt")]
-                for name in os.listdir(os.path.join(self.root, key))
-                if name.endswith(".ckpt")
-            }
-        except OSError:
-            return []
-        ordered = [s for s in CHECKPOINT_STAGES if s in found]
-        return ordered + sorted(found.difference(CHECKPOINT_STAGES))
+from .store import Store
 
 
 @dataclass
@@ -228,17 +34,22 @@ class StageCheckpointer:
 
     The flow runner and the backend orchestrator share this object:
     ``load`` returns ``None`` when resuming is disabled, so callers need
-    no resume conditionals of their own.
+    no resume conditionals of their own.  Stage ``s`` lives under the
+    store key ``f"{key}.{s}"``.
     """
 
-    store: CheckpointStore
+    store: Store
     key: str
     resume: bool = True
 
     def load(self, stage: str):
+        """The checkpointed artifact, or ``None`` on a miss."""
         if not self.resume:
             return None
-        return self.store.load(self.key, stage)
+        data = self.store.get(f"{self.key}.{stage}")
+        return None if data is None else pickle.loads(data)
 
-    def save(self, stage: str, obj) -> None:
-        self.store.save(self.key, stage, obj)
+    def save(self, stage: str, artifact) -> None:
+        self.store.put(
+            f"{self.key}.{stage}", pickle.dumps(artifact, protocol=4)
+        )

@@ -1,17 +1,13 @@
 """Tests for repro.campaign: fair-share scheduling, the global result
 cache, serial-vs-process-pool equivalence, and the shared cache key."""
 
-import pickle
-
 import pytest
 
 from repro.campaign import (
     Campaign,
     CampaignError,
-    DirectoryResultCache,
     FairShareScheduler,
     FifoScheduler,
-    MemoryResultCache,
     evaluate_schedule,
     nearest_rank_p95,
     result_cache_key,
@@ -26,13 +22,15 @@ from repro.core import (
     HubError,
     User,
     run_flow,
+    run_signoff,
 )
 from repro.ip.digital import make_counter, make_gray_counter
 from repro.obs.metrics import MetricsRegistry
 from repro.pdk import get_pdk
 from repro.resil import (
-    DirectoryCheckpointStore,
+    DirectoryStore,
     FaultInjector,
+    MemoryStore,
     StageCheckpointer,
     flow_cache_key,
 )
@@ -111,13 +109,11 @@ class TestCacheKey:
         assert len(keys) == len(changed)
 
     def test_execution_only_knobs_do_not_change_the_key(self):
-        from repro.resil import MemoryCheckpointStore
-
         module = counter_module()
         plain = result_cache_key(module, "edu130", FlowOptions())
         wired = result_cache_key(
             module, "edu130",
-            FlowOptions(checkpoints=MemoryCheckpointStore(), resume=False),
+            FlowOptions(checkpoints=MemoryStore(), resume=False),
         )
         assert plain == wired
         assert "checkpoints" not in RESULT_KEY_FIELDS
@@ -129,148 +125,89 @@ class TestCacheKey:
         ) != result_cache_key(counter_module(5), "edu130", options)
 
 
-# -- result cache backends --------------------------------------------------
-
-
-class TestMemoryResultCache:
-    def run_result(self):
-        return run_flow(counter_module(), get_pdk("edu130"), FlowOptions())
-
-    def test_hit_miss_accounting(self):
-        cache = MemoryResultCache()
-        assert cache.get("k") is None
-        cache.put("k", self.run_result())
-        assert cache.get("k") is not None
-        assert (cache.hits, cache.misses) == (1, 1)
-        assert cache.hit_rate == 0.5
-
-    def test_hits_share_one_deserialized_instance(self):
-        # FlowResult is read-only downstream, so the default mode hands
-        # every hit the same object: a hit is a dict lookup, not an
-        # unpickle of the whole artifact graph.
-        cache = MemoryResultCache()
-        cache.put("k", self.run_result())
-        assert cache.get("k") is cache.get("k")
-
-    def test_put_decouples_cache_from_the_producer(self):
-        cache = MemoryResultCache()
-        produced = self.run_result()
-        cache.put("k", produced)
-        produced.design_name = "mutated-after-put"
-        assert cache.get("k").design_name != "mutated-after-put"
-
-    def test_private_copies_mode_isolates_readers(self):
-        cache = MemoryResultCache(private_copies=True)
-        cache.put("k", self.run_result())
-        first = cache.get("k")
-        first.design_name = "mutated"
-        assert cache.get("k").design_name != "mutated"
-        assert first is not cache.get("k")
-
-    def test_lru_eviction_order(self):
-        cache = MemoryResultCache(max_entries=2)
-        result = self.run_result()
-        cache.put("a", result)
-        cache.put("b", result)
-        cache.get("a")  # refresh a: b is now the coldest
-        cache.put("c", result)
-        assert set(cache.keys()) == {"a", "c"}
-        assert cache.evictions == 1
-
-    def test_max_bytes_evicts_cold_entries(self):
-        result = self.run_result()
-        blob = len(pickle.dumps(result, protocol=4))
-        cache = MemoryResultCache(max_bytes=2 * blob)
-        for key in ("a", "b", "c"):
-            cache.put(key, result)
-        assert cache.keys() == ["b", "c"]
-        assert cache.total_bytes() <= 2 * blob
-
-    def test_newest_entry_survives_even_when_oversized(self):
-        result = self.run_result()
-        cache = MemoryResultCache(max_bytes=1)
-        cache.put("only", result)
-        assert cache.keys() == ["only"]
+# -- directory-backed result cache ------------------------------------------
 
 
 class TestDirectoryResultCache:
     def test_round_trip_across_instances(self, tmp_path):
         result = run_flow(counter_module(), get_pdk("edu130"), FlowOptions())
-        root = str(tmp_path / "results")
-        DirectoryResultCache(root).put("k", result)
-        loaded = DirectoryResultCache(root).get("k")
+        root = tmp_path / "results"
+        DirectoryStore(root).put("k", result)
+        loaded = DirectoryStore(root).get("k")
         assert loaded is not None
         assert result_signature(loaded) == result_signature(result)
 
     def test_lru_eviction_order(self, tmp_path):
         result = run_flow(counter_module(), get_pdk("edu130"), FlowOptions())
-        cache = DirectoryResultCache(str(tmp_path), max_entries=2)
+        cache = DirectoryStore(tmp_path, max_entries=2)
         cache.put("a", result)
         cache.put("b", result)
         cache.get("a")
         cache.put("c", result)
         assert set(cache.keys()) == {"a", "c"}
         assert cache.evictions == 1
-        assert len(cache) == 2
+        assert len(cache.keys()) == 2
 
 
 # -- bounded checkpoint store (satellite) -----------------------------------
 
 
+def save_stage(store, key, value):
+    StageCheckpointer(store, key).save("synthesis", value)
+
+
+def load_stage(store, key):
+    return StageCheckpointer(store, key).load("synthesis")
+
+
 class TestDirectoryCheckpointStoreLru:
+    """A bounded DirectoryStore holding one stage checkpoint per key."""
+
     def test_unbounded_by_default(self, tmp_path):
-        store = DirectoryCheckpointStore(str(tmp_path))
+        store = DirectoryStore(tmp_path)
         for index in range(10):
-            store.save(f"key{index}", "synthesis", {"n": index})
+            save_stage(store, f"key{index}", {"n": index})
         assert store.evictions == 0
-        assert len(store._entries()) == 10
+        assert len(store.keys()) == 10
 
     def test_max_entries_evicts_least_recently_used(self, tmp_path):
-        store = DirectoryCheckpointStore(str(tmp_path), max_entries=2)
-        store.save("k1", "synthesis", 1)
-        store.save("k2", "synthesis", 2)
-        store.load("k1", "synthesis")  # refresh k1: k2 is the coldest
-        store.save("k3", "synthesis", 3)
+        store = DirectoryStore(tmp_path, max_entries=2)
+        save_stage(store, "k1", 1)
+        save_stage(store, "k2", 2)
+        load_stage(store, "k1")  # refresh k1: k2 is the coldest
+        save_stage(store, "k3", 3)
         assert store.evictions == 1
-        assert store.load("k2", "synthesis") is None
-        assert store.load("k1", "synthesis") == 1
-        assert store.load("k3", "synthesis") == 3
+        assert load_stage(store, "k2") is None
+        assert load_stage(store, "k1") == 1
+        assert load_stage(store, "k3") == 3
 
     def test_eviction_strictly_follows_recency_order(self, tmp_path):
-        store = DirectoryCheckpointStore(str(tmp_path), max_entries=3)
+        store = DirectoryStore(tmp_path, max_entries=3)
         for key in ("a", "b", "c"):
-            store.save(key, "synthesis", key)
+            save_stage(store, key, key)
         for key in ("c", "b", "a"):  # reversed recency
-            store.load(key, "synthesis")
-        store.save("d", "synthesis", "d")  # evicts c (coldest)
-        store.save("e", "synthesis", "e")  # evicts b
+            load_stage(store, key)
+        save_stage(store, "d", "d")  # evicts c (coldest)
+        save_stage(store, "e", "e")  # evicts b
         survivors = {
             key for key in ("a", "b", "c", "d", "e")
-            if store.has(key, "synthesis")
+            if load_stage(store, key) is not None
         }
         assert survivors == {"a", "d", "e"}
 
     def test_max_bytes_budget(self, tmp_path):
-        store = DirectoryCheckpointStore(str(tmp_path), max_bytes=1)
-        store.save("k1", "synthesis", list(range(100)))
-        store.save("k2", "synthesis", list(range(100)))
+        store = DirectoryStore(tmp_path, max_bytes=1)
+        save_stage(store, "k1", list(range(100)))
+        save_stage(store, "k2", list(range(100)))
         # The just-written entry always survives, the cold one goes.
-        assert store.load("k1", "synthesis") is None
-        assert store.load("k2", "synthesis") is not None
-
-    def test_empty_key_directories_removed(self, tmp_path):
-        import os
-
-        store = DirectoryCheckpointStore(str(tmp_path), max_entries=1)
-        store.save("k1", "synthesis", 1)
-        store.save("k2", "synthesis", 2)
-        assert not os.path.isdir(str(tmp_path / "k1"))
+        assert load_stage(store, "k1") is None
+        assert load_stage(store, "k2") is not None
 
     def test_validation(self, tmp_path):
         with pytest.raises(ValueError):
-            DirectoryCheckpointStore(str(tmp_path), max_entries=0)
+            DirectoryStore(tmp_path, max_entries=0)
         with pytest.raises(ValueError):
-            DirectoryCheckpointStore(str(tmp_path), max_bytes=0)
+            DirectoryStore(tmp_path, max_bytes=0)
 
 
 # -- scheduler invariants ---------------------------------------------------
@@ -454,7 +391,7 @@ class TestCampaignEngine:
         )
 
     def test_shared_cache_spans_campaigns(self):
-        cache = MemoryResultCache()
+        cache = MemoryStore()
         build_campaign(copies=2, cache=cache).run()
         second = build_campaign(copies=2, cache=cache)
         report = second.run()
@@ -541,6 +478,51 @@ class TestHubCampaign:
     def test_empty_campaign_rejected(self):
         with pytest.raises(HubError):
             enrolled_hub().run_campaign([])
+
+    def test_pool_campaign_after_serial_jobs_matches_serial(self):
+        # The hub attaches its in-memory checkpoint store to every
+        # request.  It pickles as an empty store, so pool workers start
+        # cold (the re-clocked counter resumes only in the serial run)
+        # and produce the same results.
+        warmup = [CampaignRequest("alice", counter_module(), "edu130")]
+        batch = [
+            CampaignRequest("alice", counter_module(), "edu130"),
+            CampaignRequest(
+                "bob", counter_module(), "edu130",
+                options=FlowOptions(clock_period_ps=4_000.0),
+            ),
+            CampaignRequest("bob", gray_module(), "edu130"),
+            CampaignRequest("alice", gray_module(), "edu130"),
+        ]
+        runs = []
+        for workers in (0, 2):
+            hub = enrolled_hub()
+            hub.run_campaign(warmup, seed=3)
+            assert hub.checkpoints.keys()
+            report, records = hub.run_campaign(
+                batch, workers=workers, seed=3
+            )
+            runs.append((
+                [result_signature(r.result) for r in records],
+                [r.attempts for r in records],
+                report.cache_hits,
+                report.cache_misses,
+            ))
+        assert runs[0] == runs[1]
+        assert runs[0][2:] == (2, 2)
+
+    def test_signoff_leaves_the_shared_result_unchanged(self):
+        hub = enrolled_hub()
+        request = CampaignRequest("alice", counter_module(), "edu130")
+        _, (first, hit) = hub.run_campaign([request, request])
+        assert hit.attempts == 0
+        (key,) = hub.result_cache.keys()
+        cached = hub.result_cache.get(key)
+        # The producer and every hit share the one cached instance.
+        assert cached is first.result and cached is hit.result
+        before = (cached.to_json(), cached.gds_bytes)
+        run_signoff(hit.result)
+        assert (cached.to_json(), cached.gds_bytes) == before
 
 
 # -- CLI --------------------------------------------------------------------

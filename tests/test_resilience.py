@@ -3,7 +3,6 @@ graceful degradation, and the FlowOptions request API."""
 
 import math
 import random
-import warnings
 
 import pytest
 
@@ -23,15 +22,20 @@ from repro.core.presets import COMMERCIAL, OPEN
 from repro.ip.digital import make_counter
 from repro.pdk import get_pdk
 from repro.resil import (
-    CHECKPOINT_STAGES,
-    DirectoryCheckpointStore,
+    DirectoryStore,
     ExponentialBackoff,
     FaultInjector,
     FaultModel,
     FlowFailure,
     InjectedFault,
-    MemoryCheckpointStore,
+    MemoryStore,
+    StageCheckpointer,
     flow_cache_key,
+)
+
+#: Stages a full flow run checkpoints, in order.
+CHECKPOINT_STAGES = (
+    "synthesis", "floorplan", "placement", "clock_tree", "routing",
 )
 
 
@@ -189,54 +193,34 @@ class TestCheckpointStores:
         assert base != flow_cache_key(module, "edu130", OPEN, 2)
         assert base != flow_cache_key(counter_module(6), "edu130", OPEN, 1)
 
-    def test_memory_store_round_trip_is_a_copy(self):
-        store = MemoryCheckpointStore()
-        store.save("k", "placement", {"xs": [1, 2]})
-        loaded = store.load("k", "placement")
-        assert loaded == {"xs": [1, 2]}
-        loaded["xs"].append(3)
-        assert store.load("k", "placement") == {"xs": [1, 2]}
-
     def test_directory_store_persists(self, tmp_path):
-        store = DirectoryCheckpointStore(tmp_path / "ckpt")
-        store.save("key1", "routing", [1.5, 2.5])
-        again = DirectoryCheckpointStore(tmp_path / "ckpt")
-        assert again.load("key1", "routing") == [1.5, 2.5]
-        assert again.load("key1", "floorplan") is None
-        assert set(again.stages("key1")) == {"routing"}
+        store = DirectoryStore(tmp_path / "ckpt")
+        StageCheckpointer(store, "key1").save("routing", [1.5, 2.5])
+        again = DirectoryStore(tmp_path / "ckpt")
+        ckpt = StageCheckpointer(again, "key1")
+        assert ckpt.load("routing") == [1.5, 2.5]
+        assert ckpt.load("floorplan") is None
+        assert again.keys() == ["key1.routing"]
 
 
 class TestFlowOptionsApi:
     def test_string_preset_coerced(self):
         assert FlowOptions(preset="commercial").preset is COMMERCIAL
 
-    def test_with_overrides(self):
+    def test_replace(self):
         options = FlowOptions(seed=1)
-        assert options.with_overrides(seed=9).seed == 9
+        assert options.replace(seed=9).seed == 9
         assert options.seed == 1
 
-    def test_legacy_kwargs_warn_once_and_match(self):
-        module, pdk = counter_module(), get_pdk("edu130")
-        new = run_flow(module, pdk, FlowOptions(seed=2))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            old = run_flow(module, pdk, seed=2)
-        deprecations = [
-            w for w in caught
-            if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert new.gds_bytes == old.gds_bytes
+    def test_legacy_kwargs_rejected(self):
+        with pytest.raises(TypeError):
+            run_flow(counter_module(), get_pdk("edu130"), seed=2)
 
     def test_positional_preset_is_legacy(self):
-        module, pdk = counter_module(), get_pdk("edu130")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = run_flow(module, pdk, COMMERCIAL)
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        assert result.preset is COMMERCIAL
+        # A bare FlowPreset was the legacy third argument; only a
+        # FlowOptions (or None) is accepted there now.
+        with pytest.raises(TypeError):
+            run_flow(counter_module(), get_pdk("edu130"), COMMERCIAL)
 
     def test_mixing_options_and_legacy_rejected(self):
         with pytest.raises(TypeError):
@@ -318,11 +302,19 @@ class TestGracefulDegradation:
             FlowFailure("routing", "boom", kind="mystery")
 
 
+@pytest.fixture(params=["MemoryStore", "DirectoryStore"])
+def checkpoint_store(request, tmp_path):
+    """An empty checkpoint store of each backend."""
+    if request.param == "MemoryStore":
+        return MemoryStore()
+    return DirectoryStore(tmp_path / "ckpt")
+
+
 class TestCheckpointResume:
-    def test_resume_is_byte_identical(self):
+    def test_resume_is_byte_identical(self, checkpoint_store):
         module, pdk = counter_module(), get_pdk("edu130")
         cold = run_flow(module, pdk, FlowOptions(seed=3))
-        store = MemoryCheckpointStore()
+        store = checkpoint_store
         first = run_flow(module, pdk,
                          FlowOptions(seed=3, checkpoints=store))
         resumed = run_flow(module, pdk,
@@ -331,19 +323,21 @@ class TestCheckpointResume:
         assert resumed.gds_bytes == cold.gds_bytes
         assert store.hits == len(CHECKPOINT_STAGES)
 
-    def test_interrupted_after_placement_resumes_identically(self):
+    def test_interrupted_after_placement_resumes_identically(
+        self, checkpoint_store
+    ):
         module, pdk = counter_module(), get_pdk("edu130")
         cold = run_flow(module, pdk, FlowOptions(seed=3))
-        store = MemoryCheckpointStore()
+        store = checkpoint_store
         interrupted = run_flow(
             module, pdk,
             FlowOptions(seed=3, checkpoints=store, continue_on_error=True,
                         inject=FaultInjector("routing")),
         )
         assert interrupted.gds_bytes is None
-        assert set(store.stages(flow_cache_key(module, pdk.name,
-                                               OPEN, 3))) >= {
-            "synthesis", "floorplan", "placement", "clock_tree",
+        key = flow_cache_key(module, pdk.name, OPEN, 3)
+        assert set(store.keys()) >= {
+            f"{key}.{stage}" for stage in CHECKPOINT_STAGES[:4]
         }
         resumed = run_flow(module, pdk,
                            FlowOptions(seed=3, checkpoints=store))
@@ -352,7 +346,7 @@ class TestCheckpointResume:
 
     def test_resume_false_recomputes(self):
         module, pdk = counter_module(), get_pdk("edu130")
-        store = MemoryCheckpointStore()
+        store = MemoryStore()
         run_flow(module, pdk, FlowOptions(seed=3, checkpoints=store))
         hits_before = store.hits
         run_flow(module, pdk,
@@ -361,7 +355,7 @@ class TestCheckpointResume:
 
     def test_different_seed_different_key(self):
         module, pdk = counter_module(), get_pdk("edu130")
-        store = MemoryCheckpointStore()
+        store = MemoryStore()
         run_flow(module, pdk, FlowOptions(seed=3, checkpoints=store))
         run_flow(module, pdk, FlowOptions(seed=4, checkpoints=store))
         assert store.hits == 0
