@@ -42,6 +42,7 @@ from .formal import (
 )
 from .hdl.ir import HdlError
 from .hdl.verilog import to_verilog
+from .hdl.verilog_parser import VerilogParseError, parse_verilog
 from .ip.base import quality_score
 from .ip.catalog import GENERATORS, catalogue, generate
 from .layout.defio import from_physical, write_def
@@ -96,27 +97,52 @@ def _cmd_ips(args) -> int:
     return 0
 
 
-def _cmd_flow(args) -> int:
-    if args.verilog:
-        from .hdl.verilog_parser import parse_verilog
+def _read_verilog(path: str, parse=parse_verilog):
+    """``parse`` applied to the text of the Verilog file at ``path``, or
+    ``None`` when the file cannot be read or its Verilog does not parse
+    or elaborate: a usage error, printed as ``error: <path>: <message>``.
+    """
+    try:
+        with open(path) as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        message = getattr(exc, "strerror", None) or str(exc)
+    else:
+        try:
+            return parse(text)
+        except (VerilogParseError, HdlError) as exc:
+            message = str(exc)
+    print(f"error: {path}: {message}", file=sys.stderr)
+    return None
 
-        with open(args.verilog) as handle:
-            module = parse_verilog(handle.read())
+
+def _design(args, sources: str = "--ip or --verilog"):
+    """The module ``--verilog`` or ``--ip`` names, or ``None`` after a
+    usage error is printed.  The module elaborates: the parser and the
+    catalogue generators both validate what they build."""
+    if args.verilog:
+        return _read_verilog(args.verilog)
+    if not args.ip:
+        print(f"error: one of {sources} is required", file=sys.stderr)
+    elif args.ip not in GENERATORS:
+        print(f"error: unknown IP {args.ip!r}; try: python -m repro ips",
+              file=sys.stderr)
+    else:
+        return generate(args.ip).module
+    return None
+
+
+def _cmd_flow(args) -> int:
+    module = _design(args)
+    if module is None:
+        return 2
+    if args.verilog:
         print(f"parsed {module.name} from {args.verilog}")
-    elif args.ip:
-        if args.ip not in GENERATORS:
-            print(f"error: unknown IP {args.ip!r}; try: python -m repro ips",
-                  file=sys.stderr)
-            return 2
-        ip = generate(args.ip)
-        testbench = ip.verify(cycles=args.verify_cycles)
+    else:
+        testbench = generate(args.ip).verify(cycles=args.verify_cycles)
         print(f"testbench: {testbench.summary()}")
         if not testbench.passed:
             return 1
-        module = ip.module
-    else:
-        print("error: one of --ip or --verilog is required", file=sys.stderr)
-        return 2
 
     pdk = get_pdk(args.pdk)
     store = None
@@ -182,14 +208,9 @@ def _cmd_edit(args) -> int:
             print("error: --demo edits the catalogue 'soc' IP",
                   file=sys.stderr)
             return 2
-        from .ip.soc import sevenseg_recode_rtl
-
         module_name = "sevenseg"
-        new_rtl = sevenseg_recode_rtl()
     elif args.module and args.rtl:
         module_name = args.module
-        with open(args.rtl) as handle:
-            new_rtl = handle.read()
     else:
         print("error: either --demo or both --module and --rtl are required",
               file=sys.stderr)
@@ -212,7 +233,16 @@ def _cmd_edit(args) -> int:
           f"{len(ws.result.synthesis.mapped.cells)} cells")
 
     start = time.perf_counter()
-    report = ws.edit(module_name, new_rtl)
+    if args.demo:
+        from .ip.soc import sevenseg_recode_rtl
+
+        report = ws.edit(module_name, sevenseg_recode_rtl())
+    else:
+        report = _read_verilog(
+            args.rtl, lambda text: ws.edit(module_name, text)
+        )
+        if report is None:
+            return 2
     edit_ms = (time.perf_counter() - start) * 1e3
     if report.clean:
         print(f"edit {module_name}: clean (no logic change)")
@@ -286,33 +316,13 @@ def _cmd_lint(args) -> int:
             waivers=waivers,
         )
     else:
-        if args.verilog:
-            from .hdl.verilog_parser import parse_verilog
-
-            with open(args.verilog) as handle:
-                module = parse_verilog(handle.read())
-        elif args.ip:
-            if args.ip not in GENERATORS:
-                print(f"error: unknown IP {args.ip!r}; try: "
-                      "python -m repro ips", file=sys.stderr)
-                return 2
-            module = generate(args.ip).module
-        else:
-            print("error: one of --ip, --verilog or --demo is required",
-                  file=sys.stderr)
+        module = _design(args, "--ip, --verilog or --demo")
+        if module is None:
             return 2
 
         mapped = None
         if not args.rtl_only:
-            try:
-                module.validate()
-            except HdlError as exc:
-                print(f"note: netlist lint skipped, RTL does not "
-                      f"elaborate ({exc})", file=sys.stderr)
-            else:
-                mapped = synthesize(
-                    module, get_pdk(args.pdk).library
-                ).mapped
+            mapped = synthesize(module, get_pdk(args.pdk).library).mapped
         report = lint_design(module, mapped=mapped, waivers=waivers)
 
     if args.formal:
@@ -352,25 +362,8 @@ def _cmd_prove(args) -> int:
     Counterexamples are replayed on the lockstep gate-level simulator so
     the formal verdict is cross-checked against simulation semantics.
     """
-    if args.verilog:
-        from .hdl.verilog_parser import parse_verilog
-
-        with open(args.verilog) as handle:
-            module = parse_verilog(handle.read())
-    elif args.ip:
-        if args.ip not in GENERATORS:
-            print(f"error: unknown IP {args.ip!r}; try: python -m repro ips",
-                  file=sys.stderr)
-            return 2
-        module = generate(args.ip).module
-    else:
-        print("error: one of --ip or --verilog is required", file=sys.stderr)
-        return 2
-
-    try:
-        module.validate()
-    except HdlError as exc:
-        print(f"error: RTL does not elaborate: {exc}", file=sys.stderr)
+    module = _design(args)
+    if module is None:
         return 2
 
     synth = synthesize(module, get_pdk(args.pdk).library)
@@ -447,29 +440,12 @@ def _cmd_lvs(args) -> int:
     from .layout.gds import write_gds
     from .pnr.physical import implement
 
-    if args.verilog:
-        from .hdl.verilog_parser import parse_verilog
-
-        with open(args.verilog) as handle:
-            module = parse_verilog(handle.read())
-    elif args.ip:
-        if args.ip not in GENERATORS:
-            print(f"error: unknown IP {args.ip!r}; try: python -m repro ips",
-                  file=sys.stderr)
-            return 2
-        module = generate(args.ip).module
-    else:
-        print("error: one of --ip or --verilog is required", file=sys.stderr)
+    module = _design(args)
+    if module is None:
         return 2
     if args.trojan is not None and args.trojan not in TROJAN_KINDS:
         print(f"error: unknown trojan kind {args.trojan!r}; "
               f"known: {', '.join(TROJAN_KINDS)}", file=sys.stderr)
-        return 2
-
-    try:
-        module.validate()
-    except HdlError as exc:
-        print(f"error: RTL does not elaborate: {exc}", file=sys.stderr)
         return 2
 
     pdk = get_pdk(args.pdk)

@@ -42,7 +42,7 @@ from ..obs.trace import Span, Tracer, get_tracer
 from ..pdk.pdks import Pdk
 from ..pnr.physical import PhysicalDesign, implement
 from ..power.engine import PowerAnalyzer, PowerReport
-from ..resil.checkpoint import StageCheckpointer, flow_cache_key
+from ..resil.checkpoint import StageCheckpointer, flow_cache_key, resume_or_run
 from ..resil.failure import FlowFailure, InjectedFault
 from ..sta.engine import TimingAnalyzer, TimingReport
 from ..synth.synthesize import SynthesisResult, synthesize
@@ -308,8 +308,7 @@ class FlowResult:
             clock_period_ps=data["clock_period_ps"],
             steps=[
                 StepReport(
-                    _STEP_BY_VALUE[s["step"]], s["ok"], 0.0,
-                    dict(s["metrics"]),
+                    FlowStep(s["step"]), s["ok"], 0.0, dict(s["metrics"])
                 )
                 for s in data["steps"]
             ],
@@ -330,9 +329,15 @@ class FlowResult:
         return result
 
 
-#: FlowSteps whose spans are opened inside synthesize()/implement().
-_STAGE_SPAN_NAMES = {step: f"step.{step.value}" for step in FlowStep}
-_STEP_BY_VALUE = {step.value: step for step in FlowStep}
+#: The backend steps implement() runs, with the PhysicalDesign field
+#: each one produces.
+_BACKEND_STEPS = (
+    (FlowStep.FLOORPLANNING, "floorplan"),
+    (FlowStep.PLACEMENT, "placement"),
+    (FlowStep.CLOCK_TREE_SYNTHESIS, "clock_tree"),
+    (FlowStep.ROUTING, "routing"),
+)
+
 
 def run_flow(
     module: Module,
@@ -383,9 +388,10 @@ def run_flow(
     steps: list[StepReport] = []
     failures: list[FlowFailure] = []
 
-    def record(step: FlowStep, span: Span | None, **step_metrics) -> None:
+    def record(
+        step: FlowStep, span: Span | None, ok: bool = True, **step_metrics
+    ) -> None:
         """One StepReport whose runtime is the step span's duration."""
-        ok = step_metrics.pop("_ok", True)
         runtime_s = span.duration_s if span is not None else 0.0
         if span is not None:
             span.set(**step_metrics)
@@ -393,9 +399,11 @@ def run_flow(
         metrics.counter(f"flow.steps.{step.value}").inc()
         metrics.histogram("flow.step_seconds").observe(runtime_s)
 
-    def stage_span(step: FlowStep) -> Span | None:
-        """The span a nested engine opened for ``step`` during this run."""
-        return tracer.find(_STAGE_SPAN_NAMES[step], mark)
+    def nested_span(step: FlowStep) -> Span | None:
+        """The span synthesize() or implement() opened for ``step`` during
+        this run.  ``find`` scans a span log shared by every thread using
+        the tracer, so the steps run_flow opens record their own span."""
+        return tracer.find(f"step.{step.value}", mark)
 
     def fail(stage: str, message: str, kind: str = "gate") -> None:
         """Record a stage failure; raise unless continue_on_error."""
@@ -409,6 +417,45 @@ def run_flow(
         """Trip the fault-injection drill for ``step`` if one is armed."""
         if opts.inject is not None:
             opts.inject.check(step.value)
+
+    def stage(step: FlowStep, compute, report):
+        """One step in its own span: the drill, then ``compute``.  The
+        step is recorded with ``report(artifact)``'s metrics, or as an
+        injected failure that yields ``None``."""
+        try:
+            with tracer.span(f"step.{step.value}") as span:
+                drill(step)
+                artifact = compute()
+        except InjectedFault as exc:
+            record(step, span, ok=False)
+            fail(exc.stage, str(exc), kind="injected")
+            return None
+        record(step, span, **report(artifact))
+        return artifact
+
+    def synthesis() -> SynthesisResult:
+        # The drill fires only when synthesis computes: a checkpoint hit
+        # skips it.
+        drill(FlowStep.SYNTHESIS)
+        if opts.eco is not None:
+            # Hierarchical memoized synthesis + deterministic stitch; a
+            # cold session recomputes every shard, so warm and cold runs
+            # agree byte for byte.
+            return opts.eco.synthesize(
+                module, pdk.library, preset, opts.seed, tracer=tracer
+            )
+        return synthesize(
+            module,
+            pdk.library,
+            objective=preset.mapping_objective,
+            opt_passes=preset.opt_passes,
+            sizing=preset.gate_sizing,
+            max_load_per_drive_ff=preset.max_load_per_drive_ff,
+            verify=preset.run_equivalence,
+            verify_cycles=preset.equivalence_cycles,
+            verify_seed=opts.seed,
+            tracer=tracer,
+        )
 
     ckpt: StageCheckpointer | None = None
     if opts.checkpoints is not None:
@@ -438,42 +485,13 @@ def run_flow(
         # -- synthesis + mapping + equivalence (checkpointable) -------------
         synth: SynthesisResult | None = None
         synth_cached = False
-        if ckpt is not None:
-            synth = ckpt.load("synthesis")
-            synth_cached = synth is not None
-            metrics.counter(
-                f"resil.checkpoint.{'hit' if synth_cached else 'miss'}"
-            ).inc()
-        if synth is None:
-            try:
-                drill(FlowStep.SYNTHESIS)
-                if opts.eco is not None:
-                    # Hierarchical memoized synthesis + deterministic
-                    # stitch; a cold session recomputes every shard, so
-                    # warm and cold runs agree byte for byte.
-                    synth = opts.eco.synthesize(
-                        module, pdk.library, preset, opts.seed,
-                        tracer=tracer,
-                    )
-                else:
-                    synth = synthesize(
-                        module,
-                        pdk.library,
-                        objective=preset.mapping_objective,
-                        opt_passes=preset.opt_passes,
-                        sizing=preset.gate_sizing,
-                        max_load_per_drive_ff=preset.max_load_per_drive_ff,
-                        verify=preset.run_equivalence,
-                        verify_cycles=preset.equivalence_cycles,
-                        verify_seed=opts.seed,
-                        tracer=tracer,
-                    )
-            except InjectedFault as exc:
-                record(FlowStep.SYNTHESIS, None, _ok=False)
-                fail(exc.stage, str(exc), kind="injected")
-            else:
-                if ckpt is not None:
-                    ckpt.save("synthesis", synth)
+        try:
+            synth, synth_cached = resume_or_run(
+                ckpt, "synthesis", synthesis, metrics
+            )
+        except InjectedFault as exc:
+            record(FlowStep.SYNTHESIS, None, ok=False)
+            fail(exc.stage, str(exc), kind="injected")
 
         lint_report = rtl_lint
         lec_report: LecReport | None = None
@@ -481,7 +499,7 @@ def run_flow(
         if synth is not None:
             record(
                 FlowStep.SYNTHESIS,
-                None if synth_cached else stage_span(FlowStep.SYNTHESIS),
+                None if synth_cached else nested_span(FlowStep.SYNTHESIS),
                 gates_raw=synth.opt_stats.gates_before,
                 gates_optimized=synth.opt_stats.gates_after,
                 **({"cached": True} if synth_cached else {}),
@@ -489,7 +507,7 @@ def run_flow(
             record(
                 FlowStep.TECHNOLOGY_MAPPING,
                 None if synth_cached
-                else stage_span(FlowStep.TECHNOLOGY_MAPPING),
+                else nested_span(FlowStep.TECHNOLOGY_MAPPING),
                 cells=len(synth.mapped.cells),
             )
             equivalence_ok = (
@@ -499,8 +517,8 @@ def run_flow(
             record(
                 FlowStep.EQUIVALENCE_CHECK,
                 None if synth_cached
-                else stage_span(FlowStep.EQUIVALENCE_CHECK),
-                _ok=equivalence_ok,
+                else nested_span(FlowStep.EQUIVALENCE_CHECK),
+                ok=equivalence_ok,
                 checked=synth.equivalence is not None,
             )
             if not equivalence_ok:
@@ -537,6 +555,7 @@ def run_flow(
         # -- backend: floorplan → place → CTS → route (checkpointable) ------
         physical: PhysicalDesign | None = None
         if synth is not None:
+            fault: InjectedFault | None = None
             try:
                 physical = implement(
                     synth.mapped,
@@ -554,122 +573,89 @@ def run_flow(
                     eco=opts.eco,
                 )
             except InjectedFault as exc:
-                # Stages that finished before the fault have spans (and
-                # checkpoints); report them, then the faulted stage.
-                faulted = _STEP_BY_VALUE[exc.stage]
-                for step in (
-                    FlowStep.FLOORPLANNING,
-                    FlowStep.PLACEMENT,
-                    FlowStep.CLOCK_TREE_SYNTHESIS,
-                    FlowStep.ROUTING,
-                ):
-                    span = stage_span(step)
-                    if step is faulted:
-                        record(step, span, _ok=False)
-                        break
-                    if span is not None:
-                        record(step, span)
-                fail(exc.stage, str(exc), kind="injected")
-        if physical is not None:
-            record(FlowStep.FLOORPLANNING, stage_span(FlowStep.FLOORPLANNING),
-                   **physical.floorplan.stats())
-            record(FlowStep.PLACEMENT, stage_span(FlowStep.PLACEMENT),
-                   hpwl_um=physical.placement.hpwl_um)
-            record(FlowStep.CLOCK_TREE_SYNTHESIS,
-                   stage_span(FlowStep.CLOCK_TREE_SYNTHESIS),
-                   **physical.clock_tree.stats())
-            record(FlowStep.ROUTING, stage_span(FlowStep.ROUTING),
-                   **physical.routing.stats())
+                fault = exc
+            # A fault ends the backend at its step: the steps that
+            # finished before it report no metrics.
+            for step, name in _BACKEND_STEPS:
+                span = nested_span(step)
+                if fault is None:
+                    record(step, span, **getattr(physical, name).stats())
+                elif step.value == fault.stage:
+                    record(step, span, ok=False)
+                    break
+                else:
+                    record(step, span)
+            if fault is not None:
+                fail(fault.stage, str(fault), kind="injected")
 
         # -- analysis + signoff stages --------------------------------------
         timing: TimingReport | None = None
-        if physical is not None and synth is not None:
-            try:
-                with tracer.span("step.static_timing_analysis") as sp:
-                    drill(FlowStep.STATIC_TIMING_ANALYSIS)
-                    analyzer = TimingAnalyzer(
-                        synth.mapped,
-                        pdk.node,
-                        wire_lengths_um=physical.wire_lengths(),
-                        skew_ps=physical.clock_tree.skew_map(),
-                        tracer=tracer,
-                        metrics=metrics,
-                    )
-                    timing = analyzer.analyze(opts.clock_period_ps)
-            except InjectedFault as exc:
-                record(FlowStep.STATIC_TIMING_ANALYSIS, sp, _ok=False)
-                fail(exc.stage, str(exc), kind="injected")
-            else:
-                record(
-                    FlowStep.STATIC_TIMING_ANALYSIS, sp,
-                    wns_ps=timing.wns_ps, met=timing.met,
-                    fmax_mhz=timing.fmax_mhz,
-                )
-
         power: PowerReport | None = None
-        if physical is not None and synth is not None:
-            try:
-                with tracer.span("step.power_analysis") as sp:
-                    drill(FlowStep.POWER_ANALYSIS)
-                    freq = opts.frequency_mhz or min(
-                        timing.fmax_mhz if timing is not None else float("inf"),
-                        1e6 / opts.clock_period_ps,
-                    )
-                    power = PowerAnalyzer(
-                        synth.mapped, pdk.node,
-                        wire_lengths_um=physical.wire_lengths(),
-                        tracer=tracer,
-                        metrics=metrics,
-                    ).analyze(freq)
-            except InjectedFault as exc:
-                record(FlowStep.POWER_ANALYSIS, sp, _ok=False)
-                fail(exc.stage, str(exc), kind="injected")
-            else:
-                record(FlowStep.POWER_ANALYSIS, sp, total_uw=power.total_uw)
-
         drc: DrcReport | None = None
+        gds_bytes: bytes | None = None
         gds_library = None
         if physical is not None:
-            try:
-                with tracer.span("step.design_rule_check") as sp:
-                    drill(FlowStep.DESIGN_RULE_CHECK)
-                    gds_library = build_chip_gds(physical)
-                    drc = check_drc(
-                        gds_library, pdk.layers, physical.mapped.name,
-                        tracer=tracer,
-                    )
-            except InjectedFault as exc:
-                record(FlowStep.DESIGN_RULE_CHECK, sp, _ok=False)
-                fail(exc.stage, str(exc), kind="injected")
-            else:
-                record(FlowStep.DESIGN_RULE_CHECK, sp, _ok=drc.clean,
-                       violations=len(drc.violations))
-                if opts.strict_drc and not drc.clean:
-                    fail(
-                        FlowStep.DESIGN_RULE_CHECK.value,
-                        f"DRC failed: {drc.summary()}",
-                    )
+            timing = stage(
+                FlowStep.STATIC_TIMING_ANALYSIS,
+                lambda: TimingAnalyzer(
+                    synth.mapped,
+                    pdk.node,
+                    wire_lengths_um=physical.wire_lengths(),
+                    skew_ps=physical.clock_tree.skew_map(),
+                    tracer=tracer,
+                    metrics=metrics,
+                ).analyze(opts.clock_period_ps),
+                lambda t: {
+                    "wns_ps": t.wns_ps, "met": t.met, "fmax_mhz": t.fmax_mhz,
+                },
+            )
+            power = stage(
+                FlowStep.POWER_ANALYSIS,
+                lambda: PowerAnalyzer(
+                    synth.mapped, pdk.node,
+                    wire_lengths_um=physical.wire_lengths(),
+                    tracer=tracer,
+                    metrics=metrics,
+                ).analyze(opts.frequency_mhz or min(
+                    timing.fmax_mhz if timing is not None else float("inf"),
+                    1e6 / opts.clock_period_ps,
+                )),
+                lambda p: {"total_uw": p.total_uw},
+            )
 
-        gds_bytes: bytes | None = None
-        if physical is not None:
-            try:
-                with tracer.span("step.gds_export") as sp:
-                    drill(FlowStep.GDS_EXPORT)
-                    if gds_library is None:
-                        gds_library = build_chip_gds(physical)
-                    gds_bytes = write_gds(gds_library)
-            except InjectedFault as exc:
-                record(FlowStep.GDS_EXPORT, sp, _ok=False)
-                fail(exc.stage, str(exc), kind="injected")
-            else:
-                record(FlowStep.GDS_EXPORT, sp, bytes=len(gds_bytes))
+            def design_rule_check() -> DrcReport:
+                # GDS export streams out the library DRC checked.
+                nonlocal gds_library
+                gds_library = build_chip_gds(physical)
+                return check_drc(
+                    gds_library, pdk.layers, physical.mapped.name,
+                    tracer=tracer,
+                )
+
+            drc = stage(
+                FlowStep.DESIGN_RULE_CHECK, design_rule_check,
+                lambda d: {"ok": d.clean, "violations": len(d.violations)},
+            )
+            if drc is not None and opts.strict_drc and not drc.clean:
+                fail(
+                    FlowStep.DESIGN_RULE_CHECK.value,
+                    f"DRC failed: {drc.summary()}",
+                )
+            gds_bytes = stage(
+                FlowStep.GDS_EXPORT,
+                lambda: write_gds(
+                    gds_library if gds_library is not None
+                    else build_chip_gds(physical)
+                ),
+                lambda data: {"bytes": len(data)},
+            )
 
         # GDS-in signoff: the exported *bytes* are re-parsed, the
         # netlist re-extracted from geometry alone, and the result
         # compared (and LEC-proved) against the mapped netlist.  Spans
         # open under ``extract.*``, not a FlowStep — the mask never
         # leaves the flow, so this is a gate, not a pipeline stage.
-        if opts.extract_lvs and gds_bytes is not None and synth is not None:
+        if opts.extract_lvs and gds_bytes is not None:
             from ..extract import run_lvs
 
             lvs_report = run_lvs(
@@ -693,10 +679,7 @@ def run_flow(
     metrics.histogram("flow.run_seconds").observe(flow_span.duration_s)
 
     ppa = None
-    if (
-        synth is not None and physical is not None
-        and timing is not None and power is not None
-    ):
+    if timing is not None and power is not None:
         ppa = PpaSummary(
             area_um2=synth.mapped.area_um2(),
             die_area_mm2=physical.die_area_mm2,

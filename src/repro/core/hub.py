@@ -34,6 +34,17 @@ class HubError(Exception):
     """Raised when a hub request violates policy."""
 
 
+def _flow_minutes(result: FlowResult | None) -> float:
+    """Cloud minutes billed for one flow run.  A ``continue_on_error``
+    run may be partial: it is billed only for the cells it mapped."""
+    cells = (
+        len(result.synthesis.mapped.cells)
+        if result is not None and result.synthesis is not None
+        else 1
+    )
+    return estimate_job_minutes(cells)
+
+
 @dataclass
 class Enrollment:
     user: User
@@ -151,6 +162,38 @@ class EnablementHub:
 
     # -- flow execution -------------------------------------------------------
 
+    def _admit(
+        self,
+        user_name: str,
+        pdk_name: str,
+        preset_name: str,
+        options: FlowOptions | None,
+        clock_period_ps: float = 5_000.0,
+    ) -> tuple[Enrollment, str, FlowOptions]:
+        """Tier check, then legal gate, for one flow request; returns the
+        enrollment, the preset name and the options to run, with the
+        hub's checkpoint store attached unless they bring their own."""
+        enrollment = self._enrollment(user_name)
+        if options is not None:
+            preset_name = options.preset.name
+        if not tier_allows(enrollment.tier, pdk_name, preset_name):
+            raise HubError(
+                f"tier {enrollment.tier.value!r} may not run "
+                f"{preset_name!r} on {pdk_name!r}"
+            )
+        decision = evaluate_access(enrollment.user, get_pdk(pdk_name))
+        if not decision.granted:
+            raise HubError(
+                f"access to {pdk_name} blocked: {decision.blockers}"
+            )
+        if options is None:
+            options = FlowOptions(
+                preset=preset_name, clock_period_ps=clock_period_ps
+            )
+        if options.checkpoints is None:
+            options = options.replace(checkpoints=self.checkpoints)
+        return enrollment, preset_name, options
+
     def run_design(
         self,
         user_name: str,
@@ -178,25 +221,9 @@ class EnablementHub:
         deadline-aware policy, retries that cannot start before the
         deadline are abandoned.
         """
-        enrollment = self._enrollment(user_name)
-        if options is not None:
-            preset_name = options.preset.name
-        if not tier_allows(enrollment.tier, pdk_name, preset_name):
-            raise HubError(
-                f"tier {enrollment.tier.value!r} may not run "
-                f"{preset_name!r} on {pdk_name!r}"
-            )
-        decision = evaluate_access(enrollment.user, get_pdk(pdk_name))
-        if not decision.granted:
-            raise HubError(
-                f"access to {pdk_name} blocked: {decision.blockers}"
-            )
-        if options is None:
-            options = FlowOptions(
-                preset=preset_name, clock_period_ps=clock_period_ps
-            )
-        if options.checkpoints is None:
-            options = options.replace(checkpoints=self.checkpoints)
+        enrollment, preset_name, options = self._admit(
+            user_name, pdk_name, preset_name, options, clock_period_ps
+        )
         record = HubJobRecord(
             user=user_name, design=module.name, pdk=pdk_name,
             preset=preset_name, deadline_minute=deadline_minute,
@@ -246,13 +273,8 @@ class EnablementHub:
         record.attempts = attempt
         record.failures.extend(result.failures)
         record.queued_minutes = minute - submit_minute
-        # A continue_on_error run may be partial; bill only what ran.
-        cells = (
-            len(result.synthesis.mapped.cells)
-            if result.synthesis is not None else 1
-        )
         self.cloud.submit(
-            user_name, estimate_job_minutes(cells), minute,
+            user_name, _flow_minutes(result), minute,
             deadline_min=deadline_minute,
         )
         record.result = result
@@ -300,25 +322,9 @@ class EnablementHub:
             raise HubError("campaign has no requests")
         prepared = []
         for request in requests:
-            enrollment = self._enrollment(request.user)
-            options = request.options
-            preset_name = (
-                options.preset.name if options is not None else request.preset
+            _, preset_name, options = self._admit(
+                request.user, request.pdk, request.preset, request.options
             )
-            if not tier_allows(enrollment.tier, request.pdk, preset_name):
-                raise HubError(
-                    f"tier {enrollment.tier.value!r} may not run "
-                    f"{preset_name!r} on {request.pdk!r}"
-                )
-            decision = evaluate_access(enrollment.user, get_pdk(request.pdk))
-            if not decision.granted:
-                raise HubError(
-                    f"access to {request.pdk} blocked: {decision.blockers}"
-                )
-            if options is None:
-                options = FlowOptions(preset=preset_name)
-            if options.checkpoints is None:
-                options = options.replace(checkpoints=self.checkpoints)
             prepared.append((request, options, preset_name))
 
         campaign = Campaign(
@@ -355,17 +361,11 @@ class EnablementHub:
                 )
                 self.metrics.counter("hub.flow_failures").inc()
             else:
-                result = job.result
-                cells = (
-                    len(result.synthesis.mapped.cells)
-                    if result is not None and result.synthesis is not None
-                    else 1
-                )
                 # Hits are billed the nominal cache service cost, not a
                 # flow run — memoization is the campaign's capacity story.
                 minutes = (
                     campaign.cache_hit_minutes if job.cache_hit
-                    else estimate_job_minutes(cells)
+                    else _flow_minutes(job.result)
                 )
                 self.cloud.submit(
                     request.user, max(minutes, 0.01),

@@ -34,20 +34,25 @@ from .ir import (
 
 
 class VerilogParseError(Exception):
-    """Raised for Verilog outside the supported subset."""
+    """Raised for Verilog outside the supported subset.
+
+    The message starts with ``line N:``, the line of the source text
+    where parsing stopped.
+    """
 
 
-_TOKEN = re.compile(
-    r"\d+'[bdh][0-9a-fA-F_]+"  # sized literal
+#: One lexeme per match: whitespace or a comment, a token, or a
+#: character outside the subset (group ``bad``), which is rejected.
+_LEXEME = re.compile(
+    r"\s+|//[^\n]*|/\*.*?\*/"
+    # sized literal: no leading underscore, digits valid for the base
+    r"|(?P<token>\d+'(?:b[01][01_]*|d\d[\d_]*|h[\da-fA-F][\da-fA-F_]*)"
     r"|[a-zA-Z_][a-zA-Z0-9_$]*"  # identifier
     r"|\d+"  # plain number
-    r"|<=|==|!=|<<|>>|>=|[(){}\[\]:;,.@?~^&|*+\-<>=!/]",
+    r"|<=|==|!=|<<|>>|>=|[(){}\[\]:;,.@?~^&|*+\-<>=!/])"
+    r"|(?P<bad>.)",
+    re.S,
 )
-
-_KEYWORDS = {
-    "module", "endmodule", "input", "output", "wire", "reg", "assign",
-    "always", "posedge", "begin", "end", "if", "else",
-}
 
 #: Binary operators by precedence level (low to high), all left-assoc.
 _PRECEDENCE: list[dict[str, str]] = [
@@ -62,15 +67,29 @@ _PRECEDENCE: list[dict[str, str]] = [
 ]
 
 
-def _strip_comments(text: str) -> str:
-    text = re.sub(r"//[^\n]*", "", text)
-    return re.sub(r"/\*.*?\*/", "", text, flags=re.S)
-
-
 class _Tokens:
     def __init__(self, text: str):
-        self.tokens = _TOKEN.findall(_strip_comments(text))
+        self.tokens: list[str] = []
+        #: The source line of each token.
+        self.lines: list[int] = []
+        line = 1
+        for match in _LEXEME.finditer(text):
+            token, bad = match.group("token", "bad")
+            if token is not None:
+                self.tokens.append(token)
+                self.lines.append(line)
+            elif bad is not None:
+                raise VerilogParseError(
+                    f"line {line}: unexpected character {bad!r}"
+                )
+            else:
+                line += match.group().count("\n")
         self.pos = 0
+
+    def error(self, message: str) -> VerilogParseError:
+        """A parse error at the line of the last token read."""
+        line = self.lines[self.pos - 1] if self.pos else 1
+        return VerilogParseError(f"line {line}: {message}")
 
     def peek(self, offset: int = 0) -> str | None:
         index = self.pos + offset
@@ -78,7 +97,7 @@ class _Tokens:
 
     def next(self) -> str:
         if self.pos >= len(self.tokens):
-            raise VerilogParseError("unexpected end of file")
+            raise self.error("unexpected end of file")
         token = self.tokens[self.pos]
         self.pos += 1
         return token
@@ -86,13 +105,19 @@ class _Tokens:
     def expect(self, token: str) -> None:
         got = self.next()
         if got != token:
-            raise VerilogParseError(f"expected {token!r}, got {got!r}")
+            raise self.error(f"expected {token!r}, got {got!r}")
 
     def accept(self, token: str) -> bool:
         if self.peek() == token:
             self.pos += 1
             return True
         return False
+
+    def number(self) -> int:
+        token = self.next()
+        if not token.isdigit():
+            raise self.error(f"expected a number, got {token!r}")
+        return int(token)
 
 
 def _parse_literal(token: str) -> Const:
@@ -144,9 +169,9 @@ class _ModuleParser:
         t = self.tokens
         if not t.accept("["):
             return 1
-        hi = int(t.next())
+        hi = t.number()
         t.expect(":")
-        lo = int(t.next())
+        lo = t.number()
         t.expect("]")
         return hi - lo + 1
 
@@ -185,7 +210,7 @@ class _ModuleParser:
             value = self._expression()
             t.expect(";")
             if not isinstance(value, Const):
-                raise VerilogParseError("reset values must be constants")
+                raise t.error("reset values must be constants")
             resets[name] = value.value
         for token in ("else", "begin"):
             t.expect(token)
@@ -275,7 +300,7 @@ class _ModuleParser:
             value = int(token)
             return Const(value, max(1, value.bit_length()))
         if token not in self.widths:
-            raise VerilogParseError(f"undeclared identifier {token!r}")
+            raise t.error(f"undeclared identifier {token!r}")
         expr: Expr = Ref(Signal(token, self.widths[token]))
         return self._maybe_select(expr)
 
@@ -283,9 +308,9 @@ class _ModuleParser:
         t = self.tokens
         while t.peek() == "[":
             t.next()
-            hi = int(t.next())
+            hi = t.number()
             if t.accept(":"):
-                lo = int(t.next())
+                lo = t.number()
             else:
                 lo = hi
             t.expect("]")
@@ -306,7 +331,7 @@ class _ModuleParser:
             elif kind == "output":
                 signal_of[port] = module.add_output(port, self.widths[port])
             else:
-                raise VerilogParseError(f"port {port!r} lacks a direction")
+                raise self.tokens.error(f"port {port!r} lacks a direction")
         for sig_name, kind in self.kinds.items():
             if sig_name in signal_of:
                 continue
@@ -319,19 +344,22 @@ class _ModuleParser:
 
         registers: dict[str, object] = {}
         for reg_name, (reset, _expr) in self.reg_updates.items():
+            if reg_name not in self.widths:
+                raise self.tokens.error(f"undeclared signal {reg_name!r}")
             register = module.add_register(
                 reg_name, self.widths[reg_name], reset_value=reset
             )
             registers[reg_name] = register
             signal_of[reg_name] = register.signal
 
+        def declared(sig_name: str) -> Signal:
+            if sig_name not in signal_of:
+                raise self.tokens.error(f"undeclared signal {sig_name!r}")
+            return signal_of[sig_name]
+
         def rebind(expr: Expr) -> Expr:
             if isinstance(expr, Ref):
-                if expr.signal.name not in signal_of:
-                    raise VerilogParseError(
-                        f"undeclared signal {expr.signal.name!r}"
-                    )
-                return Ref(signal_of[expr.signal.name])
+                return Ref(declared(expr.signal.name))
             if isinstance(expr, UnaryOp):
                 return UnaryOp(expr.op, rebind(expr.operand))
             if isinstance(expr, BinOp):
@@ -346,18 +374,18 @@ class _ModuleParser:
             return expr
 
         for target, expr in self.assigns:
-            sized = _contextualize(rebind(expr), signal_of[target].width)
-            module.assign(signal_of[target], sized)
+            signal = declared(target)
+            module.assign(signal, _contextualize(rebind(expr), signal.width))
         for reg_name, (_reset, expr) in self.reg_updates.items():
             width = registers[reg_name].signal.width
             registers[reg_name].next = _contextualize(rebind(expr), width)
         for inst_name, module_name, connections in self.instances:
             if module_name not in self.known:
-                raise VerilogParseError(
+                raise self.tokens.error(
                     f"instance of unknown module {module_name!r}"
                 )
             conns = {
-                port: signal_of[sig]
+                port: declared(sig)
                 for port, sig in connections.items()
                 if port not in ("clk", "rst")
             }
@@ -426,5 +454,5 @@ def parse_verilog(
         known[module.name] = module
         last = module
     if last is None:
-        raise VerilogParseError("no module found")
+        raise tokens.error("no module found")
     return last

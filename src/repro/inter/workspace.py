@@ -38,7 +38,6 @@ from dataclasses import dataclass, replace
 
 from ..core.flow import FlowError, FlowResult, run_flow
 from ..core.options import FlowOptions
-from ..core.presets import FlowPreset
 from ..formal.lec import LecResult, check_lec
 from ..hdl.elaborate import _clone_expr
 from ..hdl.ir import Module, Register, Signal
@@ -219,27 +218,24 @@ class Workspace:
         cls,
         design: Module,
         pdk: Pdk,
-        options: FlowOptions | FlowPreset | str | None = None,
+        options: FlowOptions | None = None,
         cache=None,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> "Workspace":
         """Run one full flow over ``design`` and keep the session warm.
 
-        ``options`` is a :class:`FlowOptions`, a preset, a preset name,
-        or ``None`` for ``FlowOptions()``; the
+        ``options`` is a :class:`FlowOptions`, or ``None`` for
+        ``FlowOptions()``, as for :func:`~repro.core.flow.run_flow`; the
         preset's placer is overridden to the region-stable ``"hier"``
         placer, which both incremental and fallback rebuilds share.
         ``cache`` (a :class:`~repro.resil.store.Store`) serves the
         opening flow from the campaign's memo when it already holds an
         identical request.
         """
-        if options is None:
-            opts = FlowOptions()
-        elif isinstance(options, FlowOptions):
-            opts = options
-        else:
-            opts = FlowOptions(preset=options)
+        opts = options if options is not None else FlowOptions()
+        if not isinstance(opts, FlowOptions):
+            raise TypeError(f"options must be FlowOptions, got {type(opts)!r}")
         if opts.formal_lec:
             raise ValueError(
                 "Workspace cannot run formal_lec flows: eco synthesis "

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from ..obs.metrics import MetricsRegistry, get_metrics
 from ..obs.trace import Tracer, get_tracer
 from ..pdk.pdks import Pdk
-from ..resil.checkpoint import StageCheckpointer
+from ..resil.checkpoint import StageCheckpointer, resume_or_run
 from ..resil.faults import FaultInjector
 from ..synth.mapped import MappedNetlist
 from .cts import ClockTree, synthesize_clock_tree
@@ -67,7 +67,6 @@ def implement(
     mapped: MappedNetlist,
     pdk: Pdk,
     utilization: float = 0.7,
-    aspect_ratio: float = 1.0,
     detailed_placement_passes: int = 0,
     cts_buffering: bool = True,
     router_rip_up: bool = True,
@@ -90,7 +89,8 @@ def implement(
     finish; a loaded stage's span carries ``cached=True`` and takes
     effectively no time.  ``inject`` fails named stages on purpose
     (resilience drills) by raising
-    :class:`~repro.resil.failure.InjectedFault`.
+    :class:`~repro.resil.failure.InjectedFault` at stage entry, before
+    the checkpoint lookup, so a drill fires on a warm store too.
 
     ``placer="hier"`` selects the region-stable hierarchical placer
     (:mod:`repro.pnr.hier`): the floorplan is quantized so small netlist
@@ -106,96 +106,61 @@ def implement(
     if metrics is None:
         metrics = get_metrics()
 
-    def restore(stage: str):
-        """Checkpointed artifact for ``stage``, with hit/miss metering."""
-        if checkpoints is None:
-            return None
-        artifact = checkpoints.load(stage)
-        metrics.counter(
-            f"resil.checkpoint.{'hit' if artifact is not None else 'miss'}"
-        ).inc()
+    def stage(step: str, checkpoint: str, compute, **attributes):
+        """One backend step in its ``step.<step>`` span: the drill fires,
+        then the ``checkpoint`` artifact is resumed or computed."""
+        with tracer.span(f"step.{step}", **attributes) as sp:
+            if inject is not None:
+                inject.check(step)
+            artifact, cached = resume_or_run(
+                checkpoints, checkpoint, compute, metrics
+            )
+            if cached:
+                sp.set(cached=True)
+            sp.set(**artifact.stats())
         return artifact
 
-    def preserve(stage: str, artifact) -> None:
-        if checkpoints is not None:
-            checkpoints.save(stage, artifact)
-
-    def drill(stage: str) -> None:
-        if inject is not None:
-            inject.check(stage)
-
-    with tracer.span("step.floorplanning") as sp:
-        drill("floorplanning")
-        floorplan = restore("floorplan")
-        if floorplan is None:
-            floorplan = make_floorplan(
-                mapped, pdk.node,
-                utilization=(
-                    hier_utilization(mapped, pdk.node, utilization)
-                    if placer == "hier" else utilization
-                ),
-                aspect_ratio=aspect_ratio,
-                quantize_um2=(
-                    hier_quantize_um2(pdk.node) if placer == "hier" else None
-                ),
-            )
-            preserve("floorplan", floorplan)
-        else:
-            sp.set(cached=True)
-        sp.set(**floorplan.stats())
-    with tracer.span("step.placement", placer=placer) as sp:
-        drill("placement")
-        placement = restore("placement")
-        if placement is None:
-            if placer == "quadratic":
-                placement = place(
-                    mapped, floorplan,
-                    detailed_passes=detailed_placement_passes, seed=seed,
-                    tracer=tracer,
-                )
-            elif placer == "hier":
-                placement = hier_place(
-                    mapped, floorplan, seed=seed, tracer=tracer
-                )
-            elif placer == "random":
-                placement = random_place(mapped, floorplan, seed=seed)
-            else:
-                raise ValueError(f"unknown placer {placer!r}")
-            preserve("placement", placement)
-        else:
-            sp.set(cached=True)
-        sp.set(hpwl_um=placement.hpwl_um)
-    with tracer.span("step.clock_tree_synthesis") as sp:
-        drill("clock_tree_synthesis")
-        clock_tree = restore("clock_tree")
-        if clock_tree is None:
-            clock_tree = synthesize_clock_tree(
-                placement, mapped.library, pdk.node, buffering=cts_buffering,
+    def place_cells() -> Placement:
+        if placer == "quadratic":
+            return place(
+                mapped, floorplan,
+                detailed_passes=detailed_placement_passes, seed=seed,
                 tracer=tracer,
             )
-            preserve("clock_tree", clock_tree)
-        else:
-            sp.set(cached=True)
-        sp.set(**clock_tree.stats())
-    with tracer.span("step.routing") as sp:
-        drill("routing")
-        routing = restore("routing")
-        if routing is None:
-            capacity = grid_capacity(pdk.node, pdk.layers)
-            if eco is not None:
-                routing = eco.route(
-                    mapped, placement, pdk.node, rip_up=router_rip_up,
-                    capacity=capacity, max_iterations=8, tracer=tracer,
-                )
-            else:
-                routing = route(
-                    mapped, placement, pdk.node, rip_up=router_rip_up,
-                    capacity=capacity, max_iterations=8, tracer=tracer,
-                )
-            preserve("routing", routing)
-        else:
-            sp.set(cached=True)
-        sp.set(**routing.stats())
+        if placer == "hier":
+            return hier_place(mapped, floorplan, seed=seed, tracer=tracer)
+        if placer == "random":
+            return random_place(mapped, floorplan, seed=seed)
+        raise ValueError(f"unknown placer {placer!r}")
+
+    hier = placer == "hier"
+    floorplan = stage(
+        "floorplanning", "floorplan",
+        lambda: make_floorplan(
+            mapped, pdk.node,
+            utilization=(
+                hier_utilization(mapped, pdk.node, utilization)
+                if hier else utilization
+            ),
+            quantize_um2=hier_quantize_um2(pdk.node) if hier else None,
+        ),
+    )
+    placement = stage("placement", "placement", place_cells, placer=placer)
+    clock_tree = stage(
+        "clock_tree_synthesis", "clock_tree",
+        lambda: synthesize_clock_tree(
+            placement, mapped.library, pdk.node, buffering=cts_buffering,
+            tracer=tracer,
+        ),
+    )
+    routing = stage(
+        "routing", "routing",
+        lambda: (route if eco is None else eco.route)(
+            mapped, placement, pdk.node, rip_up=router_rip_up,
+            capacity=grid_capacity(pdk.node, pdk.layers), max_iterations=8,
+            tracer=tracer,
+        ),
+    )
     metrics.counter("pnr.implementations").inc()
     return PhysicalDesign(
         mapped=mapped,

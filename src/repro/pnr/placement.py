@@ -58,6 +58,9 @@ class Placement:
         cell = self.cells[name]
         return (cell.cx, cell.cy)
 
+    def stats(self) -> dict[str, float]:
+        return {"hpwl_um": self.hpwl_um}
+
 
 def net_pin_templates(
     mapped: MappedNetlist, floorplan: Floorplan

@@ -19,6 +19,9 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass
+from typing import Callable, TypeVar
+
+from ..obs.metrics import MetricsRegistry
 
 # The key implementation is shared with the campaign result cache
 # (repro.campaign.cache) — one function, so the checkpoint and
@@ -26,6 +29,8 @@ from dataclasses import dataclass
 # historical import site.
 from .cachekey import flow_cache_key  # noqa: F401
 from .store import Store
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -53,3 +58,27 @@ class StageCheckpointer:
         self.store.put(
             f"{self.key}.{stage}", pickle.dumps(artifact, protocol=4)
         )
+
+
+def resume_or_run(
+    checkpoints: StageCheckpointer | None,
+    stage: str,
+    compute: Callable[[], T],
+    metrics: MetricsRegistry,
+) -> tuple[T, bool]:
+    """The one load-or-compute path for a checkpointed flow stage.
+
+    Returns ``stage``'s artifact and whether it was loaded.  A load
+    counts ``resil.checkpoint.hit`` or ``.miss``; a miss runs
+    ``compute`` and saves its result.  Without ``checkpoints`` it only
+    runs ``compute``.
+    """
+    if checkpoints is None:
+        return compute(), False
+    artifact = checkpoints.load(stage)
+    cached = artifact is not None
+    metrics.counter(f"resil.checkpoint.{'hit' if cached else 'miss'}").inc()
+    if not cached:
+        artifact = compute()
+        checkpoints.save(stage, artifact)
+    return artifact, cached

@@ -228,3 +228,38 @@ class TestEditCommand:
     def test_edit_unknown_ip(self, capsys):
         assert main(["edit", "--ip", "gpu", "--demo"]) == 2
         assert "--demo edits the catalogue" in capsys.readouterr().err
+
+
+#: A module whose line 5 holds a character outside the Verilog subset.
+MALFORMED_VERILOG = (
+    "module m (a, b, y);\n  input a;\n  input b;\n  output y;\n"
+    "  assign y = a #& b;\nendmodule\n"
+)
+
+
+class TestVerilogInput:
+    """A missing or malformed Verilog file is a usage error (exit 2)."""
+
+    COMMANDS = (
+        ["flow", "--verilog"],
+        ["lint", "--verilog"],
+        ["prove", "--verilog"],
+        ["lvs", "--verilog"],
+        ["edit", "--ip", "counter", "--module", "counter8", "--rtl"],
+    )
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    @pytest.mark.parametrize("case", ["missing", "malformed"])
+    def test_one_error_line_and_exit_2(self, capsys, tmp_path, command,
+                                       case):
+        path = tmp_path / "design.v"
+        if case == "malformed":
+            path.write_text(MALFORMED_VERILOG)
+        assert main([*command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        expected = (
+            "No such file or directory" if case == "missing"
+            else "line 5: unexpected character '#'"
+        )
+        assert err == f"error: {path}: {expected}\n"

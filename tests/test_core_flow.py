@@ -166,3 +166,11 @@ class TestFlowResultJson:
         payload["schema"] = 99
         with pytest.raises(ValueError, match="schema"):
             type(counter_flow).from_json(json.dumps(payload))
+
+    def test_unknown_step_rejected(self, counter_flow):
+        import json
+
+        payload = json.loads(counter_flow.to_json())
+        payload["steps"][0]["step"] = "etching"
+        with pytest.raises(ValueError, match="etching"):
+            type(counter_flow).from_json(json.dumps(payload))

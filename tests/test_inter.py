@@ -10,6 +10,7 @@ the composed SoC catalogue entry the benchmark edits.
 import pytest
 
 from repro.core import FlowOptions
+from repro.core.presets import COMMERCIAL
 from repro.formal import check_lec
 from repro.formal.lec import mutate_netlist
 from repro.hdl import ModuleBuilder, parse_verilog, to_verilog
@@ -167,6 +168,31 @@ class TestWorkspace:
                 build_minisoc(), get_pdk("edu130"),
                 options=OPTIONS.replace(formal_lec=True),
             )
+
+    def test_eco_entry_points_looked_up_at_call_time(self, monkeypatch):
+        # run_flow and implement() reach the eco engines through the
+        # session's class attributes when they call them, so wrappers
+        # installed there (as the benchmark's tracer does) see each call.
+        from repro.inter import EcoSession
+
+        calls = set()
+        for name in ("lint_rtl", "synthesize", "route"):
+            original = getattr(EcoSession, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.add(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(EcoSession, name, counted)
+        ws = Workspace.open(build_minisoc(), get_pdk("edu130"),
+                            options=OPTIONS)
+        assert ws.result.ok
+        assert calls == {"lint_rtl", "synthesize", "route"}
+
+    @pytest.mark.parametrize("options", [COMMERCIAL, "commercial"])
+    def test_open_takes_only_flow_options(self, options):
+        with pytest.raises(TypeError, match="options must be FlowOptions"):
+            Workspace.open(build_minisoc(), get_pdk("edu130"), options)
 
     def test_clean_edit_keeps_committed_result(self, warm):
         before = warm.result

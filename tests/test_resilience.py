@@ -302,6 +302,55 @@ class TestGracefulDegradation:
             FlowFailure("routing", "boom", kind="mystery")
 
 
+#: FlowResult artifacts, and the ones each drill point's fault leaves
+#: ``None`` because they need its step.
+ARTIFACTS = (
+    "synthesis", "physical", "timing", "power", "drc", "gds_bytes", "ppa",
+)
+_BACKEND_NEEDS = ("physical", "timing", "power", "drc", "gds_bytes", "ppa")
+DRILL_POINTS = {
+    "synthesis": ARTIFACTS,
+    "floorplanning": _BACKEND_NEEDS,
+    "placement": _BACKEND_NEEDS,
+    "clock_tree_synthesis": _BACKEND_NEEDS,
+    "routing": _BACKEND_NEEDS,
+    "static_timing_analysis": ("timing", "ppa"),
+    "power_analysis": ("power", "ppa"),
+    "design_rule_check": ("drc",),
+    "gds_export": ("gds_bytes",),
+}
+
+
+class TestDrillMatrix:
+    """Every drill point fails its own step, and only what needs it."""
+
+    @pytest.mark.parametrize("stage", DRILL_POINTS)
+    def test_continue_on_error(self, stage):
+        result = run_flow(
+            counter_module(), get_pdk("edu130"),
+            FlowOptions(continue_on_error=True, inject=FaultInjector(stage)),
+        )
+        assert [(f.stage, f.kind) for f in result.failures] == [
+            (stage, "injected")
+        ]
+        reported = [report.step for report in result.steps]
+        faulted = reported.index(FlowStep(stage))
+        assert not result.steps[faulted].ok
+        assert all(report.ok for report in result.steps[:faulted])
+        for name in ARTIFACTS:
+            missing = getattr(result, name) is None
+            assert missing == (name in DRILL_POINTS[stage]), name
+
+    @pytest.mark.parametrize("stage", DRILL_POINTS)
+    def test_raises_without_continue_on_error(self, stage):
+        with pytest.raises(FlowError) as exc:
+            run_flow(
+                counter_module(), get_pdk("edu130"),
+                FlowOptions(inject=FaultInjector(stage)),
+            )
+        assert str(exc.value) == f"injected fault at stage {stage!r}"
+
+
 @pytest.fixture(params=["MemoryStore", "DirectoryStore"])
 def checkpoint_store(request, tmp_path):
     """An empty checkpoint store of each backend."""
@@ -359,6 +408,91 @@ class TestCheckpointResume:
         run_flow(module, pdk, FlowOptions(seed=3, checkpoints=store))
         run_flow(module, pdk, FlowOptions(seed=4, checkpoints=store))
         assert store.hits == 0
+
+
+class TestDrillsOnWarmStore:
+    """Synthesis drills fire only when synthesis computes; every later
+    drill fires at stage entry, before any checkpoint lookup."""
+
+    @pytest.fixture(scope="class")
+    def warm(self):
+        store = MemoryStore()
+        run_flow(counter_module(), get_pdk("edu130"),
+                 FlowOptions(seed=3, checkpoints=store))
+        return store
+
+    def drill(self, store, stage):
+        injector = FaultInjector(stage)
+        result = run_flow(
+            counter_module(), get_pdk("edu130"),
+            FlowOptions(seed=3, checkpoints=store, continue_on_error=True,
+                        inject=injector),
+        )
+        return result, injector
+
+    def test_synthesis_drill_skipped_by_checkpoint_hit(self, warm):
+        result, injector = self.drill(warm, "synthesis")
+        assert result.ok and injector.armed
+        assert result.step(FlowStep.SYNTHESIS).metrics["cached"] is True
+
+    @pytest.mark.parametrize(
+        "stage", [stage for stage in DRILL_POINTS if stage != "synthesis"]
+    )
+    def test_later_drills_fire(self, warm, stage):
+        result, injector = self.drill(warm, stage)
+        assert not injector.armed
+        assert [(f.stage, f.kind) for f in result.failures] == [
+            (stage, "injected")
+        ]
+        assert not result.step(FlowStep(stage)).ok
+
+
+class TestCallTimeLookup:
+    """run_flow and implement() look every layer entry point up when they
+    call it, so a wrapper installed on the module or class sees it."""
+
+    TARGETS = [
+        ("repro.core.flow", name) for name in (
+            "lint_module", "lint_mapped", "synthesize", "lec_flow",
+            "implement", "build_chip_gds", "check_drc", "write_gds",
+        )
+    ] + [
+        ("repro.pnr.physical", name) for name in (
+            "make_floorplan", "place", "synthesize_clock_tree", "route",
+        )
+    ] + [("repro.extract", "run_lvs")]
+
+    def test_wrappers_see_every_call(self, monkeypatch):
+        import importlib
+
+        calls = {}
+
+        def count(owner, name, label):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[label] = calls.get(label, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        for module_name, name in self.TARGETS:
+            count(importlib.import_module(module_name), name,
+                  f"{module_name}.{name}")
+        for name in ("load", "save"):
+            count(StageCheckpointer, name, f"StageCheckpointer.{name}")
+
+        store = MemoryStore()
+        options = FlowOptions(seed=3, formal_lec=True, extract_lvs=True,
+                              checkpoints=store)
+        module, pdk = counter_module(), get_pdk("edu130")
+        assert run_flow(module, pdk, options).ok
+        assert run_flow(module, pdk, options).ok
+        assert store.hits == len(CHECKPOINT_STAGES)
+        expected = {f"{m}.{n}" for m, n in self.TARGETS} | {
+            "StageCheckpointer.load", "StageCheckpointer.save",
+        }
+        assert set(calls) == expected
 
 
 class TestHubRetries:

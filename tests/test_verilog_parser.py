@@ -156,6 +156,37 @@ class TestErrors:
         with pytest.raises(VerilogParseError, match="direction"):
             parse_verilog("module m (a); wire a; endmodule")
 
+    def test_unknown_character_rejected(self):
+        # The tokenizer once skipped '#', reading this as ``a & b``.
+        source = (
+            "module m (a, b, y);\n  input a;\n  input b;\n  output y;\n"
+            "  assign y = a #& b;\nendmodule\n"
+        )
+        with pytest.raises(VerilogParseError,
+                           match="^line 5: unexpected character '#'"):
+            parse_verilog(source)
+
+    @pytest.mark.parametrize("source, message", [
+        # Block comments keep their newlines: line 7 of the original.
+        ("module m (a, y);\n/* a\n   multi-line\n   comment */\n"
+         "input a;\noutput y;\nassign y = ghost;\nendmodule\n",
+         "line 7: undeclared identifier 'ghost'"),
+        ("module m (a, y);\ninput [x:0] a;\nendmodule",
+         "line 2: expected a number, got 'x'"),
+        ("module m (a, y);\ninput a;\noutput y;\nassign z = a;\nendmodule",
+         "line 5: undeclared signal 'z'"),
+        ("module m (a, y);\ninput a;\noutput y;\nassign y = 1'b2;\n"
+         "endmodule",
+         "line 4: unexpected character \"'\""),
+        ("module m (a, y);\ninput a;", "line 2: unexpected end of file"),
+        ("// nothing here", "line 1: no module found"),
+    ], ids=["block-comment", "range-bound", "assign-target", "literal-digit",
+            "end-of-file", "empty"])
+    def test_errors_name_their_line(self, source, message):
+        with pytest.raises(VerilogParseError) as exc:
+            parse_verilog(source)
+        assert str(exc.value) == message
+
 
 class TestWidthSemantics:
     def test_wide_output_keeps_ir_modular_semantics(self):
