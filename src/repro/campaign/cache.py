@@ -6,8 +6,8 @@ This module holds what is specific to results.  The key
 (:func:`result_cache_key`) is the *same*
 :func:`~repro.resil.cachekey.flow_cache_key` the checkpointer uses —
 one implementation, no drift — extended with every remaining
-result-affecting knob on :class:`~repro.core.options.FlowOptions`
-(clock period, DRC/lint strictness, formal LEC, …).  At classroom
+compared field of :class:`~repro.core.options.FlowOptions` (clock
+period, DRC/lint strictness, formal LEC, GDS-in LVS, …).  At classroom
 scale most submissions are byte-identical (the same assignment,
 the same starter code), so a campaign's second copy of a design costs
 one hash and one store read instead of a flow run.
@@ -21,34 +21,35 @@ per read.  :func:`result_signature` digests what a run produced.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
 from ..core.options import FlowOptions
 from ..resil.cachekey import canonical, flow_cache_key
 
-#: FlowOptions knobs beyond (preset, seed) that change the FlowResult.
-#: ``checkpoints`` / ``inject`` / ``resume`` are deliberately absent:
-#: they change how a run executes, never what it produces.
-RESULT_KEY_FIELDS = (
-    "clock_period_ps",
-    "frequency_mhz",
-    "strict_drc",
-    "lint_waivers",
-    "strict_lint",
-    "formal_lec",
-    "continue_on_error",
-)
+#: Compared FlowOptions fields the result key leaves out: ``preset`` and
+#: ``seed`` are already in the base key, and ``resume`` changes how a
+#: run executes, never what it produces.  Injected machinery
+#: (``checkpoints``, ``inject``, ``eco``) is ``compare=False`` and never
+#: keyed.
+UNKEYED_FIELDS = frozenset({"preset", "seed", "resume"})
 
 
 def result_cache_key(module, pdk_name: str, options: FlowOptions) -> str:
     """Content hash of one memoizable flow request.
 
     Base payload identical to the checkpoint key (RTL, PDK, preset,
-    seed); the remaining result-affecting option knobs fold in through
-    the shared key function's ``extra`` channel.
+    seed); every other compared ``FlowOptions`` field, except those in
+    :data:`UNKEYED_FIELDS`, folds in through the shared key function's
+    ``extra`` channel, so a knob added to ``FlowOptions`` is keyed
+    unless it is named exempt.
     """
-    extra = {name: getattr(options, name) for name in RESULT_KEY_FIELDS}
+    extra = {
+        f.name: getattr(options, f.name)
+        for f in dataclasses.fields(FlowOptions)
+        if f.compare and f.name not in UNKEYED_FIELDS
+    }
     return flow_cache_key(
         module, pdk_name, options.preset, options.seed, extra=extra
     )

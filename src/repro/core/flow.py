@@ -616,7 +616,7 @@ def run_flow(
                     wire_lengths_um=physical.wire_lengths(),
                     tracer=tracer,
                     metrics=metrics,
-                ).analyze(opts.frequency_mhz or min(
+                ).analyze(min(
                     timing.fmax_mhz if timing is not None else float("inf"),
                     1e6 / opts.clock_period_ps,
                 )),

@@ -34,6 +34,21 @@ class HubError(Exception):
     """Raised when a hub request violates policy."""
 
 
+def _die_area_error(tier: AccessTier, result: FlowResult | None) -> str | None:
+    """Why ``result``'s die is too large for ``tier``, or ``None``."""
+    limit = policy_for(tier).max_die_area_mm2
+    if (
+        result is not None
+        and result.physical is not None
+        and result.physical.die_area_mm2 > limit
+    ):
+        return (
+            f"die area {result.physical.die_area_mm2:.4f} mm2 exceeds "
+            f"tier limit {limit} mm2"
+        )
+    return None
+
+
 def _flow_minutes(result: FlowResult | None) -> float:
     """Cloud minutes billed for one flow run.  A ``continue_on_error``
     run may be partial: it is billed only for the cells it mapped."""
@@ -279,15 +294,9 @@ class EnablementHub:
         )
         record.result = result
         self.metrics.counter("hub.jobs").inc()
-        tier_policy = policy_for(enrollment.tier)
-        if (
-            result.physical is not None
-            and result.physical.die_area_mm2 > tier_policy.max_die_area_mm2
-        ):
-            raise HubError(
-                f"die area {result.physical.die_area_mm2:.4f} mm2 exceeds "
-                f"tier limit {tier_policy.max_die_area_mm2} mm2"
-            )
+        too_large = _die_area_error(enrollment.tier, result)
+        if too_large is not None:
+            raise HubError(too_large)
         self.jobs.append(record)
         return record
 
@@ -314,7 +323,10 @@ class EnablementHub:
         Each executed job is billed to the hub's cloud simulator at its
         simulated dispatch minute (cache hits at a nominal service
         cost), one :class:`HubJobRecord` per request lands on
-        ``self.jobs``, and the method returns ``(report, records)``.
+        ``self.jobs``, and the method returns ``(report, records)``.  A
+        result whose die exceeds the user's tier limit fails its own
+        record (the same check and message as :meth:`run_design`), the
+        record carries no result, and the report counts it as failed.
         """
         from ..campaign.engine import Campaign
 
@@ -322,10 +334,10 @@ class EnablementHub:
             raise HubError("campaign has no requests")
         prepared = []
         for request in requests:
-            _, preset_name, options = self._admit(
+            enrollment, preset_name, options = self._admit(
                 request.user, request.pdk, request.preset, request.options
             )
-            prepared.append((request, options, preset_name))
+            prepared.append((request, options, preset_name, enrollment))
 
         campaign = Campaign(
             scheduler=scheduler,
@@ -335,7 +347,7 @@ class EnablementHub:
             tracer=self.tracer,
             metrics=self.metrics,
         )
-        for request, options, _ in prepared:
+        for request, options, _, _ in prepared:
             campaign.submit(
                 request.user, request.module, request.pdk, options=options,
                 priority=request.priority, deadline_min=request.deadline_min,
@@ -344,7 +356,8 @@ class EnablementHub:
         report = campaign.run()
 
         records = []
-        for (request, options, preset_name), job in zip(
+        refused = 0
+        for (request, options, preset_name, enrollment), job in zip(
             prepared, campaign.queue.jobs()
         ):
             record = HubJobRecord(
@@ -373,8 +386,20 @@ class EnablementHub:
                     deadline_min=request.deadline_min,
                 )
                 self.metrics.counter("hub.jobs").inc()
+                # The tier's die-area limit holds per record, cache hits
+                # included: an oversized result fails its own record and
+                # is not handed out, the rest of the campaign stands.
+                too_large = _die_area_error(enrollment.tier, job.result)
+                if too_large is not None:
+                    record.failures.append(
+                        FlowFailure("flow", too_large, kind="gate")
+                    )
+                    record.result = None
+                    refused += 1
             records.append(record)
             self.jobs.append(record)
+        report.completed -= refused
+        report.failed += refused
         self.metrics.counter("hub.campaigns").inc()
         return report, records
 

@@ -44,7 +44,6 @@ class FlowOptions:
 
     preset: FlowPreset = OPEN
     clock_period_ps: float = 5_000.0
-    frequency_mhz: float | None = None
     strict_drc: bool = True
     seed: int = 1
     lint_waivers: tuple[Waiver, ...] = ()

@@ -33,6 +33,7 @@ from ..hdl.ir import (
     Slice,
     UnaryOp,
 )
+from ..sim.bitsim import group_bit_labels
 from ..synth.mapped import MappedNetlist
 from ..synth.netlist import GateNetlist
 
@@ -447,35 +448,28 @@ def from_module(module: Module, aig: Aig | None = None) -> CombCones:
 
 
 def _group_state_bits(
-    named_bits: list[tuple[str, int, int]],
+    labels: list[str], lits: list[int], resets: list[int],
 ) -> tuple[dict[str, Bits], dict[str, int]]:
-    """Group ``(bit label, literal, reset bit)`` rows into register words.
+    """Group per-flop literals and reset bits into register words.
 
-    Labels follow the ``name[index]`` convention stamped by the lowerer;
-    an unlabeled flip-flop gets a positional ``dff<n>`` name so hand-built
-    netlists still check (correspondence is then positional by intent).
+    ``labels[p]`` names flop ``p`` by the ``name[index]`` convention
+    stamped by the lowerer (:func:`repro.sim.bitsim.group_bit_labels`
+    parses it); an unlabeled flip-flop gets a positional ``dff<n>`` name
+    so hand-built netlists still check (correspondence is then
+    positional by intent).
     """
-    words: dict[str, dict[int, int]] = {}
-    resets: dict[str, dict[int, int]] = {}
-    for label, lit, reset in named_bits:
-        base, _, rest = label.rpartition("[")
-        if base and rest.endswith("]") and rest[:-1].isdigit():
-            index = int(rest[:-1])
-        else:
-            base, index = label, 0
-        words.setdefault(base, {})[index] = lit
-        resets.setdefault(base, {})[index] = reset
     grouped: dict[str, Bits] = {}
     reset_values: dict[str, int] = {}
-    for base, by_index in words.items():
+    for base, pairs in group_bit_labels(labels).items():
+        by_index = {index: position for index, position in pairs}
         if sorted(by_index) != list(range(len(by_index))):
             raise ValueError(
                 f"register {base!r}: non-contiguous bit indexes "
                 f"{sorted(by_index)}"
             )
-        grouped[base] = [by_index[i] for i in range(len(by_index))]
+        grouped[base] = [lits[by_index[i]] for i in range(len(by_index))]
         reset_values[base] = sum(
-            bit << i for i, bit in resets[base].items()
+            resets[position] << i for i, position in by_index.items()
         )
     return grouped, reset_values
 
@@ -493,12 +487,15 @@ def from_gate_netlist(netlist: GateNetlist, aig: Aig | None = None) -> CombCones
         for net, lit in zip(nets, lits):
             lit_of[net] = lit
 
-    state_rows = []
-    for index, ff in enumerate(netlist.dffs):
-        label = ff.name or f"dff{index}"
+    labels = [ff.name or f"dff{i}" for i, ff in enumerate(netlist.dffs)]
+    resets = [ff.reset_value for ff in netlist.dffs]
+    state_lits = []
+    for label, ff in zip(labels, netlist.dffs):
         lit_of[ff.q] = g.input_bit(label)
-        state_rows.append((label, lit_of[ff.q], ff.reset_value))
-    cones.state, cones.reset_values = _group_state_bits(state_rows)
+        state_lits.append(lit_of[ff.q])
+    cones.state, cones.reset_values = _group_state_bits(
+        labels, state_lits, resets
+    )
 
     for gate in netlist.topo_gates():
         ins = [lit_of[net] for net in gate.inputs]
@@ -523,11 +520,9 @@ def from_gate_netlist(netlist: GateNetlist, aig: Aig | None = None) -> CombCones
                 "driven"
             ) from None
 
-    next_rows = []
-    for index, ff in enumerate(netlist.dffs):
-        label = ff.name or f"dff{index}"
-        next_rows.append((label, resolve(ff.d), ff.reset_value))
-    cones.next_state, _ = _group_state_bits(next_rows)
+    cones.next_state, _ = _group_state_bits(
+        labels, [resolve(ff.d) for ff in netlist.dffs], resets
+    )
     for name, nets in netlist.outputs.items():
         cones.outputs[name] = [resolve(net) for net in nets]
     return cones
@@ -601,13 +596,17 @@ def from_mapped(mapped: MappedNetlist, aig: Aig | None = None) -> CombCones:
         for net, lit in zip(nets, lits):
             lit_of[net] = lit
 
-    state_rows = []
-    for index, inst in enumerate(mapped.seq_cells):
-        label = inst.tag or f"dff{index}"
+    seq = mapped.seq_cells
+    labels = [inst.tag or f"dff{index}" for index, inst in enumerate(seq)]
+    resets = [inst.reset_value for inst in seq]
+    state_lits = []
+    for label, inst in zip(labels, seq):
         q = inst.pins[inst.cell.output]
         lit_of[q] = g.input_bit(label)
-        state_rows.append((label, lit_of[q], inst.reset_value))
-    cones.state, cones.reset_values = _group_state_bits(state_rows)
+        state_lits.append(lit_of[q])
+    cones.state, cones.reset_values = _group_state_bits(
+        labels, state_lits, resets
+    )
 
     for inst in mapped.topo_comb():
         pin_lits = {
@@ -632,13 +631,9 @@ def from_mapped(mapped: MappedNetlist, aig: Aig | None = None) -> CombCones:
                 "never driven"
             ) from None
 
-    next_rows = []
-    for index, inst in enumerate(mapped.seq_cells):
-        label = inst.tag or f"dff{index}"
-        next_rows.append(
-            (label, resolve(inst.pins["d"]), inst.reset_value)
-        )
-    cones.next_state, _ = _group_state_bits(next_rows)
+    cones.next_state, _ = _group_state_bits(
+        labels, [resolve(inst.pins["d"]) for inst in seq], resets
+    )
     for name, nets in mapped.outputs.items():
         cones.outputs[name] = [resolve(net) for net in nets]
     return cones

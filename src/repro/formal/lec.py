@@ -43,20 +43,11 @@ from dataclasses import dataclass, field
 from ..hdl.ir import Module
 from ..obs.metrics import MetricsRegistry, get_metrics
 from ..obs.trace import Tracer, get_tracer
-from ..sim.bitsim import (
-    LANES,
-    PackedGateSimulator,
-    PackedMappedSimulator,
-    PackedRtlSimulator,
-    PackedSimError,
-    extract_lane,
-    pack_word,
-)
 from ..sim.engine import Simulator
 from ..synth.lower import lower
 from ..synth.mapped import MappedNetlist, MappedSimulator
 from ..synth.netlist import Gate, GateNetlist, GateSimulator
-from ..synth.verify import Mismatch
+from ..synth.verify import Mismatch, replay_mismatches
 from .aig import FALSE, Aig, CombCones, build_cones, word_value
 from .cnf import tseitin
 from .sat import CdclSolver, SolverStats
@@ -85,7 +76,9 @@ class Counterexample:
         )
 
     def as_mismatch(self) -> Mismatch:
-        """The simulator-replayable record (cycle 0 by construction)."""
+        """The simulator-replayable record (cycle 0 by construction):
+        the witness :func:`replay_counterexamples` hands to
+        :func:`repro.synth.verify.replay_mismatches`."""
         return Mismatch(
             cycle=0,
             output=self.cone,
@@ -542,12 +535,6 @@ def lec_flow(
 # Counterexample replay + netlist mutation (the self-test of the prover)
 # ---------------------------------------------------------------------------
 
-#: Below this batch size the packed replay path costs more to set up
-#: (lowering the RTL, building two packed simulators) than it saves;
-#: measured crossover is ~4 witnesses on the catalogue designs.
-PACKED_REPLAY_MIN = 4
-
-
 def replay_counterexample(
     module: Module,
     implementation: GateNetlist | MappedNetlist,
@@ -575,7 +562,12 @@ def _replay_counterexample_scalar(
     implementation: GateNetlist | MappedNetlist,
     cex: Counterexample,
 ) -> Mismatch | None:
-    """One-at-a-time replay on the scalar simulators (reference path)."""
+    """One-at-a-time replay on fresh scalar simulators.
+
+    The reference that the differential tests and
+    ``benchmarks/bench_sim_packed.py`` compare
+    :func:`replay_counterexamples` against; no production code calls it.
+    """
     rtl = Simulator(module)
     if isinstance(implementation, GateNetlist):
         gate = GateSimulator(implementation)
@@ -604,38 +596,6 @@ def _replay_counterexample_scalar(
                     dict(cex.state))
 
 
-def _packed_replay_sims(module, implementation):
-    rtl = PackedRtlSimulator(module)
-    if isinstance(implementation, GateNetlist):
-        gate = PackedGateSimulator(implementation)
-    elif isinstance(implementation, MappedNetlist):
-        gate = PackedMappedSimulator(implementation)
-    else:
-        raise TypeError(
-            f"cannot simulate implementation {type(implementation)!r}"
-        )
-    return rtl, gate
-
-
-def _packed_state_words(resets, chunk) -> dict[str, list[int]]:
-    """Per-lane register words: lane ``l`` holds counterexample ``l``'s
-    recorded state, defaulting to the simulator's own reset value for
-    registers the witness does not constrain (exactly what the scalar
-    replay's fresh-simulator-plus-``load_state`` sequence produces).
-    State names the simulator does not know pass through so its
-    ``load_state`` raises the same ``KeyError`` the scalar path would.
-    """
-    names = set(resets)
-    for cex in chunk:
-        names.update(cex.state)
-    words: dict[str, list[int]] = {}
-    for name in names:
-        lanes = [cex.state.get(name, resets.get(name, 0)) for cex in chunk]
-        width = max((v.bit_length() for v in lanes), default=1) or 1
-        words[name] = pack_word(lanes, width)
-    return words
-
-
 def replay_counterexamples(
     module: Module,
     implementation: GateNetlist | MappedNetlist,
@@ -643,119 +603,27 @@ def replay_counterexamples(
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
 ) -> list[Mismatch | None]:
-    """Replay a batch of counterexamples through packed simulation.
+    """Replay a batch of counterexamples in simulation.
 
-    Each witness occupies one lane of a word-parallel run
-    (:mod:`repro.sim.bitsim`): lane ``l``'s register state and inputs
-    are counterexample ``l``'s, so up to 64 replays cost one load, one
-    settle and one clock edge.  Output cones are compared before the
-    edge, next-state cones after it; the per-lane verdicts match the
-    scalar :func:`replay_counterexample` bit for bit (the differential
-    tests pin this).  Designs the packed engines cannot build (exotic
-    hand-built netlists) fall back to scalar replay per witness.
+    Each witness becomes its :meth:`Counterexample.as_mismatch` record
+    and the batch goes through the one replay path,
+    :func:`repro.synth.verify.replay_mismatches`: the RTL interpreter
+    on one side, a packed implementation simulator with one lane per
+    witness on the other.  Output cones are compared before the clock
+    edge, next-state cones after it.
 
     Returns one entry per counterexample: a :class:`Mismatch` when the
     disagreement reproduces, ``None`` when it does not.  ``reset``-kind
     counterexamples are not replayable (no stimulus reaches a reset
-    value) and raise ``ValueError``, as in the scalar path.
-
-    Batches smaller than :data:`PACKED_REPLAY_MIN` replay through the
-    scalar path directly: building the packed simulators (including
-    lowering the RTL) costs more than a couple of scalar replays, so
-    packing only pays once several witnesses share one netlist.
+    value) and raise ``ValueError``.
     """
-    if tracer is None:
-        tracer = get_tracer()
-    if metrics is None:
-        metrics = get_metrics()
     for cex in cexes:
         if cex.kind not in ("output", "state"):
             raise ValueError(f"cannot replay a {cex.kind!r} counterexample")
-    if not cexes:
-        return []
-    if len(cexes) < PACKED_REPLAY_MIN:
-        return [
-            _replay_counterexample_scalar(module, implementation, cex)
-            for cex in cexes
-        ]
-    try:
-        rtl, gate = _packed_replay_sims(module, implementation)
-    except PackedSimError:
-        return [
-            _replay_counterexample_scalar(module, implementation, cex)
-            for cex in cexes
-        ]
-
-    # Reset values captured once, before any lane is forced: they are
-    # the defaults for registers a witness leaves unconstrained.
-    reset_words = [
-        {
-            name: extract_lane(sim.get_register(name), 0)
-            for name in sim.register_words()
-        }
-        for sim in (rtl, gate)
-    ]
-    results: list[Mismatch | None] = []
-    with tracer.span(
-        "sim.packed.replay", design=getattr(module, "name", "design"),
-        counterexamples=len(cexes),
-    ):
-        for base in range(0, len(cexes), LANES):
-            chunk = cexes[base:base + LANES]
-            for sim, resets in zip((rtl, gate), reset_words):
-                # Force every register word and drive every input so no
-                # lane inherits values from a previous chunk; inputs a
-                # witness does not name are 0, as on a fresh simulator.
-                sim.load_state(
-                    _packed_state_words(resets, chunk), settle=False
-                )
-                widths = sim.input_widths()
-                for cex in chunk:
-                    for name, value in cex.inputs.items():
-                        if name not in widths:
-                            raise KeyError(
-                                f"no input named {name!r} to replay into"
-                            )
-                        if value >> widths[name]:
-                            raise ValueError(
-                                f"value {value} does not fit input "
-                                f"{name!r} ({widths[name]} bits)"
-                            )
-                sim.set_many({
-                    name: pack_word(
-                        [cex.inputs.get(name, 0) for cex in chunk], width
-                    )
-                    for name, width in widths.items()
-                })
-            # Output cones read before the clock edge...
-            verdicts: list[tuple[int, int] | None] = [None] * len(chunk)
-            for lane, cex in enumerate(chunk):
-                if cex.kind == "output":
-                    verdicts[lane] = (
-                        extract_lane(rtl.get(cex.cone), lane),
-                        extract_lane(gate.get(cex.cone), lane),
-                    )
-            # ...next-state cones after it.
-            if any(cex.kind == "state" for cex in chunk):
-                rtl.step()
-                gate.step()
-                for lane, cex in enumerate(chunk):
-                    if cex.kind == "state":
-                        register = cex.cone[len("next("):-1]
-                        verdicts[lane] = (
-                            extract_lane(rtl.get_register(register), lane),
-                            extract_lane(gate.get_register(register), lane),
-                        )
-            for cex, (want, got) in zip(chunk, verdicts):
-                if want == got:
-                    results.append(None)
-                else:
-                    results.append(Mismatch(
-                        0, cex.cone, want, got, dict(cex.inputs),
-                        dict(cex.state),
-                    ))
-    metrics.counter("sim.packed.replays").inc(len(cexes))
-    return results
+    return replay_mismatches(
+        module, implementation, [cex.as_mismatch() for cex in cexes],
+        tracer=tracer, metrics=metrics,
+    )
 
 
 def _safe_nets_gate(netlist: GateNetlist) -> list[int]:

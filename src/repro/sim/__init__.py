@@ -5,7 +5,6 @@ from .bitsim import (
     LANES,
     PackedGateSimulator,
     PackedMappedSimulator,
-    PackedRtlSimulator,
     PackedSimError,
     broadcast_word,
     extract_lane,
@@ -21,7 +20,6 @@ __all__ = [
     "LANES",
     "PackedGateSimulator",
     "PackedMappedSimulator",
-    "PackedRtlSimulator",
     "PackedSimError",
     "Simulator",
     "Testbench",

@@ -21,21 +21,23 @@ into this layout, :func:`unpack_word` transposes back, and
 mismatch-localization primitive the equivalence checker uses to hand a
 failing lane back to the scalar simulators.
 
-Three packed engines mirror the scalar simulator APIs
+Two packed engines mirror the scalar simulator APIs
 (``set``/``set_many``/``get``/``step``/``get_register``/``load_state``)
-so lockstep drivers can treat them interchangeably:
+so lockstep drivers can treat them interchangeably, one per netlist
+kind:
 
 * :class:`PackedGateSimulator` — over a ``GateNetlist``;
 * :class:`PackedMappedSimulator` — over a ``MappedNetlist`` of
   standard cells (packed per-kind boolean functions, with a per-lane
-  fallback for unknown cells);
-* :class:`PackedRtlSimulator` — over an RTL ``Module``, by reusing the
-  flow's own verified bit-blaster (:func:`repro.synth.lower.lower`)
-  and running the resulting netlist packed.
+  fallback for unknown cells), plus per-lane stuck-at pin forces for
+  fault simulation.
 
-This module deliberately imports nothing from :mod:`repro.synth` at
-module level (the synth package imports back into here); the RTL engine
-lowers lazily at construction time.
+An RTL ``Module`` has no packed engine: word-level expressions do not
+vectorize over lane words, and the one RTL reference every packed
+check compares against is the interpreter :class:`repro.sim.Simulator`.
+
+This module imports nothing from :mod:`repro.synth` (the synth package
+imports back into here).
 """
 
 from __future__ import annotations
@@ -134,24 +136,25 @@ def group_bit_labels(labels: list[str]) -> dict[str, list[tuple[int, int]]]:
 # Packed standard-cell functions
 # ---------------------------------------------------------------------------
 
-#: Lane-parallel boolean functions per cell kind.  Each takes the lane
-#: mask first, then one packed lane word per input pin.
+#: Lane-parallel boolean functions per cell kind.  Each entry takes the
+#: lane mask and returns the cell's function of one packed lane word
+#: per input pin, so evaluating a cell is a single call.
 _PACKED_CELL_FUNCS = {
-    "INV": lambda m, a: a ^ m,
-    "BUF": lambda m, a: a,
-    "NAND2": lambda m, a, b: (a & b) ^ m,
-    "NOR2": lambda m, a, b: (a | b) ^ m,
-    "AND2": lambda m, a, b: a & b,
-    "OR2": lambda m, a, b: a | b,
-    "XOR2": lambda m, a, b: a ^ b,
-    "XNOR2": lambda m, a, b: (a ^ b) ^ m,
-    "NAND3": lambda m, a, b, c: (a & b & c) ^ m,
-    "NOR3": lambda m, a, b, c: (a | b | c) ^ m,
-    "AOI21": lambda m, a, b, c: ((a & b) | c) ^ m,
-    "OAI21": lambda m, a, b, c: ((a | b) & c) ^ m,
-    "MUX2": lambda m, a, b, s: (b & s) | (a & (s ^ m)),
-    "TIE0": lambda m: 0,
-    "TIE1": lambda m: m,
+    "INV": lambda m: lambda a: a ^ m,
+    "BUF": lambda m: lambda a: a,
+    "NAND2": lambda m: lambda a, b: (a & b) ^ m,
+    "NOR2": lambda m: lambda a, b: (a | b) ^ m,
+    "AND2": lambda m: lambda a, b: a & b,
+    "OR2": lambda m: lambda a, b: a | b,
+    "XOR2": lambda m: lambda a, b: a ^ b,
+    "XNOR2": lambda m: lambda a, b: (a ^ b) ^ m,
+    "NAND3": lambda m: lambda a, b, c: (a & b & c) ^ m,
+    "NOR3": lambda m: lambda a, b, c: (a | b | c) ^ m,
+    "AOI21": lambda m: lambda a, b, c: ((a & b) | c) ^ m,
+    "OAI21": lambda m: lambda a, b, c: ((a | b) & c) ^ m,
+    "MUX2": lambda m: lambda a, b, s: (b & s) | (a & (s ^ m)),
+    "TIE0": lambda m: lambda: 0,
+    "TIE1": lambda m: lambda: m,
 }
 
 
@@ -162,9 +165,9 @@ def packed_cell_function(cell, mask: int):
     falls back to evaluating the cell's scalar ``function`` once per
     lane (correct for any cell, just not fast).
     """
-    fn = _PACKED_CELL_FUNCS.get(cell.kind)
-    if fn is not None:
-        return lambda *words, _fn=fn, _m=mask: _fn(_m, *words)
+    make = _PACKED_CELL_FUNCS.get(cell.kind)
+    if make is not None:
+        return make(mask)
     scalar = cell.function
     if scalar is None:
         raise PackedSimError(
@@ -339,7 +342,17 @@ class PackedGateSimulator:
 
 
 class PackedMappedSimulator:
-    """Word-parallel simulator over a ``MappedNetlist`` of standard cells."""
+    """Word-parallel simulator over a ``MappedNetlist`` of standard cells.
+
+    Any cell pin can be *forced* per lane (:meth:`force`): lane ``l``
+    then sees that pin stuck at a constant while every other lane reads
+    the real net value, which is how stuck-at fault simulation packs 63
+    faulty machines beside the good one.  A force is an ``(or_mask,
+    and_mask)`` pair, ``v' = (v | or_mask) & and_mask``: stuck-at-1 sets
+    the lane bit in ``or_mask``, stuck-at-0 clears it in ``and_mask``.
+    An input pin is stuck only in its own cell's view of the net; an
+    output pin (a flop's Q included) is stuck for all its fanout.
+    """
 
     def __init__(self, mapped, lanes: int = LANES):
         if not 1 <= lanes <= LANES:
@@ -348,23 +361,44 @@ class PackedMappedSimulator:
         self.lanes = lanes
         self.mask = (1 << lanes) - 1
         # Program entries carry the input nets arity-split (a, b, c) so
-        # settle can call without *args tuple building per cell.
-        self._program = []
-        for inst in mapped.topo_comb():
+        # settle can call without *args tuple building per cell; the
+        # last slot holds the cell's forces, [a_or, a_and, b_or, b_and,
+        # c_or, c_and, out_or, out_and], or None.
+        self._comb_cells = mapped.topo_comb()
+        self._program: list[list] = []
+        for inst in self._comb_cells:
             fn = packed_cell_function(inst.cell, self.mask)
             ins = [inst.pins[p] for p in inst.cell.inputs]
             a, b, c = (ins + [0, 0, 0])[:3]
             self._program.append(
-                (len(ins), fn, inst.pins[inst.cell.output], a, b, c)
+                [len(ins), fn, inst.pins[inst.cell.output], a, b, c, None]
             )
-        self._seq = [
-            (inst.pins["d"], inst.pins[inst.cell.output], inst.reset_value)
-            for inst in mapped.seq_cells
+        # Flop entries: [d, q, reset_value, forces]; forces is
+        # [d_or, d_and, q_or, q_and] or None.
+        self._seq_cells = mapped.seq_cells
+        self._seq: list[list] = [
+            [inst.pins["d"], inst.pins[inst.cell.output], inst.reset_value,
+             None]
+            for inst in self._seq_cells
         ]
-        self._words = group_bit_labels(
-            [inst.tag for inst in mapped.seq_cells]
-        )
+        # Register word -> (bit index, flop entry) pairs, and its Q net
+        # per bit index; a bit no flop carries reads the net-less key
+        # -1, which always holds 0.
+        self._words: dict[str, list[tuple[int, list]]] = {}
+        self._word_q: dict[str, list[int]] = {}
+        for name, pairs in group_bit_labels(
+            [inst.tag for inst in self._seq_cells]
+        ).items():
+            self._words[name] = [(bit, self._seq[p]) for bit, p in pairs]
+            nets = self._word_q[name] = [-1] * (
+                1 + max(bit for bit, _ in pairs)
+            )
+            for bit, position in pairs:
+                nets[bit] = self._seq[position][1]
         self._values: dict[int, int] = {n: 0 for n in mapped.nets()}
+        self._values[-1] = 0
+        self._forced: list[list] = []
+        self._entries: dict[int, tuple] | None = None
         self.reset()
 
     # -- state --------------------------------------------------------------
@@ -381,9 +415,13 @@ class PackedMappedSimulator:
         return {name: len(nets) for name, nets in self.mapped.inputs.items()}
 
     def reset(self) -> None:
+        values = self._values
         mask = self.mask
-        for _, q, reset_value in self._seq:
-            self._values[q] = mask if reset_value else 0
+        for _, q, reset_value, forces in self._seq:
+            word = mask if reset_value else 0
+            if forces is not None:
+                word = (word | forces[2]) & forces[3]
+            values[q] = word
         self._settle()
 
     def load_state(
@@ -394,26 +432,76 @@ class PackedMappedSimulator:
         ``settle=False`` defers combinational re-evaluation for callers
         that immediately follow with :meth:`set_many` (which settles).
         """
+        values = self._values
+        mask = self.mask
         for name, words in state.items():
             if name not in self._words:
                 raise KeyError(f"no register named {name!r} in netlist")
-            for bit_index, position in self._words[name]:
-                word = words[bit_index] if bit_index < len(words) else 0
-                self._check_word(word)
-                self._values[self._seq[position][1]] = word
+            width = len(words)
+            for bit_index, entry in self._words[name]:
+                word = words[bit_index] if bit_index < width else 0
+                if not 0 <= word <= mask:
+                    self._check_word(word)
+                forces = entry[3]
+                values[entry[1]] = word if forces is None else (
+                    (word | forces[2]) & forces[3]
+                )
         if settle:
             self._settle()
 
     def get_register(self, name: str) -> list[int]:
         """Packed current value of the register word ``name``."""
-        if name not in self._words:
+        if name not in self._word_q:
             raise KeyError(f"no register named {name!r} in netlist")
-        pairs = self._words[name]
-        width = 1 + max(bit for bit, _ in pairs)
-        words = [0] * width
-        for bit_index, position in pairs:
-            words[bit_index] = self._values[self._seq[position][1]]
-        return words
+        values = self._values
+        return [values[q] for q in self._word_q[name]]
+
+    # -- pin forces ---------------------------------------------------------
+
+    def force(self, cell_index: int, pin: str, stuck_at: int,
+              lane: int) -> None:
+        """Stick ``pin`` of ``mapped.cells[cell_index]`` at ``stuck_at``
+        in ``lane`` only.
+
+        Takes effect from the next evaluation on: a settle for
+        combinational pins, a clock edge for a flop's D, and the next
+        :meth:`reset`, :meth:`load_state` or :meth:`step` for its Q.
+        """
+        if not 0 <= lane < self.lanes:
+            raise PackedSimError(
+                f"lane {lane} outside 0..{self.lanes - 1}"
+            )
+        if self._entries is None:
+            order = {id(inst): i for i, inst in enumerate(self.mapped.cells)}
+            self._entries = {
+                order[id(inst)]: (inst, entry)
+                for inst, entry in (
+                    *zip(self._comb_cells, self._program),
+                    *zip(self._seq_cells, self._seq),
+                )
+            }
+        inst, entry = self._entries[cell_index]
+        if inst.cell.is_sequential:
+            slot, pairs = (0 if pin == "d" else 2), 2
+        elif pin == inst.cell.output:
+            slot, pairs = 6, 4
+        else:
+            slot, pairs = 2 * list(inst.cell.inputs).index(pin), 4
+        forces = entry[-1]
+        if forces is None:
+            forces = entry[-1] = [0, self.mask] * pairs
+            self._forced.append(entry)
+        if stuck_at:
+            forces[slot] |= 1 << lane
+        else:
+            forces[slot + 1] &= ~(1 << lane)
+
+    def release(self) -> None:
+        """Drop every pin force; like :meth:`force`, this takes effect
+        from the next evaluation on."""
+        for entry in self._forced:
+            entry[-1] = None
+        self._forced.clear()
 
     # -- stimulus -----------------------------------------------------------
 
@@ -430,9 +518,12 @@ class PackedMappedSimulator:
                 f"input {name!r} is {len(nets)} bits, got {len(words)} "
                 "lane words"
             )
+        values = self._values
+        mask = self.mask
         for net, word in zip(nets, words):
-            self._check_word(word)
-            self._values[net] = word
+            if not 0 <= word <= mask:
+                self._check_word(word)
+            values[net] = word
 
     def set(self, name: str, words: list[int]) -> None:
         self._write_input(name, words)
@@ -451,77 +542,43 @@ class PackedMappedSimulator:
 
     def _settle(self) -> None:
         values = self._values
-        for arity, fn, out, a, b, c in self._program:
+        for arity, fn, out, a, b, c, forces in self._program:
+            if forces is None:
+                if arity == 2:
+                    values[out] = fn(values[a], values[b])
+                elif arity == 3:
+                    values[out] = fn(values[a], values[b], values[c])
+                elif arity == 1:
+                    values[out] = fn(values[a])
+                else:
+                    values[out] = fn()
+                continue
             if arity == 2:
-                values[out] = fn(values[a], values[b])
+                word = fn(
+                    (values[a] | forces[0]) & forces[1],
+                    (values[b] | forces[2]) & forces[3],
+                )
             elif arity == 3:
-                values[out] = fn(values[a], values[b], values[c])
+                word = fn(
+                    (values[a] | forces[0]) & forces[1],
+                    (values[b] | forces[2]) & forces[3],
+                    (values[c] | forces[4]) & forces[5],
+                )
             elif arity == 1:
-                values[out] = fn(values[a])
+                word = fn((values[a] | forces[0]) & forces[1])
             else:
-                values[out] = fn()
+                word = fn()
+            values[out] = (word | forces[6]) & forces[7]
 
     def step(self, cycles: int = 1) -> None:
+        """Clock edges: capture (forced) D into (forced) Q, then settle."""
         values = self._values
         for _ in range(cycles):
-            sampled = [(q, values[d]) for d, q, _ in self._seq]
+            sampled = [
+                (q, values[d] if f is None
+                 else (((values[d] | f[0]) & f[1]) | f[2]) & f[3])
+                for d, q, _, f in self._seq
+            ]
             for q, word in sampled:
                 values[q] = word
             self._settle()
-
-
-# ---------------------------------------------------------------------------
-# Packed RTL simulator
-# ---------------------------------------------------------------------------
-
-
-class PackedRtlSimulator:
-    """Word-parallel simulator over an RTL ``Module``.
-
-    RTL expressions are word-level (adds, compares, muxes), which do
-    not vectorize over lane words directly, so this engine follows the
-    bit-blaster conventions: the module is lowered through the flow's
-    own verified bit blaster (:func:`repro.synth.lower.lower`) and the
-    resulting gate netlist is simulated packed.  Flop names carry the
-    ``reg[i]`` register correspondence, so ``get_register`` /
-    ``load_state`` address the same words as the scalar
-    :class:`repro.sim.Simulator`.
-    """
-
-    def __init__(self, module, lanes: int = LANES):
-        # Imported lazily: repro.synth imports back into repro.sim.
-        from ..synth.lower import lower
-
-        self.netlist = lower(module)
-        self._sim = PackedGateSimulator(self.netlist, lanes)
-        self.lanes = self._sim.lanes
-        self.mask = self._sim.mask
-
-    def register_words(self) -> dict[str, list[int]]:
-        return self._sim.register_words()
-
-    def input_widths(self) -> dict[str, int]:
-        return self._sim.input_widths()
-
-    def reset(self) -> None:
-        self._sim.reset()
-
-    def load_state(
-        self, state: dict[str, list[int]], settle: bool = True
-    ) -> None:
-        self._sim.load_state(state, settle)
-
-    def get_register(self, name: str) -> list[int]:
-        return self._sim.get_register(name)
-
-    def set(self, name: str, words: list[int]) -> None:
-        self._sim.set(name, words)
-
-    def set_many(self, values: dict[str, list[int]]) -> None:
-        self._sim.set_many(values)
-
-    def get(self, name: str) -> list[int]:
-        return self._sim.get(name)
-
-    def step(self, cycles: int = 1) -> None:
-        self._sim.step(cycles)

@@ -12,8 +12,9 @@ a shift register behind a scan multiplexer:
   checked in the tests).
 
 Testability is then *measured*, not guessed: :func:`simulate_faults` is
-a word-parallel (PPSFP) stuck-at fault simulator built on the packed
-evaluation of :mod:`repro.sim.bitsim`.  Lane 0 of every 64-lane word
+a word-parallel (PPSFP) stuck-at fault simulator built on
+:class:`repro.sim.bitsim.PackedMappedSimulator` and its per-lane pin
+forces.  Lane 0 of every 64-lane word
 carries the fault-free ("good") machine; each of the other lanes
 carries the same circuit with exactly one stuck-at fault injected, so
 one packed pass simulates 63 faulty machines against their reference
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 from ..obs.metrics import MetricsRegistry, get_metrics
 from ..obs.trace import Tracer, get_tracer
-from ..sim.bitsim import LANES, packed_cell_function
+from ..sim.bitsim import PackedMappedSimulator, group_bit_labels
 from .mapped import MappedNetlist
 
 
@@ -155,167 +156,6 @@ def fault_sites(mapped: MappedNetlist) -> list[FaultSite]:
     return sites
 
 
-class _FaultMachine:
-    """Packed mapped-netlist evaluator with per-lane pin forces.
-
-    Like :class:`repro.sim.bitsim.PackedMappedSimulator`, every net
-    holds a 64-lane word — but each program entry carries optional
-    ``(or_mask, and_mask)`` force pairs per pin, so lane ``l`` can see
-    pin ``p`` stuck at a constant while every other lane reads the real
-    net value.  ``v' = (v | or_mask) & and_mask`` implements both
-    polarities: stuck-at-1 sets the lane bit in ``or_mask``, stuck-at-0
-    clears it in ``and_mask``.
-    """
-
-    def __init__(self, mapped: MappedNetlist, lanes: int = LANES):
-        self.mapped = mapped
-        self.lanes = lanes
-        self.mask = (1 << lanes) - 1
-        self._comb_index: dict[int, int] = {}
-        self._seq_index: dict[int, int] = {}
-        # Comb entry: [arity, fn, out, a, b, c, forces|None]; forces is
-        # [a_or, a_and, b_or, b_and, c_or, c_and, out_or, out_and].
-        self._program: list[list] = []
-        cell_order = {id(inst): i for i, inst in enumerate(mapped.cells)}
-        for inst in mapped.topo_comb():
-            fn = packed_cell_function(inst.cell, self.mask)
-            ins = [inst.pins[p] for p in inst.cell.inputs]
-            a, b, c = (ins + [0, 0, 0])[:3]
-            self._comb_index[cell_order[id(inst)]] = len(self._program)
-            self._program.append(
-                [len(ins), fn, inst.pins[inst.cell.output], a, b, c, None]
-            )
-        # Seq entry: [d, q, reset_value, forces|None]; forces is
-        # [d_or, d_and, q_or, q_and].
-        self._seq: list[list] = []
-        for inst in mapped.seq_cells:
-            self._seq_index[cell_order[id(inst)]] = len(self._seq)
-            self._seq.append([
-                inst.pins["d"], inst.pins[inst.cell.output],
-                inst.reset_value, None,
-            ])
-        self._values: dict[int, int] = {n: 0 for n in mapped.nets()}
-        self._forced: list[list] = []
-
-    # -- fault injection ----------------------------------------------------
-
-    def clear_faults(self) -> None:
-        for entry in self._forced:
-            entry[-1] = None
-        self._forced.clear()
-
-    def inject(self, site: FaultSite, lane: int) -> None:
-        """Stick ``site``'s pin for one lane (lane 0 stays fault-free)."""
-        inst = self.mapped.cells[site.cell_index]
-        bit = 1 << lane
-        sequential = inst.cell.is_sequential
-        if sequential:
-            entry = self._seq[self._seq_index[site.cell_index]]
-            if entry[-1] is None:
-                entry[-1] = [0, self.mask, 0, self.mask]
-                self._forced.append(entry)
-            slot = 0 if site.pin == "d" else 2
-        else:
-            entry = self._program[self._comb_index[site.cell_index]]
-            if entry[-1] is None:
-                entry[-1] = [0, self.mask] * 4
-                self._forced.append(entry)
-            pins = list(inst.cell.inputs)
-            if site.pin == inst.cell.output:
-                slot = 6
-            else:
-                slot = 2 * pins.index(site.pin)
-        if site.stuck_at:
-            entry[-1][slot] |= bit
-        else:
-            entry[-1][slot + 1] &= ~bit
-
-    # -- evaluation ---------------------------------------------------------
-
-    def load(self, state_bits: list[int], input_bits: dict[int, int]) -> None:
-        """Broadcast scalar flop/input bits to all lanes and settle.
-
-        ``state_bits[i]`` seeds sequential cell ``i``; ``input_bits``
-        maps primary-input net id to its bit.  Output forces on flops
-        apply immediately (a stuck Q is stuck in any state).
-        """
-        values = self._values
-        mask = self.mask
-        for entry, bit in zip(self._seq, state_bits):
-            word = mask if bit else 0
-            forces = entry[3]
-            if forces is not None:
-                word = (word | forces[2]) & forces[3]
-            values[entry[1]] = word
-        for net, bit in input_bits.items():
-            values[net] = mask if bit else 0
-        self._settle()
-
-    def drive(self, input_bits: dict[int, int]) -> None:
-        """Broadcast scalar primary-input bits to all lanes and settle."""
-        values = self._values
-        mask = self.mask
-        for net, bit in input_bits.items():
-            values[net] = mask if bit else 0
-        self._settle()
-
-    def _settle(self) -> None:
-        values = self._values
-        for arity, fn, out, a, b, c, forces in self._program:
-            if forces is None:
-                if arity == 2:
-                    values[out] = fn(values[a], values[b])
-                elif arity == 3:
-                    values[out] = fn(values[a], values[b], values[c])
-                elif arity == 1:
-                    values[out] = fn(values[a])
-                else:
-                    values[out] = fn()
-            else:
-                if arity == 2:
-                    word = fn(
-                        (values[a] | forces[0]) & forces[1],
-                        (values[b] | forces[2]) & forces[3],
-                    )
-                elif arity == 3:
-                    word = fn(
-                        (values[a] | forces[0]) & forces[1],
-                        (values[b] | forces[2]) & forces[3],
-                        (values[c] | forces[4]) & forces[5],
-                    )
-                elif arity == 1:
-                    word = fn((values[a] | forces[0]) & forces[1])
-                else:
-                    word = fn()
-                values[out] = (word | forces[6]) & forces[7]
-
-    def step(self) -> None:
-        """One clock edge: capture (forced) D into (forced) Q, settle."""
-        values = self._values
-        sampled = []
-        for d, q, _, forces in self._seq:
-            word = values[d]
-            if forces is not None:
-                word = (word | forces[0]) & forces[1]
-                word = (word | forces[2]) & forces[3]
-            sampled.append((q, word))
-        for q, word in sampled:
-            values[q] = word
-        self._settle()
-
-    def observe(self, nets: list[int]) -> int:
-        """Lanes whose value differs from the good machine (lane 0) on
-        any of ``nets`` — the per-pattern detection mask."""
-        values = self._values
-        mask = self.mask
-        detected = 0
-        for net in nets:
-            word = values[net]
-            good = -(word & 1) & mask  # lane 0's bit replicated
-            detected |= word ^ good
-        return detected & mask
-
-
 def simulate_faults(
     mapped: MappedNetlist,
     scanned: bool,
@@ -352,20 +192,47 @@ def simulate_faults(
     if patterns is None:
         patterns = 64 if scanned else 24
     sites = fault_sites(mapped)
-    machine = _FaultMachine(mapped)
+    sim = PackedMappedSimulator(mapped)
+    mask = sim.mask
     rng = random.Random(seed)
 
-    po_nets = [net for nets in mapped.outputs.values() for net in nets]
-    q_nets = [inst.pins[inst.cell.output] for inst in mapped.seq_cells]
-    input_nets = [
-        net for nets in mapped.inputs.values() for net in nets
-    ]
+    draw = rng.getrandbits
+    n_seq = len(mapped.seq_cells)
+    outputs = list(mapped.outputs)
+    registers = list(sim.register_words())
+    # Register word -> the flop position of each bit; position -1 (a
+    # bit no flop carries) reads the constant 0 appended to the draws.
+    layout: dict[str, list[int]] = {}
+    for name, pairs in group_bit_labels(
+        [inst.tag for inst in mapped.seq_cells]
+    ).items():
+        positions = layout[name] = [-1] * (1 + max(i for i, _ in pairs))
+        for index, position in pairs:
+            positions[index] = position
     # Scan test holds scan_en low while capturing — a shifting capture
     # observes the chain, not the logic.  Every fourth pattern shifts
     # (scan_en high) instead, so scan-path faults are exercised too.
-    scan_en_nets = set(mapped.inputs.get("scan_en", ())) if scanned else set()
-    n_seq = len(mapped.seq_cells)
-    fault_lanes = machine.lanes - 1  # lane 0 carries the good machine
+    scan_en = "scan_en" if scanned and "scan_en" in mapped.inputs else None
+    fault_lanes = sim.lanes - 1  # lane 0 carries the good machine
+
+    def random_inputs(shifting: bool = False) -> dict[str, list[int]]:
+        """Broadcast one random bit per input net, port by port."""
+        return {
+            name: (
+                [mask * shifting] * len(nets) if name == scan_en
+                else [mask * draw(1) for _ in nets]
+            )
+            for name, nets in mapped.inputs.items()
+        }
+
+    def observe(read, names) -> int:
+        """Lanes whose value of ``read(name)``, for any of ``names``,
+        differs from the good machine's (lane 0)."""
+        detected = 0
+        for name in names:
+            for word in read(name):
+                detected |= word ^ (-(word & 1) & mask)  # vs lane 0
+        return detected
 
     detected: list[bool] = [False] * len(sites)
     with tracer.span(
@@ -374,37 +241,27 @@ def simulate_faults(
     ) as span:
         for base in range(0, len(sites), fault_lanes):
             chunk = sites[base:base + fault_lanes]
-            machine.clear_faults()
+            sim.release()
             for lane, site in enumerate(chunk, start=1):
-                machine.inject(site, lane)
+                sim.force(site.cell_index, site.pin, site.stuck_at, lane)
             chunk_detected = 0
             if scanned:
                 for index in range(patterns):
-                    shifting = index % 4 == 3
-                    machine.load(
-                        [rng.getrandbits(1) for _ in range(n_seq)],
-                        {
-                            net: (
-                                int(shifting) if net in scan_en_nets
-                                else rng.getrandbits(1)
-                            )
-                            for net in input_nets
-                        },
-                    )
-                    chunk_detected |= machine.observe(po_nets)
-                    machine.step()  # capture; chain shifts state out
-                    chunk_detected |= machine.observe(q_nets)
+                    draws = [draw(1) for _ in range(n_seq)] + [0]
+                    sim.load_state({
+                        name: [mask * draws[p] for p in positions]
+                        for name, positions in layout.items()
+                    }, settle=False)
+                    sim.set_many(random_inputs(shifting=index % 4 == 3))
+                    chunk_detected |= observe(sim.get, outputs)
+                    sim.step()  # capture; chain shifts state out
+                    chunk_detected |= observe(sim.get_register, registers)
             else:
-                machine.load(
-                    [entry[2] for entry in machine._seq],
-                    {net: 0 for net in input_nets},
-                )
+                sim.reset()
                 for _ in range(patterns):
-                    machine.drive(
-                        {net: rng.getrandbits(1) for net in input_nets}
-                    )
-                    chunk_detected |= machine.observe(po_nets)
-                    machine.step()
+                    sim.set_many(random_inputs())
+                    chunk_detected |= observe(sim.get, outputs)
+                    sim.step()
             for lane, site in enumerate(chunk, start=1):
                 if (chunk_detected >> lane) & 1:
                     detected[base + lane - 1] = True

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..pdk.cells import Library, StandardCell
+from ..sim.bitsim import group_bit_labels
 
 
 @dataclass
@@ -232,6 +233,17 @@ class MappedSimulator:
         self.mapped = mapped
         self._order = mapped.topo_comb()
         self._values: dict[int, int] = {n: 0 for n in mapped.nets()}
+        # Register word -> (bit index, DFF Q net), by the reg[i] tags.
+        seq = mapped.seq_cells
+        self._words = {
+            name: [
+                (bit, seq[position].pins[seq[position].cell.output])
+                for bit, position in pairs
+            ]
+            for name, pairs in group_bit_labels(
+                [inst.tag for inst in seq]
+            ).items()
+        }
         self.reset()
 
     def reset(self) -> None:
@@ -272,18 +284,6 @@ class MappedSimulator:
         nets = self.mapped.outputs[name]
         return sum(self._values[net] << i for i, net in enumerate(nets))
 
-    def _state_words(self) -> dict[str, list[tuple[int, CellInst]]]:
-        """DFF cells grouped into register words by the ``reg[i]`` tag."""
-        words: dict[str, list[tuple[int, CellInst]]] = {}
-        for index, inst in enumerate(self.mapped.seq_cells):
-            label = inst.tag or f"dff{index}"
-            base, _, rest = label.rpartition("[")
-            if base and rest.endswith("]") and rest[:-1].isdigit():
-                words.setdefault(base, []).append((int(rest[:-1]), inst))
-            else:
-                words.setdefault(label, []).append((0, inst))
-        return words
-
     def load_state(self, state: dict[str, int]) -> None:
         """Force register words (by DFF tag) to the given values.
 
@@ -291,23 +291,19 @@ class MappedSimulator:
         bit ``i`` of the word ``reg``.  Used to replay formal
         counterexamples from an arbitrary state.
         """
-        words = self._state_words()
         for name, value in state.items():
-            if name not in words:
+            if name not in self._words:
                 raise KeyError(f"no register named {name!r} in netlist")
-            for bit_index, inst in words[name]:
-                q = inst.pins[inst.cell.output]
+            for bit_index, q in self._words[name]:
                 self._values[q] = (value >> bit_index) & 1
         self._settle()
 
     def get_register(self, name: str) -> int:
         """Current value of the register word ``name`` (DFF-tag grouping)."""
-        words = self._state_words()
-        if name not in words:
+        if name not in self._words:
             raise KeyError(f"no register named {name!r} in netlist")
         return sum(
-            self._values[inst.pins[inst.cell.output]] << bit_index
-            for bit_index, inst in words[name]
+            self._values[q] << bit_index for bit_index, q in self._words[name]
         )
 
     def step(self, cycles: int = 1) -> None:

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..sim.bitsim import group_bit_labels
+
 #: Primitive gate operators.  NOT/BUF take one input, the rest take two.
 GATE_OPS = frozenset({"AND", "OR", "XOR", "NOT", "BUF"})
 
@@ -201,21 +203,6 @@ class GateNetlist:
         )
 
 
-def _flops_by_word(
-    dffs: list[FlipFlop],
-) -> dict[str, list[tuple[int, FlipFlop]]]:
-    """Group flops into register words by the ``reg[i]`` name convention."""
-    words: dict[str, list[tuple[int, FlipFlop]]] = {}
-    for index, ff in enumerate(dffs):
-        label = ff.name or f"dff{index}"
-        base, _, rest = label.rpartition("[")
-        if base and rest.endswith("]") and rest[:-1].isdigit():
-            words.setdefault(base, []).append((int(rest[:-1]), ff))
-        else:
-            words.setdefault(label, []).append((0, ff))
-    return words
-
-
 class GateSimulator:
     """Cycle-accurate simulator over a :class:`GateNetlist`.
 
@@ -227,6 +214,13 @@ class GateSimulator:
         self.netlist = netlist
         self._order = netlist.topo_gates()
         self._values: list[int] = [0] * netlist.n_nets
+        # Register word -> (bit index, flop Q net), by the reg[i] names.
+        self._words = {
+            name: [(bit, netlist.dffs[position].q) for bit, position in pairs]
+            for name, pairs in group_bit_labels(
+                [ff.name for ff in netlist.dffs]
+            ).items()
+        }
         self.reset()
 
     def reset(self) -> None:
@@ -274,21 +268,19 @@ class GateSimulator:
         ``i`` of the word ``reg``.  Used to replay formal counterexamples
         from an arbitrary reachable-or-not state.
         """
-        flops = _flops_by_word(self.netlist.dffs)
         for name, value in state.items():
-            if name not in flops:
+            if name not in self._words:
                 raise KeyError(f"no register named {name!r} in netlist")
-            for bit_index, ff in flops[name]:
-                self._values[ff.q] = (value >> bit_index) & 1
+            for bit_index, q in self._words[name]:
+                self._values[q] = (value >> bit_index) & 1
         self._settle()
 
     def get_register(self, name: str) -> int:
         """Current value of the register word ``name`` (flop-name grouping)."""
-        flops = _flops_by_word(self.netlist.dffs)
-        if name not in flops:
+        if name not in self._words:
             raise KeyError(f"no register named {name!r} in netlist")
         return sum(
-            self._values[ff.q] << bit_index for bit_index, ff in flops[name]
+            self._values[q] << bit_index for bit_index, q in self._words[name]
         )
 
     def get(self, name: str) -> int:

@@ -9,7 +9,8 @@ Each divergence is recorded as a structured :class:`Mismatch` — the
 failing cycle, the exact input vector applied that cycle and the RTL
 register state it was applied in — so CI can archive failures
 (:meth:`EquivalenceResult.to_json`) and so formal counterexamples from
-:mod:`repro.formal.lec` replay through the same record type.
+:mod:`repro.formal.lec` replay through the same record type and the
+same routine, :func:`replay_mismatches`.
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ def check_equivalence(
     implementation: GateNetlist | MappedNetlist,
     cycles: int = 64,
     seed: int = 2025,
-    engine: str = "auto",
+    engine: str = "packed",
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
 ) -> EquivalenceResult:
@@ -179,8 +180,7 @@ def check_equivalence(
 
     ``engine`` selects the simulation strategy:
 
-    * ``"scalar"`` — the classic one-vector-per-cycle lockstep loop;
-    * ``"packed"`` — the word-parallel fast path
+    * ``"packed"`` (default) — the word-parallel fast path
       (:mod:`repro.sim.bitsim`): the RTL simulator records the random
       trajectory once, then the implementation verifies 64 cycles per
       packed pass.  Any packed divergence (or a netlist the packed
@@ -188,17 +188,18 @@ def check_equivalence(
       through the scalar loop, so the returned
       :class:`EquivalenceResult` — down to its JSON serialization — is
       identical to the scalar engine's for the same seed;
-    * ``"auto"`` (default) — packed, with the scalar fallback.
+    * ``"scalar"`` — the classic one-vector-per-cycle lockstep loop, the
+      reference the packed path is measured and tested against.
     """
-    if engine not in ("auto", "scalar", "packed"):
+    if engine not in ("scalar", "packed"):
         raise ValueError(
-            f"engine must be 'auto', 'scalar' or 'packed', got {engine!r}"
+            f"engine must be 'scalar' or 'packed', got {engine!r}"
         )
     if tracer is None:
         tracer = get_tracer()
     if metrics is None:
         metrics = get_metrics()
-    if engine != "scalar":
+    if engine == "packed":
         result = _check_equivalence_packed(
             module, implementation, cycles, seed, tracer, metrics
         )
@@ -419,22 +420,165 @@ def replay_mismatch(
     """Re-apply one recorded (or formally derived) failure directly.
 
     Loads the recorded register state into both simulators, applies the
-    input vector, and compares the failing output once — no random
-    replay needed.  Returns a fresh :class:`Mismatch` if the divergence
-    reproduces, ``None`` if it does not.
+    input vector, and compares the failing cone once — no random replay
+    needed.  Returns a fresh :class:`Mismatch` if the divergence
+    reproduces, ``None`` if it does not.  One-witness
+    :func:`replay_mismatches`.
     """
+    return replay_mismatches(module, implementation, [mismatch])[0]
+
+
+def _state_cone(cone: str) -> str | None:
+    """The register a ``next(<register>)`` cone names, else ``None``."""
+    if cone.startswith("next(") and cone.endswith(")"):
+        return cone[len("next("):-1]
+    return None
+
+
+def replay_mismatches(
+    module: Module,
+    implementation: GateNetlist | MappedNetlist,
+    mismatches: list[Mismatch],
+    tracer: Tracer | None = None,
+    metrics: MetricsRegistry | None = None,
+) -> list[Mismatch | None]:
+    """Replay a batch of witnesses: the one replay path of the toolkit.
+
+    A witness is a :class:`Mismatch` read as: the cone (``output``, an
+    output port compared after the inputs settle, or ``next(<reg>)``,
+    the register compared after one clock edge), the input vector, the
+    RTL register ``state`` and the implementation's state —
+    ``gate_state or state``, loaded only when ``state`` is non-empty.
+    Registers a witness leaves out keep their reset values and inputs
+    it does not name are 0, as on a fresh simulator.
+
+    The RTL side is the interpreter :class:`repro.sim.Simulator`, one
+    instance whose every register and input is rewritten before each
+    witness (reset values where the witness is silent), so replay stays
+    independent of the synthesizer's own bit-blaster.  The
+    implementation side is one packed simulator with one lane per
+    witness, 64 lanes per chunk.
+
+    Every witness is checked before anything simulates: an input,
+    output or register either side lacks raises ``KeyError`` and an
+    input value wider than its port ``ValueError``, with the same
+    message whatever the batch size.
+
+    Returns one entry per witness: a fresh :class:`Mismatch` (cycle 0)
+    when the divergence reproduces, ``None`` when it does not.
+    """
+    if tracer is None:
+        tracer = get_tracer()
+    if metrics is None:
+        metrics = get_metrics()
+    if not mismatches:
+        return []
     rtl = Simulator(module)
-    gate = _gate_sim(implementation)
-    if mismatch.state:
-        rtl.load_state(mismatch.state)
-        gate.load_state(mismatch.gate_state or mismatch.state)
-    for name, value in mismatch.inputs.items():
-        rtl.set(name, value)
-        gate.set(name, value)
-    want, got = rtl.get(mismatch.output), gate.get(mismatch.output)
-    if want == got:
-        return None
-    return Mismatch(
-        0, mismatch.output, want, got, dict(mismatch.inputs),
-        dict(mismatch.state),
+    impl = _packed_impl_sim(implementation)
+    inputs = {sig.name: sig.width for sig in rtl.module.inputs}
+    rtl_resets = {
+        reg.signal.name: reg.reset_value for reg in rtl.module.registers
+    }
+    impl_inputs = impl.input_widths()
+    impl_registers = impl.register_words()
+    outputs = {sig.name for sig in rtl.module.outputs} & set(
+        implementation.outputs
     )
+    registers = set(rtl_resets) & set(impl_registers)
+
+    cones: list[str | None] = []  # register of a next() cone, else None
+    impl_states: list[dict[str, int]] = []
+    for mismatch in mismatches:
+        for name, value in mismatch.inputs.items():
+            if name not in inputs or name not in impl_inputs:
+                raise KeyError(f"no input named {name!r} to replay into")
+            width = min(inputs[name], impl_inputs[name])
+            if value < 0 or value >> width:
+                raise ValueError(
+                    f"value {value} does not fit input {name!r} "
+                    f"({width} bits)"
+                )
+        impl_state = {}
+        if mismatch.state:
+            impl_state = mismatch.gate_state or mismatch.state
+        register = _state_cone(mismatch.output)
+        unknown = [
+            *(name for name in mismatch.state if name not in rtl_resets),
+            *(name for name in impl_state if name not in impl_registers),
+        ]
+        if register is not None and register not in registers:
+            unknown.append(register)
+        if unknown:
+            raise KeyError(f"no register named {unknown[0]!r} to replay into")
+        if register is None and mismatch.output not in outputs:
+            raise KeyError(
+                f"no output named {mismatch.output!r} to replay into"
+            )
+        cones.append(register)
+        impl_states.append(impl_state)
+
+    results: list[Mismatch | None] = []
+    with tracer.span(
+        "sim.packed.replay", design=getattr(module, "name", "design"),
+        counterexamples=len(mismatches),
+    ):
+        # Reset values captured once, before any lane is forced: they
+        # are the defaults for registers a witness leaves unconstrained.
+        resets = {
+            name: extract_lane(impl.get_register(name), 0)
+            for name in impl_registers
+        }
+        for base in range(0, len(mismatches), LANES):
+            chunk = mismatches[base:base + LANES]
+            chunk_cones = cones[base:base + LANES]
+            states = impl_states[base:base + LANES]
+            # Force every register word and drive every input so no lane
+            # inherits values from a previous chunk.
+            impl.load_state({
+                name: pack_word(
+                    [state.get(name, resets[name]) for state in states],
+                    1 + bits[-1],
+                )
+                for name, bits in impl_registers.items()
+            }, settle=False)
+            impl.set_many({
+                name: pack_word([m.inputs.get(name, 0) for m in chunk], width)
+                for name, width in impl_inputs.items()
+            })
+            # Output cones read before the clock edge...
+            got = {
+                lane: extract_lane(impl.get(mismatch.output), lane)
+                for lane, (mismatch, register) in enumerate(
+                    zip(chunk, chunk_cones)
+                )
+                if register is None
+            }
+            # ...next-state cones after it.
+            if len(got) < len(chunk):
+                impl.step()
+                for lane, register in enumerate(chunk_cones):
+                    if register is not None:
+                        got[lane] = extract_lane(
+                            impl.get_register(register), lane
+                        )
+            # The interpreter replays witness by witness: every register
+            # and input is rewritten, so nothing carries over from the
+            # previous witness.
+            for lane, (mismatch, register) in enumerate(
+                zip(chunk, chunk_cones)
+            ):
+                rtl.load_state({**rtl_resets, **mismatch.state})
+                rtl.set_many({
+                    name: mismatch.inputs.get(name, 0) for name in inputs
+                })
+                if register is None:
+                    want = rtl.get(mismatch.output)
+                else:
+                    rtl.step()
+                    want = rtl.get_register(register)
+                results.append(None if want == got[lane] else Mismatch(
+                    0, mismatch.output, want, got[lane],
+                    dict(mismatch.inputs), dict(mismatch.state),
+                ))
+    metrics.counter("sim.packed.replays").inc(len(mismatches))
+    return results

@@ -12,16 +12,21 @@ simulators they replace.  These tests pin that down three ways:
   byte-identical JSON with ``engine="scalar"`` and ``engine="packed"``,
   both for passing designs and for seeded must-fail mutations, and
   batched LEC replay must agree with scalar replay witness by witness.
+
+Per-lane pin forces (the fault-simulation hook of the mapped engine)
+must touch only their own lane.
 """
 
+import importlib
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.formal import check_lec, mutate_netlist, replay_counterexamples
-from repro.formal.lec import PACKED_REPLAY_MIN, _replay_counterexample_scalar
+from repro.formal.lec import _replay_counterexample_scalar
 from repro.hdl import ModuleBuilder, mux
 from repro.ip.catalog import generate
 from repro.pdk import get_pdk
@@ -30,7 +35,6 @@ from repro.sim.bitsim import (
     LANES,
     PackedGateSimulator,
     PackedMappedSimulator,
-    PackedRtlSimulator,
     PackedSimError,
     broadcast_word,
     extract_lane,
@@ -46,6 +50,11 @@ from repro.synth import (
     optimize,
     synthesize,
 )
+from repro.synth.verify import replay_mismatch
+
+#: The bit-blaster's module (the package re-exports its ``lower``
+#: function under the same name).
+lower_module = importlib.import_module("repro.synth.lower")
 
 
 @pytest.fixture(scope="module")
@@ -157,10 +166,9 @@ class TestLockstepDifferential:
     def test_packed_rtl_matches_scalar_simulator(self, name):
         module = generate(name).module
         rng = random.Random(7)
-        packed = PackedRtlSimulator(module)
-        # The packed RTL simulator runs the *lowered* netlist; scalar
-        # reference is the RTL interpreter, so this also cross-checks
-        # lowering.
+        # RTL runs packed as its lowered netlist; the scalar reference
+        # is the RTL interpreter, so this also cross-checks lowering.
+        packed = PackedGateSimulator(lower(module))
         scalars = [Simulator(module) for _ in range(8)]
         run_differential(module, packed, scalars, rng)
 
@@ -187,7 +195,7 @@ class TestLockstepDifferential:
         for seed in range(6):
             module = build_random_module(seed)
             rng = random.Random(seed + 100)
-            packed = PackedRtlSimulator(module)
+            packed = PackedGateSimulator(lower(module))
             scalars = [Simulator(module) for _ in range(4)]
             run_differential(module, packed, scalars, rng, cycles=8)
             mapped = synthesize(module, library, verify=False).mapped
@@ -198,13 +206,13 @@ class TestLockstepDifferential:
 
     def test_partial_lane_counts(self):
         module = generate("counter").module
-        packed = PackedRtlSimulator(module, lanes=3)
+        packed = PackedGateSimulator(lower(module), lanes=3)
         scalars = [Simulator(module) for _ in range(3)]
         run_differential(module, packed, scalars, random.Random(3), cycles=6)
 
     def test_load_state_round_trip(self):
         module = generate("counter").module
-        packed = PackedRtlSimulator(module)
+        packed = PackedGateSimulator(lower(module))
         values = [i * 5 % 256 for i in range(LANES)]
         packed.load_state({"count": pack_word(values, 8)})
         assert unpack_word(packed.get_register("count")) == values
@@ -273,17 +281,19 @@ class TestEquivalenceEngines:
         assert failing, "no mutation produced a detectable mismatch"
 
     def test_auto_engine_matches_scalar(self, library):
+        # The default engine (packed) answers exactly as the scalar one.
         module = generate("lfsr").module
         mapped = synthesize(module, library, verify=False).mapped
-        auto = check_equivalence(module, mapped, cycles=64, seed=9)
+        default = check_equivalence(module, mapped, cycles=64, seed=9)
         scalar = check_equivalence(
             module, mapped, cycles=64, seed=9, engine="scalar")
-        assert auto.to_json() == scalar.to_json()
+        assert default.to_json() == scalar.to_json()
 
     def test_unknown_engine_rejected(self, library):
         module = generate("counter").module
-        with pytest.raises(ValueError):
-            check_equivalence(module, lower(module), engine="simd")
+        for engine in ("simd", "auto"):
+            with pytest.raises(ValueError, match="'scalar' or 'packed'"):
+                check_equivalence(module, lower(module), engine=engine)
 
     def test_result_json_records_mismatch_cap(self, library):
         module = generate("counter").module
@@ -297,29 +307,34 @@ class TestEquivalenceEngines:
 # ---------------------------------------------------------------------------
 
 
+def refuted_mutants(module, design, seeds=range(8)):
+    """``(mutant, counterexamples)`` for every seed the prover refutes."""
+    for seed in seeds:
+        mutant, _ = mutate_netlist(design, seed=seed)
+        result = check_lec(module, mutant)
+        if not result.equivalent:
+            yield mutant, result.counterexamples
+
+
 class TestBatchedReplay:
     def test_batch_matches_scalar_witness_by_witness(self, library):
         module = generate("counter").module
-        mapped = synthesize(module, library, verify=False).mapped
+        synth = synthesize(module, library, verify=False)
         checked = 0
-        for seed in range(8):
-            mutant, _ = mutate_netlist(mapped, seed=seed)
-            result = check_lec(module, mutant)
-            if result.equivalent:
-                continue
-            cexes = result.counterexamples
-            # Tile past the packed threshold so the packed path runs.
-            batch = (cexes * PACKED_REPLAY_MIN)[:max(
-                PACKED_REPLAY_MIN, len(cexes))]
-            packed = replay_counterexamples(module, mutant, batch)
-            for cex, mismatch in zip(batch, packed):
-                scalar = _replay_counterexample_scalar(module, mutant, cex)
-                assert (mismatch is None) == (scalar is None)
-                if mismatch is not None:
-                    assert mismatch.output == scalar.output
-                    assert mismatch.expect == scalar.expect
-                    assert mismatch.got == scalar.got
-                checked += 1
+        for design in (synth.netlist, synth.mapped):
+            for mutant, cexes in refuted_mutants(module, design):
+                scalar = [
+                    _replay_counterexample_scalar(module, mutant, cex)
+                    for cex in cexes
+                ]
+                # One witness, the natural batch, and two lane chunks.
+                for batch in ([cexes[0]], cexes, (cexes * 70)[:70]):
+                    packed = replay_counterexamples(module, mutant, batch)
+                    expected = (scalar * 70)[:len(batch)]
+                    assert [m and m.to_dict() for m in packed] == [
+                        m and m.to_dict() for m in expected
+                    ]
+                    checked += len(batch)
         assert checked, "no mutation yielded replayable counterexamples"
 
     def test_reset_kind_rejected(self, library):
@@ -336,3 +351,111 @@ class TestBatchedReplay:
         )
         with pytest.raises(ValueError):
             replay_counterexamples(module, mutant, [fake])
+
+    @pytest.mark.parametrize("bad_inputs, error, message", [
+        ({"en": 2}, ValueError, "value 2 does not fit input 'en' (1 bits)"),
+        ({"x": 0}, KeyError, "no input named 'x' to replay into"),
+    ])
+    def test_bad_witness_fails_the_same_at_every_batch_size(
+        self, library, bad_inputs, error, message
+    ):
+        module = generate("counter").module
+        mapped = synthesize(module, library, verify=False).mapped
+        mutant, cexes = next(refuted_mutants(module, mapped))
+        bad = replace(cexes[0], inputs=bad_inputs)
+        for batch in ([bad], [bad] + cexes * 3):
+            with pytest.raises(error) as caught:
+                replay_counterexamples(module, mutant, batch)
+            assert message in str(caught.value)
+        with pytest.raises(error) as caught:
+            replay_mismatch(module, mutant, bad.as_mismatch())
+        assert message in str(caught.value)
+
+    def test_replay_does_not_use_the_lowerer(self, library, monkeypatch):
+        module = generate("counter").module
+        mapped = synthesize(module, library, verify=False).mapped
+        mutant, cexes = next(refuted_mutants(module, mapped))
+        batch = (cexes * 4)[:4]
+        expected = [
+            _replay_counterexample_scalar(module, mutant, cex)
+            for cex in batch
+        ]
+
+        def no_lowering(module):
+            raise AssertionError("replay lowered the RTL")
+
+        monkeypatch.setattr(lower_module, "lower", no_lowering)
+        got = replay_counterexamples(module, mutant, batch)
+        assert [m and m.to_dict() for m in got] == [
+            m and m.to_dict() for m in expected
+        ]
+
+
+# ---------------------------------------------------------------------------
+# Per-lane pin forces on the mapped engine
+# ---------------------------------------------------------------------------
+
+
+class TestPinForces:
+    def run_lanes(self, sim, module, vector):
+        """Drive one scalar vector into every lane; per-lane outputs."""
+        sim.reset()
+        sim.set_many({
+            sig.name: broadcast_word(vector[sig.name], sig.width, sim.mask)
+            for sig in module.inputs
+        })
+        sim.step()
+        return {
+            name: unpack_word(sim.get(name), sim.lanes)
+            for name in sim.mapped.outputs
+        }
+
+    def test_force_changes_only_its_lane_and_release_restores(
+        self, library
+    ):
+        module = generate("alu").module
+        mapped = synthesize(module, library, verify=False).mapped
+        sim = PackedMappedSimulator(mapped, lanes=8)
+        vector = {sig.name: 0 for sig in module.inputs}
+        good = self.run_lanes(sim, module, vector)
+        assert all(len(set(lanes)) == 1 for lanes in good.values())
+        changed = 0
+        for index, inst in enumerate(mapped.cells):
+            pin = inst.cell.output
+            if pin is None:
+                continue
+            for stuck in (0, 1):
+                sim.force(index, pin, stuck, lane=5)
+                faulty = self.run_lanes(sim, module, vector)
+                for name, lanes in faulty.items():
+                    assert lanes[:5] + lanes[6:] == good[name][:5] + (
+                        good[name][6:]
+                    )
+                changed += faulty != good
+                sim.release()
+                assert self.run_lanes(sim, module, vector) == good
+        assert changed, "no output-pin force reached an output"
+
+    def test_flop_forces_hold_through_reset_and_capture(self, library):
+        module = generate("counter").module
+        mapped = synthesize(module, library, verify=False).mapped
+        sim = PackedMappedSimulator(mapped, lanes=4)
+        flop = next(
+            i for i, inst in enumerate(mapped.cells)
+            if inst.tag == "count[0]"
+        )
+        sim.force(flop, mapped.cells[flop].cell.output, 1, lane=2)
+        sim.reset()
+        assert sim.get_register("count")[0] == 0b0100
+        sim.step(3)
+        assert (sim.get_register("count")[0] >> 2) & 1
+        sim.release()
+        sim.reset()
+        assert sim.get_register("count")[0] == 0
+
+    def test_force_rejects_a_lane_out_of_range(self, library):
+        module = generate("counter").module
+        mapped = synthesize(module, library, verify=False).mapped
+        sim = PackedMappedSimulator(mapped, lanes=4)
+        with pytest.raises(PackedSimError):
+            sim.force(0, mapped.cells[0].cell.output, 1, lane=4)

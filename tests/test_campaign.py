@@ -1,6 +1,8 @@
 """Tests for repro.campaign: fair-share scheduling, the global result
 cache, serial-vs-process-pool equivalence, and the shared cache key."""
 
+import dataclasses
+
 import pytest
 
 from repro.campaign import (
@@ -13,7 +15,7 @@ from repro.campaign import (
     result_cache_key,
     result_signature,
 )
-from repro.campaign.cache import RESULT_KEY_FIELDS
+from repro.campaign.cache import UNKEYED_FIELDS
 from repro.core import (
     AccessTier,
     CampaignRequest,
@@ -24,7 +26,9 @@ from repro.core import (
     run_flow,
     run_signoff,
 )
+from repro.core.tiers import TIER_POLICIES
 from repro.ip.digital import make_counter, make_gray_counter
+from repro.lint import Waiver
 from repro.obs.metrics import MetricsRegistry
 from repro.pdk import get_pdk
 from repro.resil import (
@@ -95,18 +99,35 @@ class TestCacheKey:
         module = counter_module()
         base = result_cache_key(module, "edu130", FlowOptions())
         assert base == result_cache_key(module, "edu130", FlowOptions())
-        changed = [
-            FlowOptions(clock_period_ps=4_000.0),
-            FlowOptions(strict_drc=False),
-            FlowOptions(strict_lint=True),
-            FlowOptions(formal_lec=True),
-            FlowOptions(continue_on_error=True),
-            FlowOptions(seed=2),
-            FlowOptions(preset="commercial"),
+        # One non-default value per compared FlowOptions field: a new
+        # field must be added here, and then either change the key or
+        # be named in UNKEYED_FIELDS.
+        changed = {
+            "preset": "commercial",
+            "clock_period_ps": 4_000.0,
+            "strict_drc": False,
+            "seed": 2,
+            "lint_waivers": (Waiver("net.high-fanout"),),
+            "strict_lint": True,
+            "formal_lec": True,
+            "extract_lvs": True,
+            "continue_on_error": True,
+            "resume": False,
+        }
+        compared = [
+            f.name for f in dataclasses.fields(FlowOptions) if f.compare
         ]
-        keys = {result_cache_key(module, "edu130", o) for o in changed}
-        assert base not in keys
-        assert len(keys) == len(changed)
+        assert sorted(compared) == sorted(changed)
+        keys = set()
+        for name in compared:
+            key = result_cache_key(
+                module, "edu130", FlowOptions(**{name: changed[name]})
+            )
+            if key == base:
+                assert name in UNKEYED_FIELDS, f"{name} is not keyed"
+            else:
+                keys.add(key)
+        assert len(keys) == len(compared) - 1  # all but ``resume``
 
     def test_execution_only_knobs_do_not_change_the_key(self):
         module = counter_module()
@@ -116,7 +137,7 @@ class TestCacheKey:
             FlowOptions(checkpoints=MemoryStore(), resume=False),
         )
         assert plain == wired
-        assert "checkpoints" not in RESULT_KEY_FIELDS
+        assert "resume" in UNKEYED_FIELDS
 
     def test_rtl_edit_misses(self):
         options = FlowOptions()
@@ -478,6 +499,59 @@ class TestHubCampaign:
     def test_empty_campaign_rejected(self):
         with pytest.raises(HubError):
             enrolled_hub().run_campaign([])
+
+    def test_lvs_request_is_not_served_a_result_without_lvs(self):
+        hub = enrolled_hub()
+        plain = CampaignRequest("alice", counter_module(), "edu130")
+        hub.run_campaign([plain])
+        lvs = CampaignRequest(
+            "alice", counter_module(), "edu130",
+            options=FlowOptions(extract_lvs=True),
+        )
+        _, (record,) = hub.run_campaign([lvs])
+        assert record.attempts == 1
+        assert record.result.lvs is not None
+
+    def test_run_design_enforces_the_tier_die_area_limit(
+        self, monkeypatch
+    ):
+        tight = dataclasses.replace(
+            TIER_POLICIES[AccessTier.INTERMEDIATE], max_die_area_mm2=1e-6
+        )
+        monkeypatch.setitem(TIER_POLICIES, AccessTier.INTERMEDIATE, tight)
+        hub = enrolled_hub()
+        with pytest.raises(HubError, match="exceeds tier limit 1e-06 mm2"):
+            hub.run_design("alice", counter_module(), "edu130")
+        assert hub.jobs == []
+
+    def test_campaign_enforces_the_tier_die_area_limit_per_record(
+        self, monkeypatch
+    ):
+        tight = dataclasses.replace(
+            TIER_POLICIES[AccessTier.INTERMEDIATE], max_die_area_mm2=1e-6
+        )
+        monkeypatch.setitem(TIER_POLICIES, AccessTier.INTERMEDIATE, tight)
+        hub = EnablementHub()
+        hub.enroll(User("alice", "tu-kaiserslautern"), AccessTier.INTERMEDIATE)
+        hub.enroll(User("bob", "tu-kaiserslautern"), AccessTier.ADVANCED)
+        requests = [
+            CampaignRequest(user, counter_module(), "edu130")
+            for user in ("alice", "bob", "alice")
+        ]
+        report, records = hub.run_campaign(requests)
+        assert report.cache_hits == 2
+        assert (report.completed, report.failed) == (1, 2)
+        by_user = {}
+        for record in records:
+            by_user.setdefault(record.user, []).append(record)
+        (bob,) = by_user["bob"]
+        assert bob.result is not None and not bob.failures
+        assert len(by_user["alice"]) == 2  # one run, one cache hit
+        for record in by_user["alice"]:
+            assert record.result is None
+            (failure,) = record.failures
+            assert failure.message.startswith("die area ")
+            assert failure.message.endswith("exceeds tier limit 1e-06 mm2")
 
     def test_pool_campaign_after_serial_jobs_matches_serial(self):
         # The hub attaches its in-memory checkpoint store to every
