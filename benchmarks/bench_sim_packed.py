@@ -103,13 +103,13 @@ def bench_equivalence(library):
 def bench_replay(library):
     """Batched packed replay vs per-counterexample scalar replay.
 
-    LEC emits one or two witnesses per failing check, so the packed
-    path's win comes from amortizing simulator construction across a
-    *wide* batch on one netlist; small batches dispatch to the scalar
-    path automatically (``PACKED_REPLAY_MIN``).  The wide batch here
-    tiles a genuine witness across all fault lanes — every lane does
-    the full load/settle/step, so the throughput is what any 63-witness
-    batch would see.
+    LEC emits one or two witnesses per failing check, and a batch of
+    any size replays on one packed implementation simulator, so the
+    packed path's win comes from amortizing simulator construction
+    across a *wide* batch on one netlist.  The wide batch here tiles a
+    genuine witness across all fault lanes — every lane does the full
+    load/settle/step, so the throughput is what any 63-witness batch
+    would see.
     """
     module = generate("multiplier").module
     mapped = synthesize(module, library, verify=False).mapped

@@ -25,6 +25,7 @@ This package imports :mod:`repro.core` submodules (flow, options), so
 :mod:`repro.core` must only import it lazily (the hub does).
 """
 
+from ..obs.metrics import nearest_rank_p95
 from .cache import result_cache_key, result_signature
 from .engine import Campaign, CampaignError
 from .executor import CampaignExecutor
@@ -36,7 +37,6 @@ from .sched import (
     Scheduler,
     SimSchedule,
     evaluate_schedule,
-    nearest_rank_p95,
 )
 
 __all__ = [

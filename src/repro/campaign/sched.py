@@ -23,10 +23,10 @@ diff against, independent of wall-clock noise.
 from __future__ import annotations
 
 import heapq
-import math
 import random
 from dataclasses import dataclass, field
 
+from ..obs.metrics import nearest_rank_p95
 from .queue import CampaignJob
 
 _NO_DEADLINE = float("inf")
@@ -133,15 +133,6 @@ class SimSchedule:
             "deadline_misses": self.deadline_misses,
             "per_tenant": self.per_tenant,
         }
-
-
-def nearest_rank_p95(values: list[float]) -> float:
-    """The ceil(0.95 n)-th smallest value (0.0 for an empty list)."""
-    if not values:
-        return 0.0
-    ranked = sorted(values)
-    rank = math.ceil(0.95 * len(ranked))
-    return ranked[min(len(ranked) - 1, rank - 1)]
 
 
 def evaluate_schedule(ordered: list[CampaignJob], workers: int,

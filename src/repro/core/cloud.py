@@ -28,10 +28,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 from dataclasses import dataclass, field
 
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import MetricsRegistry, nearest_rank_p95
 from ..obs.trace import Tracer, get_tracer
 from ..resil.faults import FaultModel
 from ..resil.retry import ExponentialBackoff, RetryPolicy
@@ -279,11 +278,6 @@ class CloudPlatform:
             )
         waits = sorted(j.wait_min for j in finished)
         makespan = max(j.finish_min for j in finished)
-        # Nearest-rank p95: the ceil(0.95 n)-th smallest wait, so n=1
-        # yields the only sample and n=20 the 19th — int(0.95 n) was one
-        # rank too high whenever 0.95 n was an exact integer.
-        rank = math.ceil(0.95 * len(waits))
-        p95 = waits[min(len(waits) - 1, rank - 1)]
         # Utilization over the interval servers could actually have been
         # busy: first submission to the last execution event.  Measuring
         # from t=0 overstated idle capacity whenever the first job
@@ -304,7 +298,7 @@ class CloudPlatform:
         return CloudStats(
             jobs=len(finished),
             mean_wait_min=round(sum(waits) / len(waits), 3),
-            p95_wait_min=round(p95, 3),
+            p95_wait_min=round(nearest_rank_p95(waits), 3),
             mean_turnaround_min=round(
                 sum(j.turnaround_min for j in finished) / len(finished), 3
             ),

@@ -83,6 +83,10 @@ class ShuttleProgram:
     ):
         if runs_per_year < 1:
             raise ValueError("need at least one run per year")
+        if capacity_mm2 <= 0:
+            raise ValueError(
+                f"shuttle capacity must be positive, got {capacity_mm2} mm2"
+            )
         self.pdk = pdk
         self.runs_per_year = runs_per_year
         self.capacity_mm2 = capacity_mm2
@@ -114,8 +118,15 @@ class ShuttleProgram:
         """Book the earliest run launching on/after ``ready_day`` with room.
 
         Sponsored projects draw the seat price from the sponsorship fund
-        while it lasts (the Efabless Open MPW mechanism).
+        while it lasts (the Efabless Open MPW mechanism).  A project
+        larger than a whole run fits no run, however far the calendar
+        extends, and is rejected with :class:`ValueError`.
         """
+        if project.area_mm2 > self.capacity_mm2:
+            raise ValueError(
+                f"project {project.name!r} needs {project.area_mm2} mm2 but "
+                f"a run holds only {self.capacity_mm2} mm2"
+            )
         run = None
         while run is None:
             for candidate in self.runs:

@@ -30,21 +30,16 @@ from ..pdk.layers import NET_DATATYPE
 from ..pdk.node import ProcessNode
 from ..pdk.pdks import Pdk
 from ..pnr.physical import PhysicalDesign
+from ..pnr.placement import cell_width
 from .gds import GdsBoundary, GdsLibrary, GdsSRef, GdsStruct, GdsText, to_db
 
 
 def master_footprint(cell: StandardCell, node: ProcessNode) -> tuple[float, float]:
-    """(width, height) in um of a cell master — the legalizers' formula.
-
-    Both placers size cells as ``area / row_height`` rounded to whole
-    placement sites, so masters built here line up exactly with placed
-    instances.
-    """
-    row_h = node.row_height_um
-    site = max(row_h / 10.0, 1e-3)
-    width = cell.area_um2 / row_h
-    width = max(site, round(width / site) * site)
-    return width, row_h
+    """(width, height) in um of a cell master: one row high, and as wide
+    as :func:`repro.pnr.placement.cell_width`, the width the legalizer
+    gives every placed instance, so masters line up exactly with placed
+    cells."""
+    return cell_width(cell, node.row_height_um), node.row_height_um
 
 
 def master_pin_offsets(

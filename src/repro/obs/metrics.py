@@ -15,6 +15,7 @@ enough to leave permanently enabled.
 
 from __future__ import annotations
 
+import math
 import threading
 from bisect import bisect_left
 
@@ -187,3 +188,15 @@ def set_metrics(registry: MetricsRegistry) -> MetricsRegistry:
     previous = _default_registry
     _default_registry = registry
     return previous
+
+
+def nearest_rank_p95(values: list[float]) -> float:
+    """The ceil(0.95 n)-th smallest value (0.0 for an empty list).
+
+    Nearest rank: n=1 yields the only sample and n=20 the 19th.
+    """
+    if not values:
+        return 0.0
+    ranked = sorted(values)
+    rank = math.ceil(0.95 * len(ranked))
+    return ranked[min(len(ranked) - 1, rank - 1)]

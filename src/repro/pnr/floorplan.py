@@ -14,6 +14,9 @@ from dataclasses import dataclass, field
 from ..pdk.node import ProcessNode
 from ..synth.mapped import MappedNetlist
 
+#: Core-to-die margin on every side, in rows.
+CORE_MARGIN_ROWS = 2.0
+
 
 @dataclass
 class Row:
@@ -82,11 +85,13 @@ def make_floorplan(
     mapped: MappedNetlist,
     node: ProcessNode,
     utilization: float = 0.7,
-    aspect_ratio: float = 1.0,
-    core_margin_rows: float = 2.0,
     quantize_um2: float | None = None,
 ) -> Floorplan:
     """Size the die and place IO pins for ``mapped`` on ``node``.
+
+    The core is square up to whole rows: its height snaps up to a row
+    multiple and its width keeps the core area.  A margin of
+    :data:`CORE_MARGIN_ROWS` rows surrounds it.
 
     ``quantize_um2`` rounds the core area up to a multiple of that step
     before sizing.  The hierarchical placer uses it so that small netlist
@@ -100,13 +105,13 @@ def make_floorplan(
     core_area = max(cell_area / utilization, node.row_height_um**2)
     if quantize_um2 and quantize_um2 > 0:
         core_area = math.ceil(core_area / quantize_um2) * quantize_um2
-    core_height = math.sqrt(core_area / aspect_ratio)
+    core_height = math.sqrt(core_area)
     # Snap core height to a whole number of rows.
     n_rows = max(1, math.ceil(core_height / node.row_height_um))
     core_height = n_rows * node.row_height_um
     core_width = core_area / core_height
 
-    margin = core_margin_rows * node.row_height_um
+    margin = CORE_MARGIN_ROWS * node.row_height_um
     die_width = core_width + 2 * margin
     die_height = core_height + 2 * margin
 

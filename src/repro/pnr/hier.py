@@ -14,6 +14,13 @@ subnetlist did not change re-derives exactly the same positions — the
 property that lets the verified-replay router keep most of its recorded
 paths.
 
+The solver, the legalizer, the cell width and the finishing step are the
+flat placer's (:mod:`repro.pnr.placement`).  This placer keeps its own
+choices: per region, nets in net-id order with members as sorted cell
+indexes then the anchor, a pull to the block centre, and one
+legalization call per block between the block's own ``x0``/``x1`` over
+cursors shared by every block, cells in ``(x, name)`` order.
+
 Stability is a performance property, not a correctness one: the placer
 is a deterministic function of the current netlist and floorplan alone,
 so incremental and from-scratch runs agree byte for byte regardless of
@@ -24,18 +31,17 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.linalg import spsolve
-
 from ..obs.trace import get_tracer
 from ..pdk.node import ProcessNode
 from ..synth.mapped import MappedNetlist
 from .floorplan import Floorplan
-from .placement import PlacedCell, Placement, hpwl, net_pin_positions
-
-#: Nets with more members than this use a star model instead of a clique.
-CLIQUE_LIMIT = 8
+from .placement import (
+    PlacedCell,
+    Placement,
+    finish_placement,
+    legalize_rows,
+    quadratic_positions,
+)
 
 #: Core-area quantization step, in units of row_height².  Coarse enough
 #: that a one-module edit almost always lands in the same area bucket
@@ -105,101 +111,14 @@ def _bucket(value: float, base: float) -> float:
     return base * 2.0 ** math.ceil(math.log2(value / base))
 
 
-def _solve_region(
-    cells: list,
-    nets: dict[int, tuple[list[int], tuple[float, float] | None]],
-    center: tuple[float, float],
-) -> dict[str, tuple[float, float]]:
-    """Quadratic placement of one region's cells inside its strip.
-
-    ``nets`` maps net id to (member cell indexes, optional fixed anchor
-    point).  Anchors fold IO pins and the strip centres of the other
-    regions on the net into a single fixed pull — pure geometry, never
-    another region's cell positions.
-    """
-    n_cells = len(cells)
-    live = {
-        net: (idxs, anchor)
-        for net, (idxs, anchor) in nets.items()
-        if len(idxs) + (anchor is not None) >= 2
-    }
-    n_star = sum(
-        1
-        for idxs, anchor in live.values()
-        if len(idxs) + (anchor is not None) > CLIQUE_LIMIT
-    )
-    size = n_cells + n_star
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    bx = np.zeros(size)
-    by = np.zeros(size)
-
-    def add_diag(i: int, w: float) -> None:
-        rows.append(i)
-        cols.append(i)
-        vals.append(w)
-
-    def add_edge(u, v, w: float) -> None:
-        u_var = isinstance(u, int)
-        v_var = isinstance(v, int)
-        if u_var and v_var:
-            add_diag(u, w)
-            add_diag(v, w)
-            rows.extend((u, v))
-            cols.extend((v, u))
-            vals.extend((-w, -w))
-        elif u_var:
-            add_diag(u, w)
-            bx[u] += w * v[0]
-            by[u] += w * v[1]
-        elif v_var:
-            add_edge(v, u, w)
-
-    star_cursor = n_cells
-    for net in sorted(live):
-        idxs, anchor = live[net]
-        members: list = list(idxs)
-        if anchor is not None:
-            members.append(anchor)
-        p = len(members)
-        if p <= CLIQUE_LIMIT:
-            w = 2.0 / (p * (p - 1))
-            for i in range(p):
-                for j in range(i + 1, p):
-                    add_edge(members[i], members[j], w)
-        else:
-            star = star_cursor
-            star_cursor += 1
-            w = 1.0 / p
-            for member in members:
-                add_edge(star, member, w)
-
-    # Weak pull to the strip centre keeps isolated cells well-defined.
-    for i in range(size):
-        add_diag(i, 1e-6)
-        bx[i] += 1e-6 * center[0]
-        by[i] += 1e-6 * center[1]
-
-    laplacian = coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
-    xs = spsolve(laplacian, bx)
-    ys = spsolve(laplacian, by)
-    return {
-        inst.name: (float(xs[i]), float(ys[i]))
-        for i, inst in enumerate(cells)
-    }
-
-
 def hier_place(
     mapped: MappedNetlist,
     floorplan: Floorplan,
-    seed: int = 1,
     tracer=None,
 ) -> Placement:
-    """Place ``mapped`` with one independent strip per instance region.
+    """Place ``mapped`` with one independent block per instance region.
 
-    ``seed`` is accepted for placer-interface parity; the algorithm is
-    fully deterministic and never consults it.
+    A deterministic function of ``mapped`` and ``floorplan`` alone.
     """
     if tracer is None:
         tracer = get_tracer()
@@ -263,12 +182,12 @@ def hier_place(
         for key, (x0, x1, r0, r1) in blocks.items()
     }
 
-    # Net membership: cells (by region) plus the fixed IO pin box.
+    # Net membership by cell name, in net-id order.
     driver = mapped.net_driver()
     loads = mapped.net_loads()
     io_position = floorplan.pin_positions()
     net_cells: dict[int, list[str]] = {}
-    for net in set(driver) | set(loads):
+    for net in sorted(set(driver) | set(loads)):
         names: list[str] = []
         if net in driver:
             names.append(driver[net].name)
@@ -284,13 +203,14 @@ def hier_place(
         for key in keys:
             cells = groups[key]
             index = {inst.name: i for i, inst in enumerate(cells)}
-            region_nets: dict[
-                int, tuple[list[int], tuple[float, float] | None]
-            ] = {}
+            nets: list[list] = []
             for net, names in net_cells.items():
-                idxs = sorted(index[n] for n in names if n in index)
-                if not idxs:
+                members: list = sorted(index[n] for n in names if n in index)
+                if not members:
                     continue
+                # IO pins and the block centres of the other regions on
+                # the net fold into one fixed anchor: pure geometry,
+                # never another region's cell positions.
                 pulls: list[tuple[float, float]] = []
                 if net in io_position:
                     pulls.append(io_position[net])
@@ -302,58 +222,31 @@ def hier_place(
                     }
                 )
                 pulls.extend(block_center[r] for r in foreign)
-                anchor = None
                 if pulls:
-                    anchor = (
+                    members.append((
                         sum(p[0] for p in pulls) / len(pulls),
                         sum(p[1] for p in pulls) / len(pulls),
-                    )
-                region_nets[net] = (idxs, anchor)
+                    ))
+                nets.append(members)
             desired.update(
-                _solve_region(cells, region_nets, block_center[key])
+                quadratic_positions(cells, nets, block_center[key])
             )
 
-        # Block-by-block Tetris legalization over shared per-row
-        # cursors, so a block that overflows its budget spills rightward
-        # without ever overlapping a neighbour on the same shelf.
-        site = max(row_h / 10.0, 1e-3)
+        # Block-by-block legalization over shared per-row cursors, so a
+        # block that overflows its budget spills rightward without ever
+        # overlapping a neighbour on the same shelf.
         next_x = {row.index: row.x0 for row in floorplan.rows}
         placed: dict[str, PlacedCell] = {}
         for key in keys:
             bx0, bx1, r0, r1 = blocks[key]
-            block_rows = floorplan.rows[r0:r1]
             order = sorted(
                 groups[key],
                 key=lambda inst: (desired[inst.name][0], inst.name),
             )
-            for inst in order:
-                x_want, y_want = desired[inst.name]
-                width = inst.cell.area_um2 / row_h
-                width = max(site, round(width / site) * site)
-                best: tuple[float, int, float] | None = None
-                for row in block_rows:
-                    start = max(next_x[row.index], bx0)
-                    x = max(start, min(x_want, bx1 - width))
-                    if x + width > bx1 and start > bx0:
-                        continue  # this row's block segment is full
-                    cost = abs(x - x_want) + abs(row.y - y_want)
-                    if best is None or cost < best[0]:
-                        best = (cost, row.index, x)
-                if best is None:  # block full: spill into emptiest row
-                    row_idx = min(
-                        (row.index for row in block_rows),
-                        key=lambda i: (max(next_x[i], bx0), i),
-                    )
-                    best = (0.0, row_idx, max(next_x[row_idx], bx0))
-                _, row_idx, x = best
-                row = floorplan.rows[row_idx]
-                placed[inst.name] = PlacedCell(
-                    inst.name, x, row.y, width, row.height
-                )
-                next_x[row_idx] = x + width
+            placed.update(legalize_rows(
+                order, desired, floorplan.rows[r0:r1], bx0, bx1, next_x
+            ))
         if tracer.enabled:
             sp.set(regions=len(keys), cells=len(placed))
 
-    xy = {n: (c.cx, c.cy) for n, c in placed.items()}
-    total = hpwl(net_pin_positions(mapped, xy, floorplan))
-    return Placement(placed, floorplan, round(total, 3))
+    return finish_placement(mapped, floorplan, placed)

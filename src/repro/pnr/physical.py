@@ -128,7 +128,7 @@ def implement(
                 tracer=tracer,
             )
         if placer == "hier":
-            return hier_place(mapped, floorplan, seed=seed, tracer=tracer)
+            return hier_place(mapped, floorplan, tracer=tracer)
         if placer == "random":
             return random_place(mapped, floorplan, seed=seed)
         raise ValueError(f"unknown placer {placer!r}")

@@ -1,15 +1,24 @@
-"""Placement: quadratic global placement + Tetris legalization + swaps.
+"""Placement: the placement core, the flat placers and the swap pass.
 
 The classic academic recipe:
 
-1. **Global**: minimize quadratic wirelength.  Every net becomes a clique
-   (small nets) or a star with an auxiliary node (large nets); fixed IO
-   pins anchor the system.  The resulting sparse linear system is solved
-   with :mod:`scipy.sparse`.
-2. **Legalization**: Tetris — cells sorted by x are appended to the row
-   that minimizes displacement.
+1. **Global**: minimize quadratic wirelength (:func:`quadratic_positions`).
+   Every net becomes a clique (small nets) or a star with an auxiliary
+   node (large nets); fixed points (IO pins, region anchors) anchor the
+   system.  The resulting sparse linear system is solved with
+   :mod:`scipy.sparse`.
+2. **Legalization**: Tetris (:func:`legalize_rows`) — cells, in the
+   caller's order, are appended to the row that minimizes displacement.
 3. **Detailed placement** (optional, the "commercial" preset): greedy
    equal-width cell swaps that reduce half-perimeter wirelength (HPWL).
+
+The solver, the legalizer, the cell width (:func:`cell_width`, which the
+layout's cell masters use too) and the finishing step
+(:func:`finish_placement`) are the one placement core.  The flat placers
+here and the region placer :func:`repro.pnr.hier.hier_place` differ only
+in what they feed it: net and member order, the anchor centre and the
+legalization blocks.  Those inputs also fix the float summation order,
+so reordering one moves placements, not just the work.
 """
 
 from __future__ import annotations
@@ -22,8 +31,9 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import spsolve
 
 from ..obs.trace import get_tracer
-from ..synth.mapped import MappedNetlist
-from .floorplan import Floorplan
+from ..pdk.cells import StandardCell
+from ..synth.mapped import CellInst, MappedNetlist
+from .floorplan import Floorplan, Row
 
 #: Nets with more pins than this use a star model instead of a clique.
 CLIQUE_LIMIT = 8
@@ -123,34 +133,35 @@ def hpwl(pins_by_net: dict[int, list[tuple[float, float]]]) -> float:
     return total
 
 
-def _quadratic_positions(
-    mapped: MappedNetlist, floorplan: Floorplan
+def cell_width(cell: StandardCell, row_height: float) -> float:
+    """Placed width of ``cell`` in um: its area over the row height,
+    rounded to whole placement sites of a tenth of a row height."""
+    site = max(row_height / 10.0, 1e-3)
+    width = cell.area_um2 / row_height
+    return max(site, round(width / site) * site)
+
+
+def quadratic_positions(
+    cells: list[CellInst],
+    nets: list[list],
+    center: tuple[float, float],
 ) -> dict[str, tuple[float, float]]:
-    """Solve the quadratic placement for all cell centres."""
-    cells = mapped.cells
-    index = {inst.name: i for i, inst in enumerate(cells)}
+    """Solve the quadratic placement for the centres of ``cells``.
+
+    Each net is a list of members: an ``int`` indexes ``cells``, an
+    ``(x, y)`` tuple is a fixed point.  Nets with fewer than two members
+    are dropped; of the rest, those with more than :data:`CLIQUE_LIMIT`
+    members get one star node each, numbered in net order after the
+    cells.  A weak pull to ``center`` keeps isolated cells well-defined.
+    Net and member order set the float summation order, so a caller that
+    keeps its order keeps its positions bit for bit.
+    """
+    live = [members for members in nets if len(members) >= 2]
     n_cells = len(cells)
-    io_position = floorplan.pin_positions()
-
-    # Collect net pins as (variable index | fixed position) lists.
-    net_members: dict[int, list] = {}
-    driver = mapped.net_driver()
-    loads = mapped.net_loads()
-    for net in set(driver) | set(loads) | set(io_position):
-        members: list = []
-        if net in driver:
-            members.append(index[driver[net].name])
-        for sink, _pin in loads.get(net, ()):
-            members.append(index[sink.name])
-        if net in io_position:
-            members.append(io_position[net])
-        if len(members) >= 2:
-            net_members[net] = members
-
     rows: list[int] = []
     cols: list[int] = []
     vals: list[float] = []
-    n_star = sum(1 for m in net_members.values() if len(m) > CLIQUE_LIMIT)
+    n_star = sum(1 for m in live if len(m) > CLIQUE_LIMIT)
     size = n_cells + n_star
     bx = np.zeros(size)
     by = np.zeros(size)
@@ -177,7 +188,7 @@ def _quadratic_positions(
             add_edge(v, u, w)
 
     star_cursor = n_cells
-    for members in net_members.values():
+    for members in live:
         p = len(members)
         if p <= CLIQUE_LIMIT:
             w = 2.0 / (p * (p - 1))
@@ -191,8 +202,6 @@ def _quadratic_positions(
             for member in members:
                 add_edge(star, member, w)
 
-    # Weak anchor to the core centre keeps isolated cells well-defined.
-    center = (floorplan.die_width / 2.0, floorplan.die_height / 2.0)
     for i in range(size):
         add_diag(i, 1e-6)
         bx[i] += 1e-6 * center[0]
@@ -203,41 +212,84 @@ def _quadratic_positions(
     ys = spsolve(laplacian, by)
     return {
         inst.name: (float(xs[i]), float(ys[i]))
-        for inst, i in ((c, index[c.name]) for c in cells)
+        for i, inst in enumerate(cells)
     }
 
 
-def _legalize(
+def legalize_rows(
+    cells: list[CellInst],
+    desired: dict[str, tuple[float, float]],
+    rows: list[Row],
+    x0: float,
+    x1: float,
+    next_x: dict[int, float],
+) -> dict[str, PlacedCell]:
+    """Tetris legalization of ``cells``, in list order, into ``rows`` (in
+    index order) between ``x0`` and ``x1``.
+
+    ``next_x`` maps each row index to the row's first free x and is
+    advanced in place, so a caller legalizing neighbouring blocks of the
+    same rows shares one cursor map across calls.  Each cell takes the
+    row and x closest to its ``desired`` position, skipping rows whose
+    segment is full; when every row is full it spills, at the cursor,
+    into the row with the lowest ``(max(next_x, x0), row index)``.
+    """
+    row_height = rows[0].height
+    placed: dict[str, PlacedCell] = {}
+    for inst in cells:
+        x_want, y_want = desired[inst.name]
+        width = cell_width(inst.cell, row_height)
+        x_fit = min(x_want, x1 - width)
+        best: tuple[float, Row, float] | None = None  # (cost, row, x)
+        for row in rows:
+            # start = max(cursor, x0) and x = max(start, x_fit), spelled
+            # as comparisons: this loop is the legalizer's hot path.
+            start = next_x[row.index]
+            if x0 > start:
+                start = x0
+            x = x_fit if x_fit > start else start
+            if x + width > x1 and start > x0:
+                continue  # this row's segment is full
+            cost = abs(x - x_want) + abs(row.y - y_want)
+            if best is None or cost < best[0]:
+                best = (cost, row, x)
+        if best is None:
+            # Every row is full, so every cursor is past x0.
+            row = min(rows, key=lambda r: next_x[r.index])
+            x = next_x[row.index]
+        else:
+            _, row, x = best
+        placed[inst.name] = PlacedCell(inst.name, x, row.y, width, row.height)
+        next_x[row.index] = x + width
+    return placed
+
+
+def finish_placement(
+    mapped: MappedNetlist,
+    floorplan: Floorplan,
+    placed: dict[str, PlacedCell],
+) -> Placement:
+    """Every placer's last step: the HPWL of the legal cells, then the
+    :class:`Placement`."""
+    xy = {n: (c.cx, c.cy) for n, c in placed.items()}
+    total = hpwl(net_pin_positions(mapped, xy, floorplan))
+    return Placement(placed, floorplan, round(total, 3))
+
+
+def _legalize_flat(
     mapped: MappedNetlist,
     floorplan: Floorplan,
     desired: dict[str, tuple[float, float]],
 ) -> dict[str, PlacedCell]:
-    """Tetris legalization: snap cells into rows without overlap."""
-    site = max(floorplan.rows[0].height / 10.0, 1e-3)
-    order = sorted(mapped.cells, key=lambda inst: desired[inst.name][0])
-    next_x = {row.index: row.x0 for row in floorplan.rows}
-    placed: dict[str, PlacedCell] = {}
-
-    for inst in order:
-        x_want, y_want = desired[inst.name]
-        width = inst.cell.area_um2 / floorplan.rows[0].height
-        width = max(site, round(width / site) * site)
-        best: tuple[float, int, float] | None = None  # (cost, row idx, x)
-        for row in floorplan.rows:
-            x = max(next_x[row.index], min(x_want, row.x1 - width))
-            if x + width > row.x1 and next_x[row.index] > row.x0:
-                continue  # row is full
-            cost = abs(x - x_want) + abs(row.y - y_want)
-            if best is None or cost < best[0]:
-                best = (cost, row.index, x)
-        if best is None:  # every row "full": overflow into least-used row
-            row_idx = min(next_x, key=next_x.get)
-            best = (0.0, row_idx, next_x[row_idx])
-        _, row_idx, x = best
-        row = floorplan.rows[row_idx]
-        placed[inst.name] = PlacedCell(inst.name, x, row.y, width, row.height)
-        next_x[row_idx] = x + width
-    return placed
+    """The flat placers' legalization: every row of the core is one
+    block (:func:`~repro.pnr.floorplan.make_floorplan` gives all rows
+    the same ``x0``/``x1``), cells stable-sorted by desired x."""
+    rows = floorplan.rows
+    return legalize_rows(
+        sorted(mapped.cells, key=lambda inst: desired[inst.name][0]),
+        desired, rows, rows[0].x0, rows[0].x1,
+        {row.index: row.x0 for row in rows},
+    )
 
 
 class IncrementalHpwl:
@@ -407,10 +459,9 @@ def _swap_pass(
     passes: int,
     seed: int,
     tracer=None,
-) -> float:
+) -> None:
     """Greedy equal-width swap refinement (in place, incremental cost).
 
-    Returns the final total HPWL (bit-identical to a full recompute).
     Each pass is one ``place.swap_pass`` span; spans never touch the RNG
     or the cost arithmetic, so placements stay byte-identical under
     tracing.
@@ -465,7 +516,6 @@ def _swap_pass(
             if tracer.enabled:
                 pass_span.set(pass_index=pass_index, accepted=accepted,
                               hpwl_um=state.total())
-    return state.total()
 
 
 def place(
@@ -481,17 +531,33 @@ def place(
     if not mapped.cells:
         return Placement({}, floorplan, 0.0)
     with tracer.span("place.global") as sp:
-        desired = _quadratic_positions(mapped, floorplan)
+        # Per net [driver, sinks..., IO pin], nets in the same set order
+        # as net_pin_templates.
+        index = {inst.name: i for i, inst in enumerate(mapped.cells)}
+        io_position = floorplan.pin_positions()
+        driver = mapped.net_driver()
+        loads = mapped.net_loads()
+        nets: list[list] = []
+        for net in set(driver) | set(loads) | set(io_position):
+            members: list = []
+            if net in driver:
+                members.append(index[driver[net].name])
+            for sink, _pin in loads.get(net, ()):
+                members.append(index[sink.name])
+            if net in io_position:
+                members.append(io_position[net])
+            nets.append(members)
+        desired = quadratic_positions(
+            mapped.cells, nets,
+            (floorplan.die_width / 2.0, floorplan.die_height / 2.0),
+        )
         sp.set(cells=len(desired))
     with tracer.span("place.legalize"):
-        placed = _legalize(mapped, floorplan, desired)
+        placed = _legalize_flat(mapped, floorplan, desired)
     if detailed_passes > 0:
-        total = _swap_pass(mapped, placed, floorplan, detailed_passes, seed,
-                           tracer=tracer)
-    else:
-        xy = {n: (c.cx, c.cy) for n, c in placed.items()}
-        total = hpwl(net_pin_positions(mapped, xy, floorplan))
-    return Placement(placed, floorplan, round(total, 3))
+        _swap_pass(mapped, placed, floorplan, detailed_passes, seed,
+                   tracer=tracer)
+    return finish_placement(mapped, floorplan, placed)
 
 
 def random_place(
@@ -506,7 +572,6 @@ def random_place(
         )
         for inst in mapped.cells
     }
-    placed = _legalize(mapped, floorplan, desired)
-    xy = {n: (c.cx, c.cy) for n, c in placed.items()}
-    total = hpwl(net_pin_positions(mapped, xy, floorplan))
-    return Placement(placed, floorplan, round(total, 3))
+    return finish_placement(
+        mapped, floorplan, _legalize_flat(mapped, floorplan, desired)
+    )

@@ -34,6 +34,23 @@ def fresh_student(**kwargs) -> User:
     return User(**defaults)
 
 
+def bound_calendar(monkeypatch, program: ShuttleProgram) -> list[int]:
+    """Make ``program`` raise once its calendar grows a few times, so a
+    booking that would extend it without end fails instead of hanging.
+    Returns the list of extension sizes requested."""
+    calls: list[int] = []
+    extend = program._extend_calendar
+
+    def bounded(count: int) -> None:
+        calls.append(count)
+        if len(calls) > 3:
+            raise RuntimeError("shuttle calendar extended without bound")
+        extend(count)
+
+    monkeypatch.setattr(program, "_extend_calendar", bounded)
+    return calls
+
+
 class TestLicensing:
     def test_open_pdk_has_no_friction(self):
         user = fresh_student()
@@ -202,6 +219,22 @@ class TestShuttle:
         with pytest.raises(ValueError):
             ShuttleProject("bad", "x", 0.0)
 
+    def test_project_larger_than_a_run_rejected(self, program, monkeypatch):
+        # No run holds 12 mm2, not even a fresh one: the booking must be
+        # refused up front, not chase an ever-longer calendar.
+        calls = bound_calendar(monkeypatch, program)
+        with pytest.raises(ValueError, match=r"12\.0 mm2.*10\.0 mm2"):
+            program.submit(ShuttleProject("huge", "bob", 12.0))
+        assert calls == []
+        assert all(not run.projects for run in program.runs)
+        # A project that fills a run exactly still books.
+        assert program.submit(ShuttleProject("full", "bob", 10.0)).run_index == 0
+
+    @pytest.mark.parametrize("capacity", [0.0, -5.0])
+    def test_nonpositive_capacity_rejected(self, capacity):
+        with pytest.raises(ValueError, match="capacity"):
+            ShuttleProgram(get_pdk("edu130"), capacity_mm2=capacity)
+
 
 class TestEnablementModel:
     def test_templates_and_hub_reduce_effort(self):
@@ -306,6 +339,16 @@ class TestHub:
         hub.enroll(fresh_student(), AccessTier.BEGINNER)
         with pytest.raises(HubError):
             hub.book_shuttle_seat("alice", "edu180", area_mm2=5.0)
+
+    def test_shuttle_seat_larger_than_a_run_rejected(self, monkeypatch):
+        # Within the ADVANCED tier's 10 mm2, but over the program's 5 mm2
+        # runs.
+        hub = EnablementHub()
+        hub.enroll(fresh_student(), AccessTier.ADVANCED)
+        program = hub.shuttle("edu130", capacity_mm2=5.0)
+        bound_calendar(monkeypatch, program)
+        with pytest.raises(ValueError, match=r"8\.0 mm2.*5\.0 mm2"):
+            hub.book_shuttle_seat("alice", "edu130", area_mm2=8.0)
 
     def test_ip_is_ungated(self):
         hub = EnablementHub()

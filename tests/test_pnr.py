@@ -2,7 +2,11 @@
 
 import pytest
 
+from repro.core import FlowOptions
 from repro.hdl import ModuleBuilder, mux
+from repro.inter import Workspace
+from repro.ip import make_counter, make_pwm, make_seven_seg
+from repro.layout.chip import master_footprint
 from repro.pdk import get_pdk
 from repro.pnr import (
     hpwl,
@@ -13,6 +17,12 @@ from repro.pnr import (
     random_place,
     route,
     synthesize_clock_tree,
+)
+from repro.pnr.hier import (
+    cell_region,
+    hier_place,
+    hier_quantize_um2,
+    hier_utilization,
 )
 from repro.synth import synthesize
 
@@ -35,6 +45,59 @@ def counter_mapped(pdk):
 @pytest.fixture(scope="module")
 def counter_floorplan(counter_mapped, pdk):
     return make_floorplan(counter_mapped, pdk.node, utilization=0.6)
+
+
+@pytest.fixture(scope="module")
+def minisoc_mapped(pdk):
+    """A stitched netlist with three instance regions (``u_cnt``,
+    ``u_pwm``, ``u_seg``): what the hierarchical placer is for."""
+    b = ModuleBuilder("minisoc")
+    en = b.input("en", 1)
+    load = b.input("load", 1)
+    value = b.input("value", 8)
+    cnt = b.instance("u_cnt", make_counter(width=8).module,
+                     en=en, load=load, value=value)
+    led = b.instance("u_pwm", make_pwm(width=8).module, duty=cnt["q"])
+    seg = b.instance("u_seg", make_seven_seg().module, digit=cnt["q"][3:0])
+    b.output("led", led["out"])
+    b.output("segments", seg["segments"])
+    b.output("count", cnt["q"])
+    workspace = Workspace.open(
+        b.build(), pdk, FlowOptions(clock_period_ps=4_000.0)
+    )
+    mapped = workspace.result.synthesis.mapped
+    assert {cell_region(c.name) for c in mapped.cells} == {
+        "u_cnt", "u_pwm", "u_seg"
+    }
+    return mapped
+
+
+@pytest.fixture(
+    scope="module",
+    params=[
+        (design, placer)
+        for design in ("counter", "minisoc")
+        for placer in ("quadratic", "random", "hier")
+    ],
+    ids=lambda param: "-".join(param),
+)
+def placed_design(request, pdk):
+    """(mapped netlist, its placement) for every placer on a flat and a
+    multi-region netlist; the flat placers get the 0.6 floorplan, the
+    hierarchical one its quantized floorplan."""
+    design, placer = request.param
+    mapped = request.getfixturevalue(f"{design}_mapped")
+    if placer == "hier":
+        floorplan = make_floorplan(
+            mapped, pdk.node,
+            utilization=hier_utilization(mapped, pdk.node, 0.6),
+            quantize_um2=hier_quantize_um2(pdk.node),
+        )
+        return mapped, hier_place(mapped, floorplan)
+    floorplan = make_floorplan(mapped, pdk.node, utilization=0.6)
+    if placer == "random":
+        return mapped, random_place(mapped, floorplan, seed=3)
+    return mapped, place(mapped, floorplan)
 
 
 class TestFloorplan:
@@ -66,12 +129,18 @@ class TestFloorplan:
 
 
 class TestPlacement:
-    def test_all_cells_placed(self, counter_mapped, counter_floorplan):
-        placement = place(counter_mapped, counter_floorplan)
-        assert set(placement.cells) == {c.name for c in counter_mapped.cells}
+    def test_all_cells_placed(self, placed_design, pdk):
+        mapped, placement = placed_design
+        assert set(placement.cells) == {c.name for c in mapped.cells}
+        # Layout masters and placed cells share one footprint.
+        for inst in mapped.cells:
+            cell = placement.cells[inst.name]
+            assert (cell.width, cell.height) == master_footprint(
+                inst.cell, pdk.node
+            )
 
-    def test_cells_in_rows_without_overlap(self, counter_mapped, counter_floorplan):
-        placement = place(counter_mapped, counter_floorplan)
+    def test_cells_in_rows_without_overlap(self, placed_design):
+        _, placement = placed_design
         by_row: dict[float, list] = {}
         for cell in placement.cells.values():
             by_row.setdefault(round(cell.y, 4), []).append(cell)
