@@ -17,6 +17,7 @@ from repro.pdk import get_pdk
 from repro.pnr import grid_capacity, implement, make_floorplan, place, route
 from repro.sim import Simulator
 from repro.synth import lower, optimize, synthesize
+from repro.synth.dft import insert_scan_chain, simulate_faults
 
 
 def test_perf_rtl_simulation(benchmark):
@@ -126,6 +127,20 @@ def test_perf_lvs_from_bytes(benchmark):
     assert report.lec_equivalent is True
     assert shapes == 9602
     assert report.nets_checked == 498
+
+
+def test_perf_fault_sim(benchmark):
+    """Word-parallel stuck-at fault simulation on scan-inserted tinycpu:
+    63 faulty machines per packed word, one settle per pattern."""
+    mapped = synthesize(
+        generate("tinycpu").module, get_pdk("edu130").library, verify=False
+    ).mapped
+    insert_scan_chain(mapped)
+    report = benchmark.pedantic(
+        lambda: simulate_faults(mapped, scanned=True), rounds=3, iterations=1
+    )
+    assert report.total_faults == 2246
+    assert report.detected_faults == 1509
 
 
 def test_perf_full_flow(benchmark):

@@ -129,6 +129,8 @@ class EnablementHub:
     _users: dict[str, Enrollment] = field(default_factory=dict)
     _shuttles: dict[str, ShuttleProgram] = field(default_factory=dict)
     jobs: list[HubJobRecord] = field(default_factory=list)
+    #: Seats booked so far; numbers each booking's project name.
+    _bookings: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self):
         if self.tracer is None:
@@ -426,11 +428,12 @@ class EnablementHub:
                 f"{policy.max_die_area_mm2} mm2"
             )
         project = ShuttleProject(
-            name=f"{user_name}_{len(self.jobs)}",
+            name=f"{user_name}_{self._bookings}",
             owner=user_name,
             area_mm2=area_mm2,
             sponsored=policy.shuttle_subsidized,
         )
+        self._bookings += 1
         return self.shuttle(pdk_name).submit(project, ready_day=ready_day)
 
     def request_tapeout(

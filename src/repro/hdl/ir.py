@@ -498,33 +498,12 @@ class Module:
         """
         order: list[Signal] = []
         state: dict[Signal, int] = {}  # 0 visiting, 1 done
-
-        def visit(sig: Signal) -> None:
-            if sig not in self.assigns:
-                return
-            mark = state.get(sig)
-            if mark == 1:
-                return
-            if mark == 0:
-                raise HdlError(
-                    f"combinational loop through signal {sig.name!r}"
-                )
-            state[sig] = 0
-            for dep in self.assigns[sig].signals():
-                visit(dep)
-            state[sig] = 1
-            order.append(sig)
-
         for sig in self.assigns:
-            visit(sig)
+            _visit_comb(self.assigns, state, order, sig)
         return order
 
     def stats(self) -> dict[str, int]:
         """Size statistics used by productivity analytics."""
-
-        def expr_nodes(expr: Expr) -> int:
-            return 1 + sum(expr_nodes(c) for c in expr.children())
-
         return {
             "inputs": len(self.inputs),
             "outputs": len(self.outputs),
@@ -533,8 +512,8 @@ class Module:
             "registers": len(self.registers),
             "register_bits": sum(r.signal.width for r in self.registers),
             "instances": len(self.instances),
-            "expr_nodes": sum(expr_nodes(e) for e in self.assigns.values())
-            + sum(expr_nodes(r.next) for r in self.registers),
+            "expr_nodes": sum(_expr_nodes(e) for e in self.assigns.values())
+            + sum(_expr_nodes(r.next) for r in self.registers),
         }
 
     def __repr__(self) -> str:
@@ -543,6 +522,32 @@ class Module:
             f"out={len(self.outputs)}, regs={len(self.registers)}, "
             f"insts={len(self.instances)})"
         )
+
+
+def _visit_comb(
+    assigns: dict[Signal, Expr],
+    state: dict[Signal, int],
+    order: list[Signal],
+    sig: Signal,
+) -> None:
+    """Depth-first step of :meth:`Module.comb_order`: append ``sig``
+    after everything it depends on."""
+    if sig not in assigns:
+        return
+    mark = state.get(sig)
+    if mark == 1:
+        return
+    if mark == 0:
+        raise HdlError(f"combinational loop through signal {sig.name!r}")
+    state[sig] = 0
+    for dep in assigns[sig].signals():
+        _visit_comb(assigns, state, order, dep)
+    state[sig] = 1
+    order.append(sig)
+
+
+def _expr_nodes(expr: Expr) -> int:
+    return 1 + sum(_expr_nodes(c) for c in expr.children())
 
 
 def eval_expr(expr: Expr, values: dict[Signal, int]) -> int:

@@ -83,19 +83,20 @@ def to_verilog(module: Module) -> str:
     submodule, dependencies first.
     """
     blocks: list[str] = []
-    emitted: set[str] = set()
-
-    def emit_module(mod: Module) -> None:
-        for inst in mod.instances:
-            if inst.module.name not in emitted:
-                emit_module(inst.module)
-        if mod.name in emitted:
-            return
-        emitted.add(mod.name)
-        blocks.append(_emit_single(mod))
-
-    emit_module(module)
+    _emit_module(module, set(), blocks)
     return "\n\n".join(blocks) + "\n"
+
+
+def _emit_module(mod: Module, emitted: set[str], blocks: list[str]) -> None:
+    """Append ``mod``'s block to ``blocks`` after its submodules' blocks,
+    skipping module names already in ``emitted``."""
+    for inst in mod.instances:
+        if inst.module.name not in emitted:
+            _emit_module(inst.module, emitted, blocks)
+    if mod.name in emitted:
+        return
+    emitted.add(mod.name)
+    blocks.append(_emit_single(mod))
 
 
 def _emit_single(mod: Module) -> str:

@@ -357,28 +357,16 @@ class _ModuleParser:
                 raise self.tokens.error(f"undeclared signal {sig_name!r}")
             return signal_of[sig_name]
 
-        def rebind(expr: Expr) -> Expr:
-            if isinstance(expr, Ref):
-                return Ref(declared(expr.signal.name))
-            if isinstance(expr, UnaryOp):
-                return UnaryOp(expr.op, rebind(expr.operand))
-            if isinstance(expr, BinOp):
-                return BinOp(expr.op, rebind(expr.a), rebind(expr.b))
-            if isinstance(expr, Mux):
-                return Mux(rebind(expr.sel), rebind(expr.if_true),
-                           rebind(expr.if_false))
-            if isinstance(expr, Cat):
-                return Cat([rebind(p) for p in expr.parts])
-            if isinstance(expr, Slice):
-                return Slice(rebind(expr.value), expr.hi, expr.lo)
-            return expr
-
         for target, expr in self.assigns:
             signal = declared(target)
-            module.assign(signal, _contextualize(rebind(expr), signal.width))
+            module.assign(
+                signal, _contextualize(_rebind(expr, declared), signal.width)
+            )
         for reg_name, (_reset, expr) in self.reg_updates.items():
             width = registers[reg_name].signal.width
-            registers[reg_name].next = _contextualize(rebind(expr), width)
+            registers[reg_name].next = _contextualize(
+                _rebind(expr, declared), width
+            )
         for inst_name, module_name, connections in self.instances:
             if module_name not in self.known:
                 raise self.tokens.error(
@@ -397,6 +385,28 @@ class _ModuleParser:
 #: Operators whose operands take the assignment context's width in
 #: Verilog ("context-determined" expressions, IEEE 1364 table 5-22).
 _CONTEXT_OPS = frozenset({"add", "sub", "and", "or", "xor"})
+
+
+def _rebind(expr: Expr, declared) -> Expr:
+    """``expr`` with every signal reference replaced by
+    ``declared(name)``, the module's signal of that name."""
+    if isinstance(expr, Ref):
+        return Ref(declared(expr.signal.name))
+    if isinstance(expr, UnaryOp):
+        return UnaryOp(expr.op, _rebind(expr.operand, declared))
+    if isinstance(expr, BinOp):
+        return BinOp(
+            expr.op, _rebind(expr.a, declared), _rebind(expr.b, declared)
+        )
+    if isinstance(expr, Mux):
+        return Mux(_rebind(expr.sel, declared),
+                   _rebind(expr.if_true, declared),
+                   _rebind(expr.if_false, declared))
+    if isinstance(expr, Cat):
+        return Cat([_rebind(p, declared) for p in expr.parts])
+    if isinstance(expr, Slice):
+        return Slice(_rebind(expr.value, declared), expr.hi, expr.lo)
+    return expr
 
 
 def _zext(expr: Expr, width: int) -> Expr:

@@ -42,21 +42,22 @@ def module_table(top: Module) -> dict[str, Module]:
     name — the hierarchy would be ambiguous to rebuild.
     """
     table: dict[str, Module] = {}
-
-    def walk(module: Module) -> None:
-        seen = table.get(module.name)
-        if seen is module:
-            return
-        if seen is not None:
-            raise InterError(
-                f"two different modules are both named {module.name!r}"
-            )
-        table[module.name] = module
-        for inst in module.instances:
-            walk(inst.module)
-
-    walk(top)
+    _add_modules(table, top)
     return table
+
+
+def _add_modules(table: dict[str, Module], module: Module) -> None:
+    """Add ``module`` and its submodules to ``table``, depth first."""
+    seen = table.get(module.name)
+    if seen is module:
+        return
+    if seen is not None:
+        raise InterError(
+            f"two different modules are both named {module.name!r}"
+        )
+    table[module.name] = module
+    for inst in module.instances:
+        _add_modules(table, inst.module)
 
 
 def strip_module(module: Module) -> Module:
@@ -125,26 +126,28 @@ def content_hash(module: Module) -> str:
 def module_keys(top: Module) -> dict[str, str]:
     """Ripple-aware digest per module name (see module docstring)."""
     keys: dict[str, str] = {}
-
-    def key_of(module: Module) -> str:
-        cached = keys.get(module.name)
-        if cached is not None:
-            return cached
-        payload = {
-            "content": content_hash(module),
-            "children": [
-                [inst.name, inst.module.name, key_of(inst.module)]
-                for inst in module.instances
-            ],
-        }
-        digest = hashlib.sha256(
-            repr(canonical(payload)).encode("utf-8")
-        ).hexdigest()[:24]
-        keys[module.name] = digest
-        return digest
-
-    key_of(top)
+    _module_key(keys, top)
     return keys
+
+
+def _module_key(keys: dict[str, str], module: Module) -> str:
+    """``module``'s ripple-aware key, computing (and recording in
+    ``keys``) its submodules' keys first."""
+    cached = keys.get(module.name)
+    if cached is not None:
+        return cached
+    payload = {
+        "content": content_hash(module),
+        "children": [
+            [inst.name, inst.module.name, _module_key(keys, inst.module)]
+            for inst in module.instances
+        ],
+    }
+    digest = hashlib.sha256(
+        repr(canonical(payload)).encode("utf-8")
+    ).hexdigest()[:24]
+    keys[module.name] = digest
+    return digest
 
 
 def dirty_modules(

@@ -94,19 +94,21 @@ def instance_paths(top: Module) -> list[tuple[str, Module]]:
     ``u_alu`` is ``u_cpu.u_alu``.  Raises on duplicate paths.
     """
     paths: list[tuple[str, Module]] = [("", top)]
-    seen = {""}
-
-    def walk(prefix: str, module: Module) -> None:
-        for inst in module.instances:
-            path = f"{prefix}.{inst.name}" if prefix else inst.name
-            if path in seen:
-                raise InterError(f"duplicate instance path {path!r}")
-            seen.add(path)
-            paths.append((path, inst.module))
-            walk(path, inst.module)
-
-    walk("", top)
+    _add_paths(paths, {""}, "", top)
     return paths
+
+
+def _add_paths(paths: list[tuple[str, Module]], seen: set[str],
+               prefix: str, module: Module) -> None:
+    """Append the instance paths under ``module`` (at ``prefix``),
+    depth first."""
+    for inst in module.instances:
+        path = f"{prefix}.{inst.name}" if prefix else inst.name
+        if path in seen:
+            raise InterError(f"duplicate instance path {path!r}")
+        seen.add(path)
+        paths.append((path, inst.module))
+        _add_paths(paths, seen, path, inst.module)
 
 
 def _block_size(n_nets: int) -> int:

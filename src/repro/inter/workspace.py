@@ -81,46 +81,51 @@ def substitute_module(
     shared with the old tree, so clean modules keep identical objects
     (and identical memo keys).
     """
-    memo: dict[str, Module] = {}
+    return _rebuild(top, target, replacement, {})
 
-    def rebuild(module: Module) -> Module:
-        if module.name == target:
-            return replacement
-        cached = memo.get(module.name)
-        if cached is not None:
-            return cached
-        children = [(inst, rebuild(inst.module)) for inst in module.instances]
-        if all(new is inst.module for inst, new in children):
-            memo[module.name] = module
-            return module
-        clone = Module(module.name)
-        mapping: dict[Signal, Signal] = {}
-        for sig in module.inputs:
-            mapping[sig] = clone.add_input(sig.name, sig.width)
-        for sig in module.outputs:
-            mapping[sig] = clone.add_output(sig.name, sig.width)
-        for sig in module.wires:
-            mapping[sig] = clone.add_wire(sig.name, sig.width)
-        for sig, expr in module.assigns.items():
-            clone.assign(mapping[sig], _clone_expr(expr, mapping))
-        for reg in module.registers:
-            clone.registers.append(
-                Register(
-                    mapping[reg.signal],
-                    _clone_expr(reg.next, mapping),
-                    reg.reset_value,
-                )
-            )
-        for inst, new_child in children:
-            clone.add_instance(
-                inst.name,
-                new_child,
-                {p: mapping[s] for p, s in inst.connections.items()},
-            )
-        memo[module.name] = clone
-        return clone
 
-    return rebuild(top)
+def _rebuild(module: Module, target: str, replacement: Module,
+             memo: dict[str, Module]) -> Module:
+    """``module`` with ``target`` swapped for ``replacement`` below it;
+    ``memo`` holds the result per module name already rebuilt."""
+    if module.name == target:
+        return replacement
+    cached = memo.get(module.name)
+    if cached is not None:
+        return cached
+    children = [
+        (inst, _rebuild(inst.module, target, replacement, memo))
+        for inst in module.instances
+    ]
+    if all(new is inst.module for inst, new in children):
+        memo[module.name] = module
+        return module
+    clone = Module(module.name)
+    mapping: dict[Signal, Signal] = {}
+    for sig in module.inputs:
+        mapping[sig] = clone.add_input(sig.name, sig.width)
+    for sig in module.outputs:
+        mapping[sig] = clone.add_output(sig.name, sig.width)
+    for sig in module.wires:
+        mapping[sig] = clone.add_wire(sig.name, sig.width)
+    for sig, expr in module.assigns.items():
+        clone.assign(mapping[sig], _clone_expr(expr, mapping))
+    for reg in module.registers:
+        clone.registers.append(
+            Register(
+                mapping[reg.signal],
+                _clone_expr(reg.next, mapping),
+                reg.reset_value,
+            )
+        )
+    for inst, new_child in children:
+        clone.add_instance(
+            inst.name,
+            new_child,
+            {p: mapping[s] for p, s in inst.connections.items()},
+        )
+    memo[module.name] = clone
+    return clone
 
 
 def dirty_cones(

@@ -53,33 +53,42 @@ class DrcReport:
         return f"DRC {status} ({self.checked_rects} rects checked)"
 
 
+def _placements(library: GdsLibrary, top_name: str):
+    """``(struct, dx, dy)`` for ``top_name`` and every struct its SREFs
+    place under it, depth first in SREF order, with the offsets summed
+    along the path."""
+    by_name = {s.name: s for s in library.structs}
+    stack = [(top_name, 0.0, 0.0, 0)]
+    while stack:
+        name, dx, dy, depth = stack.pop()
+        if depth > 8:
+            raise ValueError("SREF nesting too deep (cycle?)")
+        struct = by_name[name]
+        yield struct, dx, dy
+        stack.extend(
+            (
+                sref.struct_name,
+                dx + from_db(sref.position[0]),
+                dy + from_db(sref.position[1]),
+                depth + 1,
+            )
+            for sref in reversed(struct.srefs)
+        )
+
+
 def flatten_rects(
     library: GdsLibrary, top_name: str
 ) -> dict[int, list[Rect]]:
     """Rectangles per GDS layer with SREFs resolved (one level deep is
     enough for our two-level cell/top hierarchy, applied recursively)."""
-    by_name = {s.name: s for s in library.structs}
     rects: dict[int, list[Rect]] = defaultdict(list)
-
-    def emit(struct_name: str, dx: float, dy: float, depth: int) -> None:
-        if depth > 8:
-            raise ValueError("SREF nesting too deep (cycle?)")
-        struct = by_name[struct_name]
+    for struct, dx, dy in _placements(library, top_name):
         for boundary in struct.boundaries:
             xs = [from_db(p[0]) for p in boundary.points]
             ys = [from_db(p[1]) for p in boundary.points]
             rects[boundary.layer].append(
                 Rect(min(xs) + dx, min(ys) + dy, max(xs) + dx, max(ys) + dy)
             )
-        for sref in struct.srefs:
-            emit(
-                sref.struct_name,
-                dx + from_db(sref.position[0]),
-                dy + from_db(sref.position[1]),
-                depth + 1,
-            )
-
-    emit(top_name, 0.0, 0.0, 0)
     return dict(rects)
 
 
@@ -89,47 +98,31 @@ def _flatten_coords(
     """Per-(layer, datatype) ``(n, 4)`` coordinate arrays with SREFs
     resolved.
 
-    Same DFS emission order as :func:`flatten_rects`, but each struct's
+    Same emission order as :func:`flatten_rects`, but each struct's
     local boundaries are converted to one array once and placements
     merely translate it — the checker never materializes per-rect
     objects for the (overwhelmingly clean) common case.  Keying by
     datatype keeps mask purposes apart: DRC checks a layer's drawing
     purpose without mixing in net-purpose fabric shapes.
     """
-    by_name = {s.name: s for s in library.structs}
     local: dict[str, dict[tuple[int, int], np.ndarray]] = {}
     parts: dict[tuple[int, int], list[np.ndarray]] = defaultdict(list)
-
-    def struct_local(name: str) -> dict[tuple[int, int], np.ndarray]:
-        cached = local.get(name)
-        if cached is None:
+    for struct, dx, dy in _placements(library, top_name):
+        arrays = local.get(struct.name)
+        if arrays is None:
             per_layer: dict[tuple[int, int], list] = defaultdict(list)
-            for boundary in by_name[name].boundaries:
+            for boundary in struct.boundaries:
                 xs = [from_db(p[0]) for p in boundary.points]
                 ys = [from_db(p[1]) for p in boundary.points]
                 per_layer[(boundary.layer, boundary.datatype)].append(
                     (min(xs), min(ys), max(xs), max(ys))
                 )
-            cached = local[name] = {
+            arrays = local[struct.name] = {
                 key: np.array(rows, dtype=np.float64)
                 for key, rows in per_layer.items()
             }
-        return cached
-
-    def emit(struct_name: str, dx: float, dy: float, depth: int) -> None:
-        if depth > 8:
-            raise ValueError("SREF nesting too deep (cycle?)")
-        for key, rows in struct_local(struct_name).items():
+        for key, rows in arrays.items():
             parts[key].append(rows + np.array((dx, dy, dx, dy)))
-        for sref in by_name[struct_name].srefs:
-            emit(
-                sref.struct_name,
-                dx + from_db(sref.position[0]),
-                dy + from_db(sref.position[1]),
-                depth + 1,
-            )
-
-    emit(top_name, 0.0, 0.0, 0)
     return {key: np.concatenate(p) for key, p in parts.items()}
 
 

@@ -75,19 +75,21 @@ def render_timeline(spans: list[Span], unit: str = "ms") -> str:
     roots, children = _tree(spans)
     origin = min(span.start_s for span in spans)
     lines = [f"{'start':>10s} {'duration':>10s}  span"]
-
-    def emit(span: Span, depth: int) -> None:
+    # Depth first, children in order: pop the next span, push its
+    # children last to first.
+    stack = [(root, 0) for root in reversed(roots)]
+    while stack:
+        span, depth = stack.pop()
         start = (span.start_s - origin) * scale
         duration = span.duration_s * scale
         lines.append(
             f"{start:10.3f} {duration:10.3f}  "
             f"{'  ' * depth}{span.name}{_format_attrs(span.attributes)}"
         )
-        for child in children.get(span.span_id, ()):
-            emit(child, depth + 1)
-
-    for root in roots:
-        emit(root, 0)
+        stack.extend(
+            (child, depth + 1)
+            for child in reversed(children.get(span.span_id, ()))
+        )
     lines.append(f"({len(spans)} spans, times in {unit})")
     return "\n".join(lines)
 

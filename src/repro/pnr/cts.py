@@ -103,55 +103,58 @@ def synthesize_clock_tree(
 
     root_x = sum(s[1] for s in sinks) / len(sinks)
     root_y = sum(s[2] for s in sinks) / len(sinks)
-
-    def wire_delay(length_um: float, load_ff: float) -> float:
-        r = length_um * node.wire_res_ohm_per_um / 1000.0  # kohm
-        c = length_um * node.wire_cap_ff_per_um
-        return r * (c / 2.0 + load_ff)
-
-    def subtree_cap(group: list) -> float:
-        return len(group) * dff_cap
-
-    def recurse(group: list, x: float, y: float, latency: float,
-                level: int) -> None:
-        if len(group) <= max_sinks_per_leaf or not buffering:
-            # Drive each sink directly from this tap point.
-            drive_r = buf.resistance_kohm if buffering else (
-                buf.resistance_kohm * (level + 1)
-            )
-            for name, sx, sy in group:
-                length = _manhattan((x, y), (sx, sy))
-                tree.wirelength_um += length
-                delay = (
-                    wire_delay(length, dff_cap) + drive_r * dff_cap
-                )
-                tree.sink_latency_ps[name] = latency + delay
-            return
-        # Split along the longer spread axis.  The span nests with the
-        # recursion, so the trace mirrors the tree's level structure.
-        with tracer.span("cts.partition", level=level, sinks=len(group)):
-            xs = [s[1] for s in group]
-            ys = [s[2] for s in group]
-            axis = 1 if (max(xs) - min(xs)) >= (max(ys) - min(ys)) else 2
-            ordered = sorted(group, key=lambda s: s[axis])
-            half = len(ordered) // 2
-            for part in (ordered[:half], ordered[half:]):
-                px = sum(s[1] for s in part) / len(part)
-                py = sum(s[2] for s in part) / len(part)
-                length = _manhattan((x, y), (px, py))
-                tree.wirelength_um += length
-                buffer_delay = buf.intrinsic_ps + buf.resistance_kohm * (
-                    subtree_cap(part) if not buffering
-                    else buf.input_cap_ff * 2
-                )
-                segment = wire_delay(length, buf.input_cap_ff)
-                child_latency = latency + segment + buffer_delay
-                if buffering:
-                    tree.buffers.append(
-                        ClockBuffer(f"ckbuf_{len(tree.buffers)}", px, py,
-                                    level + 1)
-                    )
-                recurse(part, px, py, child_latency, level + 1)
-
-    recurse(sinks, root_x, root_y, 0.0, 0)
+    _grow(tree, sinks, root_x, root_y, 0.0, 0, node, buf, dff_cap,
+          buffering, max_sinks_per_leaf, tracer)
     return tree
+
+
+def _wire_delay(node: ProcessNode, length_um: float, load_ff: float) -> float:
+    r = length_um * node.wire_res_ohm_per_um / 1000.0  # kohm
+    c = length_um * node.wire_cap_ff_per_um
+    return r * (c / 2.0 + load_ff)
+
+
+def _grow(tree: ClockTree, group: list, x: float, y: float, latency: float,
+          level: int, node: ProcessNode, buf, dff_cap: float,
+          buffering: bool, max_sinks_per_leaf: int, tracer) -> None:
+    """Drive ``group`` from the tap point ``(x, y)``: directly once it is
+    small enough (or unbuffered), else bisect it and recurse per half."""
+    if len(group) <= max_sinks_per_leaf or not buffering:
+        # Drive each sink directly from this tap point.
+        drive_r = buf.resistance_kohm if buffering else (
+            buf.resistance_kohm * (level + 1)
+        )
+        for name, sx, sy in group:
+            length = _manhattan((x, y), (sx, sy))
+            tree.wirelength_um += length
+            delay = (
+                _wire_delay(node, length, dff_cap) + drive_r * dff_cap
+            )
+            tree.sink_latency_ps[name] = latency + delay
+        return
+    # Split along the longer spread axis.  The span nests with the
+    # recursion, so the trace mirrors the tree's level structure.
+    with tracer.span("cts.partition", level=level, sinks=len(group)):
+        xs = [s[1] for s in group]
+        ys = [s[2] for s in group]
+        axis = 1 if (max(xs) - min(xs)) >= (max(ys) - min(ys)) else 2
+        ordered = sorted(group, key=lambda s: s[axis])
+        half = len(ordered) // 2
+        for part in (ordered[:half], ordered[half:]):
+            px = sum(s[1] for s in part) / len(part)
+            py = sum(s[2] for s in part) / len(part)
+            length = _manhattan((x, y), (px, py))
+            tree.wirelength_um += length
+            buffer_delay = buf.intrinsic_ps + buf.resistance_kohm * (
+                len(part) * dff_cap if not buffering
+                else buf.input_cap_ff * 2
+            )
+            segment = _wire_delay(node, length, buf.input_cap_ff)
+            child_latency = latency + segment + buffer_delay
+            if buffering:
+                tree.buffers.append(
+                    ClockBuffer(f"ckbuf_{len(tree.buffers)}", px, py,
+                                level + 1)
+                )
+            _grow(tree, part, px, py, child_latency, level + 1, node, buf,
+                  dff_cap, buffering, max_sinks_per_leaf, tracer)

@@ -172,20 +172,19 @@ def quadratic_positions(
         vals.append(w)
 
     def add_edge(u, v, w: float) -> None:
-        u_var = isinstance(u, int)
-        v_var = isinstance(v, int)
-        if u_var and v_var:
-            add_diag(u, w)
+        if not isinstance(u, int):
+            u, v = v, u  # a cell end first
+            if not isinstance(u, int):
+                return  # two fixed points
+        add_diag(u, w)
+        if isinstance(v, int):
             add_diag(v, w)
             rows.extend((u, v))
             cols.extend((v, u))
             vals.extend((-w, -w))
-        elif u_var:
-            add_diag(u, w)
+        else:
             bx[u] += w * v[0]
             by[u] += w * v[1]
-        elif v_var:
-            add_edge(v, u, w)
 
     star_cursor = n_cells
     for members in live:

@@ -32,6 +32,13 @@ kind:
   fallback for unknown cells), plus per-lane stuck-at pin forces for
   fault simulation.
 
+Both settle on read: a write (``set``, ``set_many``, ``load_state``,
+``reset``, the register update of a clock edge) only stores values and
+marks the simulator stale, and the next read that needs combinational
+values (``get``, the D capture of ``step``, a pin force) re-evaluates
+every combinational net once.  Writes that no read separates cost one
+sweep between them, not one each.
+
 An RTL ``Module`` has no packed engine: word-level expressions do not
 vectorize over lane words, and the one RTL reference every packed
 check compares against is the interpreter :class:`repro.sim.Simulator`.
@@ -220,6 +227,7 @@ class PackedGateSimulator:
             self._program.append((opcode, gate.output, a, b))
         self._values: list[int] = [0] * netlist.n_nets
         self._words = group_bit_labels([ff.name for ff in netlist.dffs])
+        self._stale = True
         self.reset()
 
     # -- state --------------------------------------------------------------
@@ -236,21 +244,20 @@ class PackedGateSimulator:
         return {name: len(nets) for name, nets in self.netlist.inputs.items()}
 
     def reset(self) -> None:
+        """Load every flop's reset value (settled on the next read)."""
         values = self._values
         mask = self.mask
         for net, value in self.netlist.const_nets.items():
             values[net] = mask if value else 0
         for ff in self.netlist.dffs:
             values[ff.q] = mask if ff.reset_value else 0
-        self._settle()
+        self._stale = True
 
-    def load_state(
-        self, state: dict[str, list[int]], settle: bool = True
-    ) -> None:
+    def load_state(self, state: dict[str, list[int]]) -> None:
         """Force register words to packed per-lane values (by flop name).
 
-        ``settle=False`` defers combinational re-evaluation for callers
-        that immediately follow with :meth:`set_many` (which settles).
+        Only the flop outputs are written: the combinational nets settle
+        on the next read, once for this and any writes that follow it.
         """
         dffs = self.netlist.dffs
         for name, words in state.items():
@@ -260,8 +267,7 @@ class PackedGateSimulator:
                 word = words[bit_index] if bit_index < len(words) else 0
                 self._check_word(word)
                 self._values[dffs[position].q] = word
-        if settle:
-            self._settle()
+        self._stale = True
 
     def get_register(self, name: str) -> list[int]:
         """Packed current value of the register word ``name``."""
@@ -294,18 +300,20 @@ class PackedGateSimulator:
             self._values[net] = word
 
     def set(self, name: str, words: list[int]) -> None:
-        """Drive an input with one lane word per bit, then settle."""
+        """Drive an input with one lane word per bit."""
         self._write_input(name, words)
-        self._settle()
+        self._stale = True
 
     def set_many(self, values: dict[str, list[int]]) -> None:
-        """Drive several inputs with a single settle sweep."""
+        """Drive several inputs."""
         for name, words in values.items():
             self._write_input(name, words)
-        self._settle()
+        self._stale = True
 
     def get(self, name: str) -> list[int]:
         """Packed value of output ``name`` (one lane word per bit)."""
+        if self._stale:
+            self._settle()
         values = self._values
         return [values[net] for net in self.netlist.outputs[name]]
 
@@ -325,15 +333,19 @@ class PackedGateSimulator:
                 values[out] = values[a] ^ mask
             else:
                 values[out] = values[a]
+        self._stale = False
 
     def step(self, cycles: int = 1) -> None:
+        """Clock edges: capture D into Q (settled on the next read)."""
         values = self._values
         dffs = self.netlist.dffs
         for _ in range(cycles):
+            if self._stale:
+                self._settle()
             sampled = [values[ff.d] for ff in dffs]
             for ff, word in zip(dffs, sampled):
                 values[ff.q] = word
-            self._settle()
+            self._stale = True
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +407,11 @@ class PackedMappedSimulator:
             )
             for bit, position in pairs:
                 nets[bit] = self._seq[position][1]
-        self._values: dict[int, int] = {n: 0 for n in mapped.nets()}
-        self._values[-1] = 0
+        # One slot per net id and a last one, -1's, that nothing writes.
+        self._values: list[int] = [0] * (2 + max(mapped.nets(), default=-1))
         self._forced: list[list] = []
         self._entries: dict[int, tuple] | None = None
+        self._stale = True
         self.reset()
 
     # -- state --------------------------------------------------------------
@@ -415,6 +428,8 @@ class PackedMappedSimulator:
         return {name: len(nets) for name, nets in self.mapped.inputs.items()}
 
     def reset(self) -> None:
+        """Load every flop's (forced) reset value, settled on the next
+        read."""
         values = self._values
         mask = self.mask
         for _, q, reset_value, forces in self._seq:
@@ -422,15 +437,14 @@ class PackedMappedSimulator:
             if forces is not None:
                 word = (word | forces[2]) & forces[3]
             values[q] = word
-        self._settle()
+        self._stale = True
 
-    def load_state(
-        self, state: dict[str, list[int]], settle: bool = True
-    ) -> None:
+    def load_state(self, state: dict[str, list[int]]) -> None:
         """Force register words to packed per-lane values (by DFF tag).
 
-        ``settle=False`` defers combinational re-evaluation for callers
-        that immediately follow with :meth:`set_many` (which settles).
+        A forced Q pin overrides its lane.  Only the flop outputs are
+        written: the combinational nets settle on the next read, once
+        for this and any writes that follow it.
         """
         values = self._values
         mask = self.mask
@@ -446,8 +460,7 @@ class PackedMappedSimulator:
                 values[entry[1]] = word if forces is None else (
                     (word | forces[2]) & forces[3]
                 )
-        if settle:
-            self._settle()
+        self._stale = True
 
     def get_register(self, name: str) -> list[int]:
         """Packed current value of the register word ``name``."""
@@ -463,7 +476,9 @@ class PackedMappedSimulator:
         """Stick ``pin`` of ``mapped.cells[cell_index]`` at ``stuck_at``
         in ``lane`` only.
 
-        Takes effect from the next evaluation on: a settle for
+        Writes made before the call settle without the force: a stale
+        simulator settles first.  The force then takes effect from the
+        next evaluation on: the settle after the next write for
         combinational pins, a clock edge for a flop's D, and the next
         :meth:`reset`, :meth:`load_state` or :meth:`step` for its Q.
         """
@@ -471,6 +486,8 @@ class PackedMappedSimulator:
             raise PackedSimError(
                 f"lane {lane} outside 0..{self.lanes - 1}"
             )
+        if self._stale:
+            self._settle()
         if self._entries is None:
             order = {id(inst): i for i, inst in enumerate(self.mapped.cells)}
             self._entries = {
@@ -497,8 +514,11 @@ class PackedMappedSimulator:
             forces[slot + 1] &= ~(1 << lane)
 
     def release(self) -> None:
-        """Drop every pin force; like :meth:`force`, this takes effect
-        from the next evaluation on."""
+        """Drop every pin force; like :meth:`force`, this settles a
+        stale simulator first (with the forces) and takes effect from
+        the next evaluation on."""
+        if self._stale:
+            self._settle()
         for entry in self._forced:
             entry[-1] = None
         self._forced.clear()
@@ -527,14 +547,16 @@ class PackedMappedSimulator:
 
     def set(self, name: str, words: list[int]) -> None:
         self._write_input(name, words)
-        self._settle()
+        self._stale = True
 
     def set_many(self, values: dict[str, list[int]]) -> None:
         for name, words in values.items():
             self._write_input(name, words)
-        self._settle()
+        self._stale = True
 
     def get(self, name: str) -> list[int]:
+        if self._stale:
+            self._settle()
         values = self._values
         return [values[net] for net in self.mapped.outputs[name]]
 
@@ -569,11 +591,15 @@ class PackedMappedSimulator:
             else:
                 word = fn()
             values[out] = (word | forces[6]) & forces[7]
+        self._stale = False
 
     def step(self, cycles: int = 1) -> None:
-        """Clock edges: capture (forced) D into (forced) Q, then settle."""
+        """Clock edges: capture (forced) D into (forced) Q, settled on
+        the next read."""
         values = self._values
         for _ in range(cycles):
+            if self._stale:
+                self._settle()
             sampled = [
                 (q, values[d] if f is None
                  else (((values[d] | f[0]) & f[1]) | f[2]) & f[3])
@@ -581,4 +607,4 @@ class PackedMappedSimulator:
             ]
             for q, word in sampled:
                 values[q] = word
-            self._settle()
+            self._stale = True

@@ -61,8 +61,7 @@ class Testbench:
         state: dict = {}
         mismatches: list[str] = []
         for cycle, vector in enumerate(vectors):
-            for name, value in vector.items():
-                sim.set(name, value)
+            sim.set_many(vector)
             expected = self.model(dict(vector), state)
             for name, want in expected.items():
                 got = sim.get(name)

@@ -251,7 +251,7 @@ def simulate_faults(
                     sim.load_state({
                         name: [mask * draws[p] for p in positions]
                         for name, positions in layout.items()
-                    }, settle=False)
+                    })
                     sim.set_many(random_inputs(shifting=index % 4 == 3))
                     chunk_detected |= observe(sim.get, outputs)
                     sim.step()  # capture; chain shifts state out

@@ -353,15 +353,12 @@ def _check_equivalence_packed(
         for base in range(0, cycles, LANES):
             chunk = range(base, min(base + LANES, cycles))
             active = (1 << len(chunk)) - 1
-            impl.load_state(
-                {
-                    name: pack_word(
-                        [states[c][name] for c in chunk], reg_widths[name]
-                    )
-                    for name in register_names
-                },
-                settle=False,
-            )
+            impl.load_state({
+                name: pack_word(
+                    [states[c][name] for c in chunk], reg_widths[name]
+                )
+                for name in register_names
+            })
             impl.set_many({
                 sig.name: pack_word(
                     [vectors[c][sig.name] for c in chunk], sig.width
@@ -540,7 +537,7 @@ def replay_mismatches(
                     1 + bits[-1],
                 )
                 for name, bits in impl_registers.items()
-            }, settle=False)
+            })
             impl.set_many({
                 name: pack_word([m.inputs.get(name, 0) for m in chunk], width)
                 for name, width in impl_inputs.items()

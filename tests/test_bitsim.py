@@ -14,7 +14,8 @@ simulators they replace.  These tests pin that down three ways:
   batched LEC replay must agree with scalar replay witness by witness.
 
 Per-lane pin forces (the fault-simulation hook of the mapped engine)
-must touch only their own lane.
+must touch only their own lane.  Settling on read must be invisible:
+every read agrees with a simulator that settles after every write.
 """
 
 import importlib
@@ -50,6 +51,7 @@ from repro.synth import (
     optimize,
     synthesize,
 )
+from repro.synth.dft import fault_sites, insert_scan_chain
 from repro.synth.verify import replay_mismatch
 
 #: The bit-blaster's module (the package re-exports its ``lower``
@@ -459,3 +461,133 @@ class TestPinForces:
         sim = PackedMappedSimulator(mapped, lanes=4)
         with pytest.raises(PackedSimError):
             sim.force(0, mapped.cells[0].cell.output, 1, lane=4)
+
+
+# ---------------------------------------------------------------------------
+# Settle on read: lazy reads agree with settling after every write
+# ---------------------------------------------------------------------------
+
+
+class _Eager:
+    """Settles after every write, so no read ever finds it stale."""
+
+    def set(self, name, words):
+        super().set(name, words)
+        self._settle()
+
+    def set_many(self, values):
+        super().set_many(values)
+        self._settle()
+
+    def load_state(self, state):
+        super().load_state(state)
+        self._settle()
+
+    def reset(self):
+        super().reset()
+        self._settle()
+
+    def step(self, cycles=1):
+        for _ in range(cycles):
+            super().step()
+            self._settle()
+
+
+class EagerGateSimulator(_Eager, PackedGateSimulator):
+    pass
+
+
+class EagerMappedSimulator(_Eager, PackedMappedSimulator):
+    pass
+
+
+SETTLE_LANES = 8
+
+
+@pytest.fixture(scope="module")
+def settle_designs(library):
+    """(simulator class, eager twin, netlist) per case; the fir is
+    mapped with its scan chain inserted."""
+    counter = generate("counter").module
+    alu = generate("alu").module
+    fir = synthesize(generate("fir").module, library, verify=False).mapped
+    insert_scan_chain(fir)
+    return {
+        "gate-counter": (PackedGateSimulator, EagerGateSimulator,
+                         optimize(lower(counter))[0]),
+        "gate-alu": (PackedGateSimulator, EagerGateSimulator,
+                     optimize(lower(alu))[0]),
+        "mapped-counter": (PackedMappedSimulator, EagerMappedSimulator,
+                           synthesize(counter, library, verify=False).mapped),
+        "mapped-alu": (PackedMappedSimulator, EagerMappedSimulator,
+                       synthesize(alu, library, verify=False).mapped),
+        "mapped-fir-scan": (PackedMappedSimulator, EagerMappedSimulator,
+                            fir),
+    }
+
+
+class TestSettleOnRead:
+    @pytest.mark.parametrize("case", [
+        "gate-counter", "gate-alu",
+        "mapped-counter", "mapped-alu", "mapped-fir-scan",
+    ])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_every_read_matches_an_eager_simulator(
+        self, settle_designs, case, data
+    ):
+        cls, eager_cls, netlist = settle_designs[case]
+        lazy = cls(netlist, lanes=SETTLE_LANES)
+        eager = eager_cls(netlist, lanes=SETTLE_LANES)
+        word = st.integers(min_value=0, max_value=lazy.mask)
+        inputs = lazy.input_widths()
+        registers = {
+            name: 1 + max(bits)
+            for name, bits in lazy.register_words().items()
+        }
+        outputs = sorted(netlist.outputs)
+        ops = ["set", "set_many", "reset", "step", "get"]
+        if registers:
+            ops += ["load_state", "get_register"]
+        if cls is PackedMappedSimulator:
+            sites = fault_sites(netlist)
+            ops += ["force", "release"]
+
+        def words(width):
+            return data.draw(st.lists(word, min_size=width, max_size=width))
+
+        def some(names):
+            return data.draw(st.lists(
+                st.sampled_from(sorted(names)), min_size=1, unique=True
+            ))
+
+        for _ in range(data.draw(st.integers(min_value=1, max_value=24))):
+            op = data.draw(st.sampled_from(ops))
+            if op == "set":
+                name = data.draw(st.sampled_from(sorted(inputs)))
+                args = (name, words(inputs[name]))
+            elif op == "set_many":
+                args = ({name: words(inputs[name]) for name in some(inputs)},)
+            elif op == "load_state":
+                args = ({
+                    name: words(registers[name]) for name in some(registers)
+                },)
+            elif op == "step":
+                args = (data.draw(st.integers(min_value=1, max_value=3)),)
+            elif op == "get":
+                args = (data.draw(st.sampled_from(outputs)),)
+            elif op == "get_register":
+                args = (data.draw(st.sampled_from(sorted(registers))),)
+            elif op == "force":
+                site = data.draw(st.sampled_from(sites))
+                lane = data.draw(st.integers(0, SETTLE_LANES - 1))
+                args = (site.cell_index, site.pin, site.stuck_at, lane)
+            else:
+                args = ()
+            got = getattr(lazy, op)(*args)
+            want = getattr(eager, op)(*args)
+            assert got == want, f"{op}{args}"
+        for name in outputs:
+            assert lazy.get(name) == eager.get(name), name
+        for name in registers:
+            assert lazy.get_register(name) == eager.get_register(name), name

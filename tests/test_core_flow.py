@@ -1,5 +1,7 @@
 """Tests for the end-to-end flow runner and presets."""
 
+import gc
+
 import pytest
 
 from repro.core import (
@@ -80,6 +82,21 @@ class TestRunFlow:
     def test_missing_step_lookup(self, counter_flow):
         with pytest.raises(KeyError):
             counter_flow.step(FlowStep.TAPEOUT)
+
+    def test_flow_leaves_no_cyclic_garbage(self):
+        # Reference counting alone frees what a flow drops: nothing it
+        # allocated (GDS structs, spans, solver lists) waits for a full
+        # collection.
+        module, pdk = build_counter(), get_pdk("edu130")
+        gc.collect()
+        gc.disable()
+        try:
+            result = run_flow(module, pdk, FlowOptions(extract_lvs=True))
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        assert result.ok
+        assert garbage == 0
 
 
 class TestPresets:

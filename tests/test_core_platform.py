@@ -334,6 +334,21 @@ class TestHub:
         quote = hub.book_shuttle_seat("alice", "edu130", area_mm2=0.5)
         assert quote.launch_day > 0
 
+    def test_every_booking_gets_its_own_project_name(self):
+        # No flow job runs between the bookings, so a name numbered by
+        # the job count would repeat.
+        hub = EnablementHub()
+        hub.enroll(fresh_student(), AccessTier.INTERMEDIATE)
+        first = hub.book_shuttle_seat("alice", "edu130", area_mm2=0.5)
+        second = hub.book_shuttle_seat("alice", "edu130", area_mm2=0.5)
+        assert first.project != second.project
+        projects = [
+            project.name
+            for run in hub.shuttle("edu130").runs
+            for project in run.projects
+        ]
+        assert sorted(projects) == sorted([first.project, second.project])
+
     def test_shuttle_area_capped_by_tier(self):
         hub = EnablementHub()
         hub.enroll(fresh_student(), AccessTier.BEGINNER)

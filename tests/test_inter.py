@@ -7,6 +7,8 @@ seeded netlist mutations, the replay router's divergence accounting, and
 the composed SoC catalogue entry the benchmark edits.
 """
 
+import gc
+
 import pytest
 
 from repro.core import FlowOptions
@@ -226,6 +228,22 @@ class TestWorkspace:
                               options=OPTIONS)
         assert report.result.gds_bytes == cold.result.gds_bytes
         assert report.result.to_json() == cold.result.to_json()
+
+    def test_edit_leaves_no_cyclic_garbage(self):
+        # Reference counting alone frees what an edit drops: nothing it
+        # allocated waits for a full collection.
+        ws = Workspace.open(build_minisoc(), get_pdk("edu130"),
+                            options=OPTIONS)
+        new_rtl = to_verilog(make_counter(width=8, step=3).module)
+        gc.collect()
+        gc.disable()
+        try:
+            report = ws.edit("counter8", new_rtl)
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        assert report.fallback is None
+        assert garbage == 0
 
     def test_structural_anomaly_falls_back_to_full_rebuild(
         self, monkeypatch
