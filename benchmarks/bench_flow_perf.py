@@ -10,8 +10,9 @@ from conftest import build_alu_design, build_counter, build_mac_pipe
 
 from repro.core import COMMERCIAL, OPEN, FlowOptions, run_flow
 from repro.extract import run_lvs
+from repro.ip import make_soc
 from repro.ip.catalog import generate
-from repro.layout import build_chip_gds, write_gds
+from repro.layout import build_chip_gds, check_drc, write_gds
 from repro.obs.metrics import MetricsRegistry
 from repro.pdk import get_pdk
 from repro.pnr import grid_capacity, implement, make_floorplan, place, route
@@ -104,6 +105,30 @@ def test_perf_gds_export(benchmark):
 
     data = benchmark(export)
     assert len(data) > 100
+
+
+def test_perf_layout_soc(benchmark):
+    """Mask data for the soc (edu130, 6 ns clock): chip assembly into
+    rectangle tables, DRC over them and GDS export."""
+    pdk = get_pdk("edu130")
+    flow = run_flow(make_soc().module, pdk,
+                    FlowOptions(clock_period_ps=6000.0))
+    physical = flow.physical
+    name = physical.mapped.name
+
+    def layout():
+        library = build_chip_gds(physical)
+        drc = check_drc(library, pdk.layers, name)
+        return library, drc, write_gds(library)
+
+    library, drc, data = benchmark.pedantic(layout, rounds=3, iterations=1)
+    top = library.struct(name)
+    assert len(top.rects) == 33_464
+    assert len(top.srefs) == 1_284
+    assert drc.clean
+    assert drc.checked_rects == 10_528
+    assert len(data) == 2_190_274
+    assert data == flow.gds_bytes
 
 
 def test_perf_lvs_from_bytes(benchmark):

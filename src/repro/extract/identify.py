@@ -28,26 +28,17 @@ def master_fingerprint(
     """Canonical geometry signature of a structure.
 
     Boundary bboxes and text labels relative to the min corner of all
-    boundary points; texts on ``exclude_text_layers`` (the annotation
+    boundaries; texts on ``exclude_text_layers`` (the annotation
     label layer, which carries the — renamable — cell name) are ignored.
     """
-    points = [p for b in struct.boundaries for p in b.points]
-    if points:
-        min_x = min(p[0] for p in points)
-        min_y = min(p[1] for p in points)
+    rows = struct.rects
+    if len(rows):
+        min_x = int(rows[:, 2].min())
+        min_y = int(rows[:, 3].min())
     else:
         min_x = min_y = 0
-    rects = sorted(
-        (
-            b.layer,
-            b.datatype,
-            min(p[0] for p in b.points) - min_x,
-            min(p[1] for p in b.points) - min_y,
-            max(p[0] for p in b.points) - min_x,
-            max(p[1] for p in b.points) - min_y,
-        )
-        for b in struct.boundaries
-    )
+    rows -= (0, 0, min_x, min_y, min_x, min_y)
+    rects = sorted(map(tuple, rows.tolist()))
     texts = sorted(
         (t.layer, t.text, t.position[0] - min_x, t.position[1] - min_y)
         for t in struct.texts

@@ -87,14 +87,10 @@ def _master_pads(
     mismatches: list[str],
 ) -> list[tuple[Rect, str]]:
     """(pad rect, pin name) within one master, via its met1 pin labels."""
-    pads = [
-        (
-            min(p[0] for p in b.points), min(p[1] for p in b.points),
-            max(p[0] for p in b.points), max(p[1] for p in b.points),
-        )
-        for b in struct.boundaries
-        if b.layer == li_layer and b.datatype == NET_DATATYPE
-    ]
+    rows = struct.rects
+    pads = list(map(tuple, rows[
+        (rows[:, 0] == li_layer) & (rows[:, 1] == NET_DATATYPE), 2:
+    ].tolist()))
     labels = [
         (t.text, t.position) for t in struct.texts if t.layer == met1_layer
     ]
@@ -173,21 +169,9 @@ def extract_netlist(
 
     # Flatten every net-purpose shape; pads remember their owner pin.
     with tracer.span("extract.flatten") as sp:
-        rects: dict[int, list[Rect]] = {
-            li: [], lic: [], met1: [], via1: [], met2: [],
-        }
-        ids: dict[int, list[int]] = {layer: [] for layer in rects}
+        layers = (li, lic, met1, via1, met2)
+        pads: list[Rect] = []
         owner: dict[int, tuple[int, str]] = {}
-        next_id = 0
-
-        def add(layer: int, rect: Rect) -> int:
-            nonlocal next_id
-            sid = next_id
-            next_id += 1
-            rects[layer].append(rect)
-            ids[layer].append(sid)
-            return sid
-
         for index, sref in enumerate(top.srefs):
             if sref.struct_name not in mapping:
                 result.mismatches.append(
@@ -202,15 +186,22 @@ def extract_netlist(
             ))
             dx, dy = sref.position
             for (x0, y0, x1, y1), pin in pads_of[sref.struct_name]:
-                sid = add(li, (x0 + dx, y0 + dy, x1 + dx, y1 + dy))
-                owner[sid] = (index, pin)
-        for b in top.boundaries:
-            if b.datatype != NET_DATATYPE or b.layer not in rects:
-                continue
-            xs, ys = zip(*b.points)
-            add(b.layer, (min(xs), min(ys), max(xs), max(ys)))
-        shapes = {layer: rect_array(rects[layer]) for layer in rects}
-        sids = {layer: np.array(ids[layer], dtype=np.int64) for layer in ids}
+                owner[len(pads)] = (index, pin)
+                pads.append((x0 + dx, y0 + dy, x1 + dx, y1 + dy))
+        # Top-level net shapes take the ids after the pads, in stream
+        # order.
+        rows = top.rects
+        rows = rows[(rows[:, 1] == NET_DATATYPE) & np.isin(rows[:, 0], layers)]
+        next_id = len(pads) + len(rows)
+        top_ids = np.arange(len(pads), next_id)
+        shapes = {}
+        sids = {}
+        for layer in layers:
+            on_layer = rows[:, 0] == layer
+            shapes[layer] = rows[on_layer, 2:]
+            sids[layer] = top_ids[on_layer]
+        shapes[li] = np.concatenate((rect_array(pads), shapes[li]))
+        sids[li] = np.concatenate((np.arange(len(pads)), sids[li]))
         result.shapes = next_id
         if tracer.enabled:
             sp.set(shapes=next_id, placements=len(top.srefs))

@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from ..layout.gds import GdsSRef, read_gds, write_gds
 from ..pdk.layers import NET_DATATYPE
 from .identify import infer_top
@@ -46,11 +48,12 @@ _VIA1 = 30
 
 
 def _net_rects(top, layer: int) -> list[int]:
-    """Indexes into ``top.boundaries`` of net-purpose rects on a layer."""
-    return [
-        index for index, b in enumerate(top.boundaries)
-        if b.layer == layer and b.datatype == NET_DATATYPE
-    ]
+    """Rows of ``top``'s rectangle table that are net-purpose rects on a
+    layer."""
+    rows = top.rects
+    return np.flatnonzero(
+        (rows[:, 0] == layer) & (rows[:, 1] == NET_DATATYPE)
+    ).tolist()
 
 
 def mutate_gds(
@@ -86,21 +89,19 @@ def mutate_gds(
         candidates = _net_rects(top, _MET1)
         if not candidates:
             raise ValueError("no net-purpose met1 wires to reroute")
-        boundary = top.boundaries[rng.choice(candidates)]
+        index = rng.choice(candidates)
         # Two lattice steps: off the original line, possibly onto a
         # neighbouring net's — an open either way, sometimes a short.
-        boundary.points = [(x, y + 8) for x, y in boundary.points]
-        x0 = min(p[0] for p in boundary.points)
-        y0 = min(p[1] for p in boundary.points)
+        top.move_rect(index, 0, 8)
+        x0, y0 = top.rects[index, 2:4].tolist()
         description = f"rerouted met1 wire near ({x0}, {y0}) nm by +8 nm"
     elif kind == "delete_via":
         candidates = _net_rects(top, _VIA1)
         if not candidates:
             raise ValueError("no via1 cuts to delete")
         index = rng.choice(candidates)
-        boundary = top.boundaries.pop(index)
-        x0 = min(p[0] for p in boundary.points)
-        y0 = min(p[1] for p in boundary.points)
+        x0, y0 = top.rects[index, 2:4].tolist()
+        top.remove_rect(index)
         description = f"deleted via1 cut at ({x0}, {y0}) nm"
     else:  # swap_cells
         by_master: dict[str, list[int]] = {}

@@ -4,7 +4,6 @@ from .chip import build_chip_gds
 from .defio import DefComponent, DefDesign, DefPin, from_physical, read_def, write_def
 from .drc import DrcReport, DrcViolation, check_drc, flatten_rects
 from .gds import (
-    GdsBoundary,
     GdsLibrary,
     GdsSRef,
     GdsStruct,
@@ -23,7 +22,6 @@ __all__ = [
     "DefPin",
     "DrcReport",
     "DrcViolation",
-    "GdsBoundary",
     "GdsLibrary",
     "GdsSRef",
     "GdsStruct",

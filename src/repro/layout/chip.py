@@ -31,7 +31,7 @@ from ..pdk.node import ProcessNode
 from ..pdk.pdks import Pdk
 from ..pnr.physical import PhysicalDesign
 from ..pnr.placement import cell_width
-from .gds import GdsBoundary, GdsLibrary, GdsSRef, GdsStruct, GdsText, to_db
+from .gds import GdsLibrary, GdsSRef, GdsStruct, GdsText, to_db
 
 
 def master_footprint(cell: StandardCell, node: ProcessNode) -> tuple[float, float]:
@@ -99,13 +99,8 @@ def cell_master_struct(cell: StandardCell, pdk: Pdk) -> GdsStruct:
     # pin.  The net fabric lands li stubs on these pads at the top level.
     half = PIN_PAD_HALF_NM
     for pin, (px, py) in master_pin_offsets(cell, pdk.node).items():
-        struct.boundaries.append(
-            GdsBoundary(li.gds_layer, NET_DATATYPE, [
-                (px - half, py - half), (px + half, py - half),
-                (px + half, py + half), (px - half, py + half),
-                (px - half, py - half),
-            ])
-        )
+        struct.add_rect(li.gds_layer, NET_DATATYPE,
+                        px - half, py - half, px + half, py + half)
         struct.texts.append(GdsText(met1.gds_layer, pin, (px, py)))
     label = pdk.layers.by_name("label")
     struct.texts.append(

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..obs.trace import get_tracer
 from ..pdk.layers import LayerStack
-from .gds import GdsLibrary, from_db
+from .gds import DB_UNIT_IN_UM, GdsLibrary, from_db
 from .geometry import Rect
 
 
@@ -58,12 +58,19 @@ def _placements(library: GdsLibrary, top_name: str):
     place under it, depth first in SREF order, with the offsets summed
     along the path."""
     by_name = {s.name: s for s in library.structs}
-    stack = [(top_name, 0.0, 0.0, 0)]
+    stack = [(top_name, 0.0, 0.0, 0, None)]
     while stack:
-        name, dx, dy, depth = stack.pop()
+        name, dx, dy, depth, parent = stack.pop()
         if depth > 8:
-            raise ValueError("SREF nesting too deep (cycle?)")
-        struct = by_name[name]
+            raise ValueError(
+                f"SREF nesting too deep under {top_name!r} (cycle?)"
+            )
+        struct = by_name.get(name)
+        if struct is None:
+            raise ValueError(
+                f"no structure {name!r} to check" if parent is None
+                else f"structure {parent!r} places missing structure {name!r}"
+            )
         yield struct, dx, dy
         stack.extend(
             (
@@ -71,58 +78,40 @@ def _placements(library: GdsLibrary, top_name: str):
                 dx + from_db(sref.position[0]),
                 dy + from_db(sref.position[1]),
                 depth + 1,
+                name,
             )
             for sref in reversed(struct.srefs)
         )
 
 
 def flatten_rects(
-    library: GdsLibrary, top_name: str
-) -> dict[int, list[Rect]]:
-    """Rectangles per GDS layer with SREFs resolved (one level deep is
-    enough for our two-level cell/top hierarchy, applied recursively)."""
-    rects: dict[int, list[Rect]] = defaultdict(list)
-    for struct, dx, dy in _placements(library, top_name):
-        for boundary in struct.boundaries:
-            xs = [from_db(p[0]) for p in boundary.points]
-            ys = [from_db(p[1]) for p in boundary.points]
-            rects[boundary.layer].append(
-                Rect(min(xs) + dx, min(ys) + dy, max(xs) + dx, max(ys) + dy)
-            )
-    return dict(rects)
-
-
-def _flatten_coords(
-    library: GdsLibrary, top_name: str
+    library: GdsLibrary, top_name: str, keys: list[tuple[int, int]]
 ) -> dict[tuple[int, int], np.ndarray]:
-    """Per-(layer, datatype) ``(n, 4)`` coordinate arrays with SREFs
-    resolved.
+    """Rectangles on each (layer, datatype) of ``keys`` with SREFs
+    resolved: one ``(n, 4)`` float array of x0, y0, x1, y1 in um per key.
 
-    Same emission order as :func:`flatten_rects`, but each struct's
-    local boundaries are converted to one array once and placements
-    merely translate it — the checker never materializes per-rect
-    objects for the (overwhelmingly clean) common case.  Keying by
-    datatype keeps mask purposes apart: DRC checks a layer's drawing
+    Rows come in placement order, and in stream order within one
+    placement.  Each struct's rows on a key are selected and scaled
+    once, and each placement translates them in one numpy add.  Keying
+    by datatype keeps mask purposes apart: DRC checks a layer's drawing
     purpose without mixing in net-purpose fabric shapes.
     """
     local: dict[str, dict[tuple[int, int], np.ndarray]] = {}
-    parts: dict[tuple[int, int], list[np.ndarray]] = defaultdict(list)
+    parts = {key: [np.empty((0, 4))] for key in keys}
     for struct, dx, dy in _placements(library, top_name):
-        arrays = local.get(struct.name)
-        if arrays is None:
-            per_layer: dict[tuple[int, int], list] = defaultdict(list)
-            for boundary in struct.boundaries:
-                xs = [from_db(p[0]) for p in boundary.points]
-                ys = [from_db(p[1]) for p in boundary.points]
-                per_layer[(boundary.layer, boundary.datatype)].append(
-                    (min(xs), min(ys), max(xs), max(ys))
-                )
-            arrays = local[struct.name] = {
-                key: np.array(rows, dtype=np.float64)
-                for key, rows in per_layer.items()
+        blocks = local.get(struct.name)
+        if blocks is None:
+            rows = struct.rects
+            blocks = local[struct.name] = {
+                (layer, datatype): rows[
+                    (rows[:, 0] == layer) & (rows[:, 1] == datatype), 2:
+                ] * DB_UNIT_IN_UM
+                for layer, datatype in keys
             }
-        for key, rows in arrays.items():
-            parts[key].append(rows + np.array((dx, dy, dx, dy)))
+        shift = np.array((dx, dy, dx, dy))
+        for key, block in blocks.items():
+            if len(block):
+                parts[key].append(block + shift)
     return {key: np.concatenate(p) for key, p in parts.items()}
 
 
@@ -141,19 +130,23 @@ def check_drc(
     """
     if tracer is None:
         tracer = get_tracer()
-    with tracer.span("drc.flatten") as sp:
-        coords_by_gds = _flatten_coords(library, top_name)
-        sp.set(structs=len(library.structs))
-    names = check_layers or [
-        l.name for l in layers.layers if l.purpose in ("routing", "via")
+    checked = [
+        layers.by_name(name) for name in check_layers or [
+            l.name for l in layers.layers if l.purpose in ("routing", "via")
+        ]
     ]
+    with tracer.span("drc.flatten") as sp:
+        coords_by_gds = flatten_rects(
+            library, top_name,
+            [(layer.gds_layer, layer.gds_datatype) for layer in checked],
+        )
+        sp.set(structs=len(library.structs))
     report = DrcReport(checked_rects=0)
 
-    for name in names:
-        with tracer.span("drc.layer", layer=name) as sp:
-            layer = layers.by_name(name)
-            coords = coords_by_gds.get((layer.gds_layer, layer.gds_datatype))
-            count = 0 if coords is None else len(coords)
+    for layer in checked:
+        with tracer.span("drc.layer", layer=layer.name) as sp:
+            coords = coords_by_gds[(layer.gds_layer, layer.gds_datatype)]
+            count = len(coords)
             report.checked_rects += count
             if count:
                 _check_layer(report, layer, coords, max_violations)

@@ -32,7 +32,7 @@ from collections import defaultdict
 from ..pdk.layers import NET_DATATYPE
 from ..pnr.physical import PhysicalDesign
 from ..pnr.route import RoutingGrid
-from .gds import GdsBoundary, GdsStruct, to_db
+from .gds import GdsStruct, to_db
 
 #: Lattice quantum in nm.  Lines are multiples of Q; with HALF-width
 #: shapes, distinct lines keep a >= Q - 2*HALF = 2 nm clearance.
@@ -149,11 +149,10 @@ def draw_net_fabric(top: GdsStruct, design: PhysicalDesign) -> None:
     p = to_db(grid.pitch)
     snap = grid.snap
 
+    add_rect = top.add_rect
+
     def rect(layer: int, x0: int, y0: int, x1: int, y1: int) -> None:
-        top.boundaries.append(
-            GdsBoundary(layer, NET_DATATYPE,
-                        [(x0, y0), (x1, y0), (x1, y1), (x0, y1), (x0, y0)])
-        )
+        add_rect(layer, NET_DATATYPE, x0, y0, x1, y1)
 
     def cut(x: int, y: int) -> None:
         rect(via1, x - HALF, y - HALF, x + HALF, y + HALF)

@@ -37,13 +37,24 @@ from repro.extract import (
 )
 from repro.extract.geom import components, rect_array, touching_pairs
 from repro.ip.catalog import catalogue, generate
-from repro.layout import build_chip_gds, read_gds, write_gds
+from repro.layout import build_chip_gds, flatten_rects, read_gds, write_gds
 from repro.layout.gds import GdsLibrary, GdsSRef, GdsStruct, GdsText
 from repro.layout.chip import cell_master_struct
 from repro.layout.lvs import LvsReport, check_lvs
 from repro.pdk import get_pdk
 from repro.pnr import implement
 from repro.synth import synthesize
+
+from gds_reference import (
+    RefLibrary,
+    RefStruct,
+    rect_ring,
+    reference_flatten,
+    reference_mutate,
+    reference_read,
+    reference_write,
+    to_reference,
+)
 
 
 @pytest.fixture(scope="module")
@@ -202,9 +213,199 @@ class TestGdsHardening:
                 s.name for s in library.structs
             ]
             for original, copy in zip(library.structs, parsed.structs):
-                assert copy.boundaries == original.boundaries
+                assert np.array_equal(copy.rects, original.rects)
+                assert copy.rings == original.rings
                 assert copy.srefs == original.srefs
                 assert copy.texts == original.texts
+
+
+# -- the record-by-record GDS code the rectangle table replaced: oracle --
+
+
+def assert_matches_reference(library, top_name):
+    """``library`` writes, parses and flattens exactly as the point-ring
+    reference code does, and its stream reads back to itself."""
+    data = write_gds(library)
+    reference = to_reference(library)
+    assert data == reference_write(reference)
+    parsed = read_gds(data)
+    assert to_reference(parsed) == reference
+    assert reference_read(data) == reference
+    assert write_gds(parsed) == data
+    keys = sorted({
+        (layer, datatype)
+        for s in library.structs for layer, datatype in s.rects[:, :2].tolist()
+    })
+    expected = reference_flatten(reference, top_name)
+    for flat in (flatten_rects(library, top_name, keys),
+                 flatten_rects(parsed, top_name, keys)):
+        for key in keys:
+            assert np.array_equal(
+                flat[key], expected.get(key, np.empty((0, 4)))
+            ), key
+
+
+def read_outcome(read, blob):
+    """What ``read`` makes of ``blob``: a reference library or the
+    located error it raised."""
+    try:
+        library = read(blob)
+    except ValueError as error:
+        assert "offset" in str(error)
+        return str(error)
+    return library if isinstance(library, RefLibrary) else to_reference(
+        library
+    )
+
+
+def mixed_library() -> GdsLibrary:
+    """Rectangle runs broken by rings, SREFs and TEXTs: a small stream
+    whose every byte the corruption tests can reach."""
+    library = GdsLibrary("mixed")
+    leaf = library.add(GdsStruct("leaf"))
+    leaf.add_rect(1, 0, 0, 0, 40, 20)
+    leaf.add_boundary(2, 0, [(0, 0), (0, 5), (5, 5), (5, 0), (0, 0)])
+    leaf.add_rect(3, 1, 10, 4, 14, 8)
+    top = library.add(GdsStruct("top"))
+    for index in range(20):
+        if index in (5, 6, 13):
+            top.add_boundary(10, 1, [(index, 0), (index + 9, 3), (0, 7)])
+        top.add_rect(10 + index % 3, index % 2, index, -index, 3 * index, 9)
+    top.srefs.append(GdsSRef("leaf", (100, -50)))
+    top.srefs.append(GdsSRef("leaf", (-7, 300)))
+    top.texts.append(GdsText(60, "pin", (3, 4)))
+    return library
+
+
+def probe_blocks(struct_def) -> list[int]:
+    """The block sizes ``read_gds`` decodes with ``np.frombuffer`` while
+    parsing a stream of one structure."""
+    blocks = []
+    frombuffer = np.frombuffer
+
+    def spy(data, dtype, count, offset):
+        blocks.append(count)
+        return frombuffer(data, dtype, count, offset)
+
+    data = write_gds(GdsLibrary("probe", [struct_def]))
+    with mock.patch.object(np, "frombuffer", spy):
+        assert read_gds(data).structs == [struct_def]
+    return blocks
+
+
+coord = st.one_of(
+    st.integers(-3, 3), st.integers(-(1 << 31), (1 << 31) - 1)
+)
+gds_layer = st.integers(-(1 << 15), (1 << 15) - 1)
+soup_element = st.one_of(
+    # Any two corners: reversed, zero-area and negative rects.
+    st.tuples(st.just("rect"), gds_layer, gds_layer, coord, coord, coord,
+              coord),
+    # A rectangle ring drawn the other way round.
+    st.tuples(st.just("clockwise"), gds_layer, gds_layer, coord, coord,
+              coord, coord),
+    st.tuples(st.just("ring"), gds_layer, gds_layer,
+              st.lists(st.tuples(coord, coord), min_size=1, max_size=9)),
+)
+
+
+def add_element(struct, reference, element):
+    """Draw one soup element into a table struct and its reference."""
+    kind, layer, datatype, *shape = element
+    if kind == "rect":
+        struct.add_rect(layer, datatype, *shape)
+        ring = rect_ring(*shape)
+    else:
+        if kind == "clockwise":
+            x0, y0, x1, y1 = shape
+            ring = ((x0, y0), (x0, y1), (x1, y1), (x1, y0), (x0, y0))
+        else:
+            ring = tuple(shape[0])
+        struct.add_boundary(layer, datatype, list(ring))
+    reference.boundaries.append((layer, datatype, ring))
+
+
+class TestRectangleTable:
+    """The rectangle table packs, parses and flattens byte for byte and
+    bit for bit like the point-ring code in ``gds_reference``."""
+
+    @pytest.mark.parametrize("pdk_name", ["edu130", "edu180"])
+    def test_catalogue_matches_reference(self, pdk_name, catalogue_layouts):
+        for _, library in catalogue_layouts(pdk_name):
+            assert_matches_reference(library, infer_top(library).name)
+
+    def test_mutant_of_every_kind_matches_reference(self, counter_stack):
+        _, _, data = counter_stack
+        for kind in TROJAN_KINDS:
+            mutant = mutate_gds(data, seed=0, kind=kind)
+            assert mutant == reference_mutate(data, 0, kind)
+            library = read_gds(mutant[0])
+            assert_matches_reference(library, infer_top(library).name)
+
+    @pytest.mark.parametrize("run", [1, 15, 16, 17, 47, 48, 49, 130])
+    def test_runs_around_probe_blocks(self, run):
+        library = GdsLibrary("runs")
+        top = library.add(GdsStruct("top"))
+        for index in range(run):
+            top.add_rect(1, 0, index, 0, index + 1, 2)
+        top.add_boundary(1, 0, [(0, 0), (1, 1), (2, 0), (0, 0)])
+        for index in range(run):
+            top.add_rect(2, 0, -index, 0, 0, index)
+        top.texts.append(GdsText(60, "end", (0, 0)))
+        assert len(top.rings) == 1
+        assert_matches_reference(library, "top")
+
+    def test_run_probe_stays_linear(self):
+        """A long run takes a logarithmic number of probes, and each short
+        run between rings decodes one bounded block."""
+        long_run = GdsStruct("long")
+        for index in range(4096):
+            long_run.add_rect(1, 0, index, 0, index + 1, 1)
+        blocks = probe_blocks(long_run)
+        assert len(blocks) <= 10
+        assert sum(blocks) <= 2 * 4096 + 16
+        short_runs = GdsStruct("short")
+        for index in range(500):
+            short_runs.add_rect(1, 0, index, 0, index + 1, 1)
+            short_runs.add_boundary(1, 0, [(index, 0), (0, 1), (0, 0)])
+        assert sum(probe_blocks(short_runs)) <= 16 * 1000
+
+    @given(cell=st.lists(soup_element, max_size=24),
+           placed=st.lists(soup_element, max_size=8),
+           refs=st.lists(st.tuples(coord, coord), max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_soups_match_reference(self, cell, placed, refs):
+        library = GdsLibrary("soup")
+        reference = RefLibrary("soup")
+        for name, elements in (("CELL", cell), ("TOP", placed)):
+            struct = library.add(GdsStruct(name))
+            ref = RefStruct(name)
+            reference.structs.append(ref)
+            for element in elements:
+                add_element(struct, ref, element)
+        for position in refs:
+            library.structs[1].srefs.append(GdsSRef("CELL", position))
+            reference.structs[1].srefs.append(GdsSRef("CELL", position))
+        assert to_reference(library) == reference
+        assert_matches_reference(library, "TOP")
+
+    def test_corrupt_streams_read_like_reference(self):
+        data = write_gds(mixed_library())
+        assert read_outcome(read_gds, data) == reference_read(data)
+        for cut in range(len(data)):
+            blob = data[:cut]
+            assert read_outcome(read_gds, blob) == read_outcome(
+                reference_read, blob
+            ), cut
+        rng = random.Random(3)
+        for _ in range(400):
+            blob = bytearray(data)
+            for _ in range(rng.randrange(1, 4)):
+                blob[rng.randrange(len(blob))] ^= 1 << rng.randrange(8)
+            blob = bytes(blob)
+            assert read_outcome(read_gds, blob) == read_outcome(
+                reference_read, blob
+            )
 
 
 # -- the bucket-grid touch search the array kernel replaced: test oracle --
@@ -448,8 +649,7 @@ class TestIdentify:
         victim = next(
             s for s in library.structs if s.name in pdk.library.cells
         )
-        boundary = victim.boundaries[0]
-        boundary.points = [(x + 2, y) for x, y in boundary.points]
+        victim.move_rect(0, 2, 0)
         _, mismatches = identify_masters(
             library, library.struct(mapped.name), pdk
         )

@@ -96,8 +96,8 @@ class TestGdsCodec:
         assert parsed.name == "testlib"
         assert [s.name for s in parsed.structs] == ["cell", "top"]
         parsed_cell = parsed.struct("cell")
-        assert parsed_cell.boundaries[0].layer == 1
-        assert parsed_cell.boundaries[0].points[2] == (2500, 1000)
+        assert parsed_cell.rects[0, 0] == 1
+        assert tuple(parsed_cell.rects[0, 4:]) == (2500, 1000)
         parsed_top = parsed.struct("top")
         assert parsed_top.srefs[0].struct_name == "cell"
         assert parsed_top.srefs[0].position == (10000, 20000)
@@ -117,14 +117,108 @@ class TestGdsCodec:
         assert parsed.name == "abc"
         assert parsed.structs[0].name == "wxy"
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda s: s.add_rect(1 << 15, 0, 0, 0, 1, 1),
+         "structure 'top': BOUNDARY 1 layer 32768 is outside int16"),
+        (lambda s: s.add_rect(1, -(1 << 15) - 1, 0, 0, 1, 1),
+         "structure 'top': BOUNDARY 1 datatype -32769 is outside int16"),
+        (lambda s: s.texts.append(GdsText(-(1 << 15) - 1, "a", (0, 0))),
+         "structure 'top': TEXT 'a' layer -32769 is outside int16"),
+    ])
+    def test_layer_outside_int16_rejected(self, edit, message):
+        self.assert_write_rejects(edit, message)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda s: s.add_rect(1, 0, 0, 0, 1 << 31, 1),
+         "structure 'top': BOUNDARY 1 coordinate 2147483648 is outside int32"),
+        (lambda s: s.add_boundary(1, 0, [(0, -(1 << 31) - 1), (5, 0), (0, 0)]),
+         "structure 'top': BOUNDARY 1 coordinate -2147483649 is outside "
+         "int32"),
+        (lambda s: s.srefs.append(GdsSRef("leaf", (0, -(1 << 31) - 1))),
+         "structure 'top': SREF 'leaf' y -2147483649 is outside int32"),
+        (lambda s: s.texts.append(GdsText(1, "a", (1 << 31, 0))),
+         "structure 'top': TEXT 'a' x 2147483648 is outside int32"),
+    ])
+    def test_coordinate_outside_int32_rejected(self, edit, message):
+        self.assert_write_rejects(edit, message)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda s: setattr(s, "name", "caf\u00e9"),
+         "structure 'caf\u00e9': name 'caf\u00e9' is not ASCII"),
+        (lambda s: s.srefs.append(GdsSRef("\u00e9t\u00e9", (0, 0))),
+         "structure 'top': SREF name '\u00e9t\u00e9' is not ASCII"),
+        (lambda s: s.texts.append(GdsText(1, "\u03bc", (0, 0))),
+         "structure 'top': TEXT string '\u03bc' is not ASCII"),
+    ])
+    def test_non_ascii_name_rejected(self, edit, message):
+        self.assert_write_rejects(edit, message)
+        with pytest.raises(
+            ValueError,
+            match="library 'lib\u00e9': name 'lib\u00e9' is not ASCII",
+        ):
+            write_gds(GdsLibrary("lib\u00e9"))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda s: setattr(s, "name", "n" * 65531),
+         "name of 65531 bytes exceeds the 65530-byte record limit"),
+        (lambda s: s.texts.append(GdsText(1, "t" * 70000, (0, 0))),
+         "structure 'top': TEXT string of 70000 bytes exceeds the "
+         "65530-byte record limit"),
+    ])
+    def test_overlong_name_rejected(self, edit, message):
+        self.assert_write_rejects(edit, message)
+        library = GdsLibrary("lib")
+        library.add(GdsStruct("n" * 65530))
+        assert read_gds(write_gds(library)).structs[0].name == "n" * 65530
+
+    def test_ring_over_one_record_rejected(self):
+        ring = [(x, 0) for x in range(8191)] + [(0, 1)]
+        self.assert_write_rejects(
+            lambda s: s.add_boundary(1, 0, ring),
+            "structure 'top': BOUNDARY 1 has 8192 points, more than one XY "
+            "record holds (8191)",
+        )
+
+    @staticmethod
+    def assert_write_rejects(edit, message):
+        library = GdsLibrary("lib")
+        library.add(GdsStruct("leaf"))
+        top = library.add(GdsStruct("top"))
+        top.add_rect(1, 0, 0, 0, 10, 10)
+        top.srefs.append(GdsSRef("leaf", (0, 0)))
+        write_gds(library)
+        edit(top)
+        with pytest.raises(ValueError) as error:
+            write_gds(library)
+        assert message in str(error.value)
+
+    def test_rows_edit_in_place(self):
+        struct = GdsStruct("s")
+        struct.add_rect(1, 0, 0, 0, 4, 2)
+        struct.add_boundary(2, 0, [(0, 0), (3, 1), (1, 5)])
+        struct.add_rect(3, 1, 5, 5, 6, 6)
+        struct.move_rect(1, 10, -1)
+        assert struct.rects[1].tolist() == [2, 0, 10, -1, 13, 4]
+        assert struct.rings == {1: ((10, -1), (13, 0), (11, 4))}
+        struct.remove_rect(0)
+        assert struct.rects.tolist() == [
+            [2, 0, 10, -1, 13, 4], [3, 1, 5, 5, 6, 6],
+        ]
+        assert struct.rings == {0: ((10, -1), (13, 0), (11, 4))}
+        for index in (-1, 2):
+            with pytest.raises(IndexError, match=f"no row {index}"):
+                struct.remove_rect(index)
+            with pytest.raises(IndexError, match=f"no row {index}"):
+                struct.move_rect(index, 1, 1)
+
     def test_flatten_rects_translates(self):
         library = GdsLibrary("lib")
         cell = library.add(GdsStruct("cell"))
         cell.add_rect_um(5, 0, 0, 0, 1, 1)
         top = library.add(GdsStruct("top"))
         top.srefs.append(GdsSRef("cell", (to_db(10), to_db(0))))
-        rects = flatten_rects(library, "top")
-        assert rects[5][0] == Rect(10, 0, 11, 1)
+        rects = flatten_rects(library, "top", [(5, 0)])
+        assert rects[(5, 0)].tolist() == [[10, 0, 11, 1]]
 
 
 @pytest.fixture(scope="module")
@@ -165,7 +259,7 @@ class TestChipAssembly:
         design, pdk = chip_design
         top = build_chip_gds(design).struct("counter")
         outline_layer = pdk.layers.outline.gds_layer
-        outlines = [b for b in top.boundaries if b.layer == outline_layer]
+        outlines = top.rects[top.rects[:, 0] == outline_layer]
         assert len(outlines) == 1
 
 
@@ -201,6 +295,17 @@ class TestDrc:
                         1010.0, 1000.0 + 2 * w + gap)
         report = check_drc(library, pdk.layers, "counter")
         assert any(v.rule == "min_spacing" for v in report.violations)
+
+    def test_sref_to_missing_structure_is_located(self, chip_design):
+        _, pdk = chip_design
+        library = GdsLibrary("t")
+        top = library.add(GdsStruct("top"))
+        top.srefs.append(GdsSRef("missing", (0, 0)))
+        with pytest.raises(
+            ValueError,
+            match="structure 'top' places missing structure 'missing'",
+        ):
+            check_drc(library, pdk.layers, "top")
 
     def test_overlapping_rects_are_not_spacing_violations(self, chip_design):
         design, pdk = chip_design
