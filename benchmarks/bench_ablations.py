@@ -9,10 +9,10 @@ from conftest import build_alu_design, build_mac_pipe, once, print_table
 
 from repro.pdk import get_pdk
 from repro.pnr import (
-    implement,
     make_floorplan,
     place,
     random_place,
+    route,
     synthesize_clock_tree,
 )
 from repro.sta import TimingAnalyzer
@@ -87,23 +87,32 @@ def test_ablation_placer(benchmark):
 
 
 def test_ablation_router_ripup(benchmark):
+    """Rip-up at 4 tracks per grid cell, a quarter of edu130's: the
+    contained placement routes clean at full capacity, and at 4 tracks
+    one pass still overflows."""
     pdk = get_pdk("edu130")
     mapped = synthesize(build_mac_pipe(), pdk.library).mapped
+    placement = place(
+        mapped, make_floorplan(mapped, pdk.node, utilization=0.6)
+    )
 
     def run():
-        congested = implement(mapped, pdk, utilization=0.6,
-                              router_rip_up=False)
-        relaxed = implement(mapped, pdk, utilization=0.6,
-                            router_rip_up=True)
-        return congested, relaxed
+        return tuple(
+            route(mapped, placement, pdk.node, rip_up=rip_up, capacity=4,
+                  max_iterations=8)
+            for rip_up in (False, True)
+        )
 
     congested, relaxed = once(benchmark, run)
     rows = [
-        {"rip_up": False, "overflow": congested.routing.overflow},
-        {"rip_up": True, "overflow": relaxed.routing.overflow},
+        {"rip_up": False, "overflow": congested.overflow,
+         "iterations": congested.iterations},
+        {"rip_up": True, "overflow": relaxed.overflow,
+         "iterations": relaxed.iterations},
     ]
     print_table("ablation: router rip-up and re-route", rows)
-    assert relaxed.routing.overflow <= congested.routing.overflow
+    assert congested.overflow > 0
+    assert relaxed.overflow < congested.overflow
 
 
 def test_ablation_cts_buffering(benchmark):

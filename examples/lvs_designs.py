@@ -4,8 +4,11 @@ For each design built by the example scripts and every IP in the
 catalogue: synthesize, implement, stream out GDSII, then treat those
 *bytes* as the only source of truth — re-extract the netlist from
 geometry alone (``repro.extract``), LVS it net-by-net against the
-mapped netlist and prove equivalence with the formal LEC miter.  Writes
-one JSON report and exits nonzero on any mismatch.
+mapped netlist and prove equivalence with the formal LEC miter.  Each
+design's routing overflow goes in the report too.  Writes one JSON
+report and exits nonzero on any mismatch; a placed cell outside the
+core stops the run earlier, with the ``PlacementError`` that placement's
+containment check raises.
 
 With ``--mutate`` it also runs the trojan drill: for every trojan class
 (:data:`repro.extract.TROJAN_KINDS`) a seeded layout mutation is
@@ -51,10 +54,12 @@ def lvs_all(pdk):
     failed = []
     for name, module in example_modules():
         mapped = synthesize(module, pdk.library).mapped
-        data = write_gds(build_chip_gds(implement(mapped, pdk)))
+        design = implement(mapped, pdk)
+        data = write_gds(build_chip_gds(design))
         report = run_lvs(data, mapped, pdk)
         verdict = "CLEAN" if report.clean else "FAIL"
-        print(f"{name:35s} {verdict:6s} {report.summary()}")
+        print(f"{name:35s} {verdict:6s} {report.summary()} "
+              f"overflow={design.routing.overflow}")
         for mismatch in report.mismatches[:5]:
             print(f"  {mismatch}")
         if not report.clean:
@@ -62,6 +67,7 @@ def lvs_all(pdk):
         designs.append({
             "design": name,
             "gds_bytes": len(data),
+            "route_overflow": design.routing.overflow,
             "report": report.to_dict(),
         })
     return designs, failed

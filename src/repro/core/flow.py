@@ -16,8 +16,13 @@ Resilience (:mod:`repro.resil`) is threaded through here:
 
 * ``options.continue_on_error`` turns hard stage failures into structured
   :class:`~repro.resil.failure.FlowFailure` records on
-  :attr:`FlowResult.failures`; every downstream stage that can still run
-  does, and the result is marked :attr:`~FlowResult.partial`;
+  :attr:`FlowResult.failures`.  Besides gates and drills, two engine
+  errors are located this way, as ``crash`` failures at their step: a
+  :class:`~repro.pnr.placement.PlacementError` (cells that do not fit
+  their rows) and a :class:`~repro.layout.fabric.FabricError` (a layout
+  the fabric cannot draw).  After a failure, every downstream stage
+  that can still run does, and the result is marked
+  :attr:`~FlowResult.partial`;
 * ``options.checkpoints`` saves each completed stage under a content hash
   of (RTL, PDK, preset, seed) so a re-run resumes where the last one
   stopped and reproduces the cold run byte-for-byte;
@@ -34,6 +39,7 @@ from ..formal.lec import LecReport, lec_flow
 from ..hdl.ir import Module
 from ..layout.chip import build_chip_gds
 from ..layout.drc import DrcReport, check_drc
+from ..layout.fabric import FabricError
 from ..layout.gds import write_gds
 from ..layout.lvs import LvsReport
 from ..lint import Finding, LintReport, Waiver, lint_mapped, lint_module
@@ -41,6 +47,7 @@ from ..obs.metrics import MetricsRegistry, get_metrics
 from ..obs.trace import Span, Tracer, get_tracer
 from ..pdk.pdks import Pdk
 from ..pnr.physical import PhysicalDesign, implement
+from ..pnr.placement import PlacementError
 from ..power.engine import PowerAnalyzer, PowerReport
 from ..resil.checkpoint import StageCheckpointer, flow_cache_key, resume_or_run
 from ..resil.failure import FlowFailure, InjectedFault
@@ -430,6 +437,10 @@ def run_flow(
             record(step, span, ok=False)
             fail(exc.stage, str(exc), kind="injected")
             return None
+        except FabricError as exc:
+            record(step, span, ok=False)
+            fail(step.value, f"layout build failed: {exc}", kind="crash")
+            return None
         record(step, span, **report(artifact))
         return artifact
 
@@ -555,7 +566,7 @@ def run_flow(
         # -- backend: floorplan → place → CTS → route (checkpointable) ------
         physical: PhysicalDesign | None = None
         if synth is not None:
-            fault: InjectedFault | None = None
+            fault: FlowFailure | None = None
             try:
                 physical = implement(
                     synth.mapped,
@@ -573,7 +584,10 @@ def run_flow(
                     eco=opts.eco,
                 )
             except InjectedFault as exc:
-                fault = exc
+                fault = FlowFailure(exc.stage, str(exc), "injected")
+            except PlacementError as exc:
+                fault = FlowFailure(FlowStep.PLACEMENT.value,
+                                    f"placement failed: {exc}", "crash")
             # A fault ends the backend at its step: the steps that
             # finished before it report no metrics.
             for step, name in _BACKEND_STEPS:
@@ -586,7 +600,7 @@ def run_flow(
                 else:
                     record(step, span)
             if fault is not None:
-                fail(fault.stage, str(fault), kind="injected")
+                fail(fault.stage, fault.message, fault.kind)
 
         # -- analysis + signoff stages --------------------------------------
         timing: TimingReport | None = None
@@ -641,14 +655,17 @@ def run_flow(
                     FlowStep.DESIGN_RULE_CHECK.value,
                     f"DRC failed: {drc.summary()}",
                 )
-            gds_bytes = stage(
-                FlowStep.GDS_EXPORT,
-                lambda: write_gds(
-                    gds_library if gds_library is not None
-                    else build_chip_gds(physical)
-                ),
-                lambda data: {"bytes": len(data)},
-            )
+            # A drilled DRC leaves the export to build the layout; one the
+            # fabric could not build leaves nothing to export.
+            if drc is not None or failures[-1].kind == "injected":
+                gds_bytes = stage(
+                    FlowStep.GDS_EXPORT,
+                    lambda: write_gds(
+                        gds_library if gds_library is not None
+                        else build_chip_gds(physical)
+                    ),
+                    lambda data: {"bytes": len(data)},
+                )
 
         # GDS-in signoff: the exported *bytes* are re-parsed, the
         # netlist re-extracted from geometry alone, and the result

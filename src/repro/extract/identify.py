@@ -15,6 +15,8 @@ scrambled.
 
 from __future__ import annotations
 
+import weakref
+
 from ..layout.gds import GdsLibrary, GdsStruct
 from ..pdk.cells import StandardCell
 from ..pdk.pdks import Pdk
@@ -53,14 +55,29 @@ def master_fingerprint(
     return (tuple(rects), tuple(texts), tuple(srefs))
 
 
+#: ``id(pdk)`` -> that Pdk's reference table; an entry leaves with its
+#: Pdk, before the id can be reused.
+_REFERENCES: dict[int, dict[Fingerprint, StandardCell]] = {}
+
+
 def reference_fingerprints(pdk: Pdk) -> dict[Fingerprint, StandardCell]:
     """Fingerprint → library cell for every cell in the PDK.
 
+    Built once per :class:`~repro.pdk.pdks.Pdk` instance and shared by
+    every extraction on it, so callers must not mutate the table.
     Raises :class:`RuntimeError` on a collision: the identity stripes in
     :func:`~repro.layout.chip.cell_master_struct` are meant to make all
     masters geometrically distinct, and a silent collision would make
     identification ambiguous.
     """
+    table = _REFERENCES.get(id(pdk))
+    if table is None:
+        table = _REFERENCES[id(pdk)] = _fingerprint_library(pdk)
+        weakref.finalize(pdk, _REFERENCES.pop, id(pdk), None)
+    return table
+
+
+def _fingerprint_library(pdk: Pdk) -> dict[Fingerprint, StandardCell]:
     from ..layout.chip import cell_master_struct
 
     label = pdk.layers.by_name("label").gds_layer

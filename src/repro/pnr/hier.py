@@ -7,7 +7,8 @@ reuse downstream.  ``hier_place`` trades a few percent of wirelength for
 stitched names (``u_cpu.u_alu.u3_AND2`` → region ``u_cpu.u_alu``), each
 region gets a square-ish rectangular block of the core sized from a
 power-of-two bucket of its cell area (blocks are shelf-packed tallest
-first), and each block is solved and legalized independently.
+first, and packed again smaller until the shelves fit in the core), and
+each block is solved and legalized independently.
 Cross-region nets pull against pure-geometry anchors (block centres, IO
 pins) rather than against other regions' cells, so a region whose
 subnetlist did not change re-derives exactly the same positions — the
@@ -18,8 +19,8 @@ The solver, the legalizer, the cell width and the finishing step are the
 flat placer's (:mod:`repro.pnr.placement`).  This placer keeps its own
 choices: per region, nets in net-id order with members as sorted cell
 indexes then the anchor, a pull to the block centre, and one
-legalization call per block between the block's own ``x0``/``x1`` over
-cursors shared by every block, cells in ``(x, name)`` order.
+legalization call per block, in packing order, between the block's own
+``x0``/``x1`` over cursors shared by every block.
 
 Stability is a performance property, not a correctness one: the placer
 is a deterministic function of the current netlist and floorplan alone,
@@ -51,6 +52,12 @@ QUANTIZE_ROWS2 = 64.0
 #: Fraction of the core handed to region blocks; the rest is headroom
 #: for shelf-packing waste (blocks of unequal heights on one shelf).
 PACK_FILL = 0.9
+
+#: Factor on the fill for each repacking after the shelves overrun the
+#: core: shelf-packing waste is not known before packing, and every
+#: block must keep its whole size, since legalization never spills a
+#: block's cells out of it.
+PACK_SHRINK = 0.9
 
 #: Extra whitespace for hierarchical floorplans.  Region blocks
 #: concentrate their cells' routing demand and the channels between
@@ -111,6 +118,53 @@ def _bucket(value: float, base: float) -> float:
     return base * 2.0 ** math.ceil(math.log2(value / base))
 
 
+def _shelf_pack(
+    budget: dict[str, float], floorplan: Floorplan, fill: float
+) -> dict[str, tuple[float, float, int, int]] | None:
+    """Region -> block ``(x0, x1, first row index, one-past-last row
+    index)``, or ``None`` when the shelves overrun the core.
+
+    Square-ish blocks share ``fill`` of the core in proportion to their
+    budgets and are shelf-packed tallest first.  Every dimension derives
+    from the pow-2 budgets and the (quantized) core alone, so the whole
+    layout is fixed under edits that stay in-bucket.  With a
+    :func:`hier_utilization` floorplan and ``fill`` at
+    :data:`PACK_FILL`, each block's internal density is at most the
+    preset utilization.
+    """
+    row0 = floorplan.rows[0]
+    row_h = row0.height
+    core_w = row0.width
+    n_rows = len(floorplan.rows)
+    core_area = core_w * n_rows * row_h
+    total_budget = sum(budget.values())
+    dims: dict[str, tuple[float, int]] = {}
+    for key, share in budget.items():
+        area = fill * core_area * share / total_budget
+        h_rows = max(1, min(n_rows, round(math.sqrt(area) / row_h)))
+        width = min(core_w, area / (h_rows * row_h))
+        dims[key] = (width, h_rows)
+
+    blocks: dict[str, tuple[float, float, int, int]] = {}
+    shelf_r0, shelf_h, x_cur = 0, 0, row0.x0
+    for key in sorted(budget, key=lambda k: (-dims[k][1], -dims[k][0], k)):
+        width, h_rows = dims[key]
+        if x_cur > row0.x0 and x_cur + width > row0.x0 + core_w + 1e-9:
+            shelf_r0 += shelf_h
+            shelf_h, x_cur = 0, row0.x0
+        if shelf_r0 + h_rows > n_rows:
+            return None
+        shelf_h = max(shelf_h, h_rows)
+        blocks[key] = (
+            x_cur,
+            min(x_cur + width, row0.x0 + core_w),
+            shelf_r0,
+            shelf_r0 + h_rows,
+        )
+        x_cur += width
+    return blocks
+
+
 def hier_place(
     mapped: MappedNetlist,
     floorplan: Floorplan,
@@ -137,43 +191,9 @@ def hier_place(
         key: _bucket(sum(i.cell.area_um2 for i in groups[key]), base)
         for key in keys
     }
-    core_w = row0.width
-    n_rows = len(floorplan.rows)
-    core_area = core_w * n_rows * row_h
-
-    # Square-ish blocks, shelf-packed tallest first.  Every dimension
-    # derives from the pow-2 budgets and the (quantized) core alone, so
-    # the whole layout is fixed under edits that stay in-bucket.  The
-    # blocks share PACK_FILL of the core in proportion to their
-    # budgets; with a :func:`hier_utilization` floorplan that caps each
-    # block's internal density at the preset utilization.
-    total_budget = sum(budget.values())
-    dims: dict[str, tuple[float, int]] = {}
-    for key in keys:
-        area = PACK_FILL * core_area * budget[key] / total_budget
-        h_rows = max(1, min(n_rows, round(math.sqrt(area) / row_h)))
-        width = min(core_w, area / (h_rows * row_h))
-        dims[key] = (width, h_rows)
-
-    #: region -> (x0, x1, first row index, one-past-last row index)
-    blocks: dict[str, tuple[float, float, int, int]] = {}
-    shelf_r0, shelf_h, x_cur = 0, 0, row0.x0
-    for key in sorted(keys, key=lambda k: (-dims[k][1], -dims[k][0], k)):
-        width, h_rows = dims[key]
-        if x_cur > row0.x0 and x_cur + width > row0.x0 + core_w + 1e-9:
-            shelf_r0 += shelf_h
-            shelf_h, x_cur = 0, row0.x0
-        if shelf_r0 >= n_rows:  # packing overflow: reuse the last rows
-            shelf_r0 = n_rows - 1
-        h_rows = min(h_rows, n_rows - shelf_r0)
-        shelf_h = max(shelf_h, h_rows)
-        blocks[key] = (
-            x_cur,
-            min(x_cur + width, row0.x0 + core_w),
-            shelf_r0,
-            shelf_r0 + h_rows,
-        )
-        x_cur += width
+    fill = PACK_FILL
+    while (blocks := _shelf_pack(budget, floorplan, fill)) is None:
+        fill *= PACK_SHRINK
     block_center = {
         key: (
             (x0 + x1) / 2.0,
@@ -232,19 +252,16 @@ def hier_place(
                 quadratic_positions(cells, nets, block_center[key])
             )
 
-        # Block-by-block legalization over shared per-row cursors, so a
-        # block that overflows its budget spills rightward without ever
-        # overlapping a neighbour on the same shelf.
+        # Block-by-block legalization over shared per-row cursors, in
+        # packing order: along a shelf, left to right, so a block's
+        # rows are advanced only by its left neighbours, whose cells
+        # stay inside them and so end at or before its x0.
         next_x = {row.index: row.x0 for row in floorplan.rows}
         placed: dict[str, PlacedCell] = {}
-        for key in keys:
-            bx0, bx1, r0, r1 = blocks[key]
-            order = sorted(
-                groups[key],
-                key=lambda inst: (desired[inst.name][0], inst.name),
-            )
+        for key, (bx0, bx1, r0, r1) in blocks.items():
             placed.update(legalize_rows(
-                order, desired, floorplan.rows[r0:r1], bx0, bx1, next_x
+                groups[key], desired, floorplan.rows[r0:r1], bx0, bx1,
+                next_x,
             ))
         if tracer.enabled:
             sp.set(regions=len(keys), cells=len(placed))

@@ -7,8 +7,10 @@ The classic academic recipe:
    node (large nets); fixed points (IO pins, region anchors) anchor the
    system.  The resulting sparse linear system is solved with
    :mod:`scipy.sparse`.
-2. **Legalization**: Tetris (:func:`legalize_rows`) — cells, in the
-   caller's order, are appended to the row that minimizes displacement.
+2. **Legalization** (:func:`legalize_rows`): the cells are dealt over
+   the rows by cumulative width in y order, then packed Abacus-style
+   within each row, so every cell stays inside its row segment however
+   tightly the global solve clumps them.
 3. **Detailed placement** (optional, the "commercial" preset): greedy
    equal-width cell swaps that reduce half-perimeter wirelength (HPWL).
 
@@ -37,6 +39,14 @@ from .floorplan import Floorplan, Row
 
 #: Nets with more pins than this use a star model instead of a clique.
 CLIQUE_LIMIT = 8
+
+#: Float rounding allowed at a row segment's ends, in um: a millionth of
+#: the 1 nm layout grid.
+CONTAIN_TOL_UM = 1e-9
+
+
+class PlacementError(ValueError):
+    """Cells that do not fit their rows, or a placed cell off its row."""
 
 
 @dataclass
@@ -223,43 +233,112 @@ def legalize_rows(
     x1: float,
     next_x: dict[int, float],
 ) -> dict[str, PlacedCell]:
-    """Tetris legalization of ``cells``, in list order, into ``rows`` (in
-    index order) between ``x0`` and ``x1``.
+    """Contained legalization of ``cells`` into the block of ``rows`` (in
+    index order) between ``x0`` and ``x1``; ``desired`` holds centres.
 
     ``next_x`` maps each row index to the row's first free x and is
     advanced in place, so a caller legalizing neighbouring blocks of the
-    same rows shares one cursor map across calls.  Each cell takes the
-    row and x closest to its ``desired`` position, skipping rows whose
-    segment is full; when every row is full it spills, at the cursor,
-    into the row with the lowest ``(max(next_x, x0), row index)``.
+    same rows shares one cursor map across calls.  A row's free segment
+    is ``[max(next_x, x0), x1]``.  Two steps:
+
+    1. **Deal.**  Cells in desired-y order (then desired x, then name,
+       so the caller's list order never matters) go to the rows by
+       cumulative width: each row takes its share of the cells' total
+       width, in proportion to its free width and never more than its
+       free width, so whitespace spreads over the whole block instead
+       of queueing behind a clump.
+    2. **Pack.**  Each row's cells, in desired-x order, are packed
+       Abacus-style: a cell wants its desired x, overlapping cells merge
+       into a cluster that sits at its members' mean wanted offset, and
+       every cluster is clamped into the row's free segment.
+
+    No cell leaves its row's free segment (to within float rounding,
+    :data:`CONTAIN_TOL_UM`).  Raises :class:`PlacementError`, naming the
+    block and the widths, if the cells do not fit.
     """
     row_height = rows[0].height
+    widths = {inst.name: cell_width(inst.cell, row_height) for inst in cells}
+    starts = [max(next_x[row.index], x0) for row in rows]
+    free = [max(0.0, x1 - start) for start in starts]
+    total_free = sum(free)
+    total = sum(widths.values())
+
+    def overfull(what: str) -> PlacementError:
+        return PlacementError(
+            f"rows {rows[0].index}..{rows[-1].index} between x {x0:.3f} "
+            f"and {x1:.3f} um: {len(cells)} cells {total:.3f} um wide "
+            f"{what} {total_free:.3f} um of free row width"
+        )
+
+    if total > total_free + CONTAIN_TOL_UM:
+        raise overfull("exceed the")
+
+    # Deal: row r takes the cells whose cumulative-width midpoint falls
+    # under its cumulative quota, unless the cell would overfill it.
+    last = len(rows) - 1
+    dealt: list[list[str]] = [[] for _ in rows]
+    load = [0.0] * len(rows)
+    scale = total / total_free if total_free > 0.0 else 0.0
+    bound = free[0] * scale
+    r = 0
+    before = 0.0
+    order = sorted(
+        cells,
+        key=lambda i: (desired[i.name][1], desired[i.name][0], i.name),
+    )
+    for inst in order:
+        width = widths[inst.name]
+        middle = before + width / 2.0
+        before += width
+        while r < last and (
+            middle > bound
+            or load[r] + width > free[r] + CONTAIN_TOL_UM
+        ):
+            r += 1
+            bound += free[r] * scale
+        target = r
+        if load[r] + width > free[r] + CONTAIN_TOL_UM:
+            # The last rows are full: the emptiest row that still fits.
+            target = max(range(len(rows)), key=lambda k: free[k] - load[k])
+            if load[target] + width > free[target] + CONTAIN_TOL_UM:
+                raise overfull("do not pack into the")
+        dealt[target].append(inst.name)
+        load[target] += width
+
     placed: dict[str, PlacedCell] = {}
-    for inst in cells:
-        x_want, y_want = desired[inst.name]
-        width = cell_width(inst.cell, row_height)
-        x_fit = min(x_want, x1 - width)
-        best: tuple[float, Row, float] | None = None  # (cost, row, x)
-        for row in rows:
-            # start = max(cursor, x0) and x = max(start, x_fit), spelled
-            # as comparisons: this loop is the legalizer's hot path.
-            start = next_x[row.index]
-            if x0 > start:
-                start = x0
-            x = x_fit if x_fit > start else start
-            if x + width > x1 and start > x0:
-                continue  # this row's segment is full
-            cost = abs(x - x_want) + abs(row.y - y_want)
-            if best is None or cost < best[0]:
-                best = (cost, row, x)
-        if best is None:
-            # Every row is full, so every cursor is past x0.
-            row = min(rows, key=lambda r: next_x[r.index])
-            x = next_x[row.index]
-        else:
-            _, row, x = best
-        placed[inst.name] = PlacedCell(inst.name, x, row.y, width, row.height)
-        next_x[row.index] = x + width
+    for row, start, names in zip(rows, starts, dealt):
+        if not names:
+            continue
+        names.sort(key=lambda n: desired[n][0])  # stable: ties in deal order
+        # Abacus clusters: (x, members, sum over members of wanted x
+        # less offset in the cluster, width, index of the first name).
+        # The sum over members is what puts a cluster at its mean.
+        clusters: list[tuple[float, int, float, float, int]] = []
+        for i, name in enumerate(names):
+            width = widths[name]
+            members, span, first = 1, width, i
+            wanted = desired[name][0] - width / 2.0
+            while True:
+                x = min(wanted / members, x1 - span)
+                if x < start:
+                    x = start
+                if not clusters or clusters[-1][0] + clusters[-1][3] <= x:
+                    break
+                # Merge into the cluster on the left, which now sits
+                # ``left_span`` before each of this cluster's members.
+                _, left_members, left_wanted, left_span, first = (
+                    clusters.pop()
+                )
+                wanted = left_wanted + wanted - members * left_span
+                members += left_members
+                span += left_span
+            clusters.append((x, members, wanted, span, first))
+        for x, members, _, _, first in clusters:
+            for name in names[first:first + members]:
+                width = widths[name]
+                placed[name] = PlacedCell(name, x, row.y, width, row.height)
+                x += width
+        next_x[row.index] = x
     return placed
 
 
@@ -268,8 +347,29 @@ def finish_placement(
     floorplan: Floorplan,
     placed: dict[str, PlacedCell],
 ) -> Placement:
-    """Every placer's last step: the HPWL of the legal cells, then the
-    :class:`Placement`."""
+    """Every placer's last step: the containment check, the HPWL of the
+    legal cells, then the :class:`Placement`.
+
+    Raises :class:`PlacementError` naming the first cell that is not on
+    a core row or reaches past its row's ``[x0, x1]`` by more than
+    :data:`CONTAIN_TOL_UM`.
+    """
+    row_at = {row.y: row for row in floorplan.rows}
+    outside = [
+        cell for cell in placed.values()
+        if (row := row_at.get(cell.y)) is None
+        or cell.x < row.x0 - CONTAIN_TOL_UM
+        or cell.x + cell.width > row.x1 + CONTAIN_TOL_UM
+    ]
+    if outside:
+        cell, rows = outside[0], floorplan.rows
+        raise PlacementError(
+            f"cell {cell.name!r} at x {cell.x:.3f}.."
+            f"{cell.x + cell.width:.3f} um, y {cell.y:.3f} um is outside "
+            f"the core rows (x {rows[0].x0:.3f}..{rows[0].x1:.3f} um, "
+            f"y {rows[0].y:.3f}..{rows[-1].y + rows[-1].height:.3f} um); "
+            f"cells outside: {len(outside)}"
+        )
     xy = {n: (c.cx, c.cy) for n, c in placed.items()}
     total = hpwl(net_pin_positions(mapped, xy, floorplan))
     return Placement(placed, floorplan, round(total, 3))
@@ -282,11 +382,10 @@ def _legalize_flat(
 ) -> dict[str, PlacedCell]:
     """The flat placers' legalization: every row of the core is one
     block (:func:`~repro.pnr.floorplan.make_floorplan` gives all rows
-    the same ``x0``/``x1``), cells stable-sorted by desired x."""
+    the same ``x0``/``x1``)."""
     rows = floorplan.rows
     return legalize_rows(
-        sorted(mapped.cells, key=lambda inst: desired[inst.name][0]),
-        desired, rows, rows[0].x0, rows[0].x1,
+        mapped.cells, desired, rows, rows[0].x0, rows[0].x1,
         {row.index: row.x0 for row in rows},
     )
 

@@ -12,7 +12,8 @@ consumers with different lifetimes:
 Keeping the implementation in one module is the contract: the two paths
 can never drift, because there is only one path.  The base payload is
 (canonical RTL, PDK name, preset knobs, seed) — exactly what the stage
-artifacts depend on; a consumer whose artifact depends on more (the
+artifacts depend on — plus :data:`OUTPUT_VERSION`, the version of the
+engine's outputs; a consumer whose artifact depends on more (the
 result cache also keys on clock period, DRC strictness, …) folds the
 surplus in through ``extra`` without disturbing base-key compatibility.
 """
@@ -22,6 +23,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+
+#: Version of what the flow makes of a request.  Every key carries it,
+#: so a persistent store written by an engine with other outputs misses
+#: instead of serving its stale stage artifacts and results.  Bump it
+#: with every change that alters placements, layouts or reports on
+#: purpose.  Version 1: contained row legalization.
+OUTPUT_VERSION = 1
 
 
 def canonical(value):
@@ -46,13 +54,15 @@ def flow_cache_key(module, pdk_name: str, preset, seed: int,
 
     The module contributes its canonical Verilog text (not its object
     identity), so two builds of the same RTL share checkpoints and any
-    edit — however small — misses.  With ``extra=None`` the key is
-    byte-compatible with the historical checkpoint key; a non-empty
-    ``extra`` dict mixes additional request knobs into the hash.
+    edit — however small — misses, and so does the same request to an
+    engine of another :data:`OUTPUT_VERSION`.  With ``extra=None`` the
+    key is the checkpoint key; a non-empty ``extra`` dict mixes
+    additional request knobs into the hash.
     """
     from ..hdl.verilog import to_verilog
 
     payload = {
+        "version": OUTPUT_VERSION,
         "rtl": to_verilog(module),
         "pdk": pdk_name,
         "preset": canonical(preset),

@@ -7,6 +7,8 @@ netlist — and the must-fail half plants seeded trojans that the check
 has to catch.
 """
 
+import dataclasses
+import gc
 import random
 import struct as struct_mod
 from collections import defaultdict
@@ -18,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.extract.geom as geom
+import repro.extract.identify as identify_module
 import repro.extract.netlist as netlist_module
 from repro.cli import main
 from repro.core.flow import FlowResult, run_flow
@@ -41,7 +44,7 @@ from repro.layout import build_chip_gds, flatten_rects, read_gds, write_gds
 from repro.layout.gds import GdsLibrary, GdsSRef, GdsStruct, GdsText
 from repro.layout.chip import cell_master_struct
 from repro.layout.lvs import LvsReport, check_lvs
-from repro.pdk import get_pdk
+from repro.pdk import get_pdk, make_edu045, make_edu130, make_edu180
 from repro.pnr import implement
 from repro.synth import synthesize
 
@@ -608,6 +611,40 @@ class TestIdentify:
             pdk = get_pdk(pdk_name)
             table = reference_fingerprints(pdk)
             assert len(table) == len(pdk.library.cells)
+
+    def test_reference_table_built_once_per_pdk(self):
+        for make in (make_edu045, make_edu130, make_edu180):
+            pdk = get_pdk(make.__name__.removeprefix("make_"))
+            table = reference_fingerprints(pdk)
+            assert reference_fingerprints(pdk) is table
+            # A PDK built outside get_pdk fingerprints its own library.
+            fresh = make()
+            fresh_table = reference_fingerprints(fresh)
+            assert fresh_table is not table
+            assert {fp: c.name for fp, c in fresh_table.items()} == {
+                fp: c.name for fp, c in table.items()
+            }
+            for cell in fresh_table.values():
+                assert fresh.library.cells[cell.name] is cell
+
+    def test_reference_table_never_crosses_pdks(self, monkeypatch):
+        # Every PDK on one id: what CPython does when it hands a collected
+        # PDK's address to the next one allocated.
+        monkeypatch.setattr(identify_module, "id", lambda obj: 0,
+                            raising=False)
+        pdk = get_pdk("edu180")
+        cells = dict(pdk.library.cells)
+        del cells["INV_X1"]
+        full = dataclasses.replace(pdk)
+        assert len(reference_fingerprints(full)) == len(pdk.library.cells)
+        del full
+        gc.collect()
+        trimmed = dataclasses.replace(
+            pdk, library=dataclasses.replace(pdk.library, cells=cells)
+        )
+        table = reference_fingerprints(trimmed)
+        assert len(table) == len(cells)
+        assert "INV_X1" not in {cell.name for cell in table.values()}
 
     def test_fingerprint_ignores_label_texts(self, pdk):
         cell = pdk.library.cells["INV_X1"]

@@ -418,9 +418,11 @@ ROUTER_CASES = {
     "fifo-edu130": (lambda: _case("fifo", "edu130"), {}, 1),
     "uart_tx-edu180": (lambda: _case("uart_tx", "edu180"), {}, 1),
     "seven_seg-edu180": (lambda: _case("seven_seg", "edu180"), {}, 1),
-    # Every rip-up round runs and congestion stays.
+    # Every rip-up round runs and congestion stays: the contained
+    # placement routes clean at the real capacity, so this case routes
+    # it at 4 tracks.
     "tinycpu-commercial": (
-        lambda: _case("tinycpu", "edu130", COMMERCIAL),
+        lambda: _case("tinycpu", "edu130", COMMERCIAL, capacity=4),
         {"max_iterations": 8},
         8,
     ),

@@ -1,14 +1,25 @@
 """Tests for floorplanning, placement, CTS and routing."""
 
+import os
+import sys
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import FlowOptions
+from repro.core.presets import COMMERCIAL, OPEN
+from repro.extract import run_lvs
 from repro.hdl import ModuleBuilder, mux
-from repro.inter import Workspace
+from repro.inter import EcoSession, Workspace
 from repro.ip import make_counter, make_pwm, make_seven_seg
+from repro.ip.catalog import catalogue, generate
+from repro.layout import build_chip_gds, check_drc, write_gds
 from repro.layout.chip import master_footprint
 from repro.pdk import get_pdk
 from repro.pnr import (
+    Row,
     hpwl,
     implement,
     make_floorplan,
@@ -24,7 +35,20 @@ from repro.pnr.hier import (
     hier_quantize_um2,
     hier_utilization,
 )
+from repro.pnr.placement import (
+    CONTAIN_TOL_UM,
+    PlacementError,
+    finish_placement,
+    legalize_rows,
+)
 from repro.synth import synthesize
+
+sys.path.insert(
+    0, os.path.join(os.path.dirname(__file__), "..", "examples")
+)
+from quickstart import build_counter  # noqa: E402
+from research_node_access import build_research_datapath  # noqa: E402
+from tiny_soc import build_soc  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -269,3 +293,223 @@ class TestImplement:
         )
         report = sta.analyze(10_000.0)
         assert report.met
+
+
+# -- contained legalization --------------------------------------------------
+
+#: Row height and placement site of the synthetic legalizer inputs.
+ROW_H = 3.0
+SITE = ROW_H / 10.0
+
+
+def _inst(i: int, sites: int):
+    """A cell instance ``sites`` placement sites wide, as legalize_rows
+    reads it: a name and a cell with an area."""
+    return SimpleNamespace(
+        name=f"c{i}", cell=SimpleNamespace(area_um2=sites * SITE * ROW_H)
+    )
+
+
+@st.composite
+def legalizer_inputs(draw):
+    """(cells, desired centres, rows, x0, x1, cursors) for one block."""
+    first_row = draw(st.integers(0, 4))
+    rows = [
+        Row(i, i * ROW_H, 0.0, 1000.0, ROW_H)
+        for i in range(first_row, first_row + draw(st.integers(1, 5)))
+    ]
+    x0 = draw(st.integers(0, 40)) * SITE
+    x1 = x0 + draw(st.integers(1, 120)) * SITE
+    sites = draw(st.lists(st.integers(1, 12), min_size=1, max_size=40))
+    cells = [_inst(i, n) for i, n in enumerate(sites)]
+    # Cursors behind the block, inside it or past its end, off the grid.
+    cursors = {
+        row.index: draw(st.floats(x0 - 10.0, x1 + 2.0)) for row in rows
+    }
+    spot = st.tuples(st.floats(-100.0, x1 + 100.0),
+                     st.floats(-50.0, rows[-1].y + 50.0))
+    mode = draw(st.sampled_from(["scattered", "clumped", "identical"]))
+    if mode == "scattered":  # anywhere, in or far out of the block
+        desired = {c.name: draw(spot) for c in cells}
+    else:
+        cx, cy = draw(spot)
+        jitter = 0.0 if mode == "identical" else 0.5
+        desired = {
+            c.name: (cx + draw(st.floats(-jitter, jitter)),
+                     cy + draw(st.floats(-jitter, jitter)))
+            for c in cells
+        }
+    return cells, desired, rows, x0, x1, cursors
+
+
+class TestLegalizeRows:
+    """legalize_rows keeps every cell inside its row's free segment."""
+
+    @given(legalizer_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_contained_without_overlap(self, inputs):
+        cells, desired, rows, x0, x1, cursors = inputs
+        start = {r.index: max(cursors[r.index], x0) for r in rows}
+        free = sum(max(0.0, x1 - s) for s in start.values())
+        widths = {c.name: c.cell.area_um2 / ROW_H for c in cells}
+        total = sum(widths.values())
+        advanced = dict(cursors)
+        if total > free + CONTAIN_TOL_UM:
+            with pytest.raises(PlacementError):
+                legalize_rows(cells, desired, rows, x0, x1, advanced)
+            return
+        try:
+            placed = legalize_rows(cells, desired, rows, x0, x1, advanced)
+        except PlacementError:
+            # Only a block too full to deal whole cells into may refuse.
+            assert free - total < len(rows) * max(widths.values())
+            return
+        assert set(placed) == set(widths)
+        by_row = {r.y: r.index for r in rows}
+        per_row: dict[int, list] = {r.index: [] for r in rows}
+        for cell in placed.values():
+            assert cell.width == pytest.approx(widths[cell.name])
+            index = by_row[cell.y]
+            assert cell.x >= start[index] - CONTAIN_TOL_UM
+            assert cell.x + cell.width <= x1 + CONTAIN_TOL_UM
+            per_row[index].append(cell)
+        for index, row_cells in per_row.items():
+            row_cells.sort(key=lambda c: c.x)
+            for left, right in zip(row_cells, row_cells[1:]):
+                assert left.x + left.width <= right.x + CONTAIN_TOL_UM
+            if row_cells:
+                end = row_cells[-1].x + row_cells[-1].width
+                assert advanced[index] == pytest.approx(end)
+            else:
+                assert advanced[index] == cursors[index]
+        # A second call, with the cells in reverse list order, places
+        # them identically: the legalizer's own order decides.
+        again = dict(cursors)
+        assert legalize_rows(
+            cells[::-1], desired, rows, x0, x1, again
+        ) == placed
+        assert again == advanced
+
+    def test_too_full_rows_raise(self):
+        rows = [Row(i, i * ROW_H, 0.0, 3.0, ROW_H) for i in (4, 5)]
+        cells = [_inst(i, 7) for i in range(3)]  # 21 sites, 20 free
+        desired = {c.name: (1.5, 13.5) for c in cells}
+        cursors = {4: 0.0, 5: 0.0}
+        with pytest.raises(PlacementError) as exc:
+            legalize_rows(cells, desired, rows, 0.0, 3.0, cursors)
+        assert str(exc.value) == (
+            "rows 4..5 between x 0.000 and 3.000 um: 3 cells 6.300 um "
+            "wide exceed the 6.000 um of free row width"
+        )
+        assert cursors == {4: 0.0, 5: 0.0}
+
+    def test_rows_too_fragmented_raise(self):
+        rows = [Row(i, i * ROW_H, 0.0, 1.5, ROW_H) for i in (0, 1)]
+        cells = [_inst(i, 3) for i in range(3)]  # 9 sites in 2 x 5
+        desired = {c.name: (0.75, 3.0) for c in cells}
+        with pytest.raises(PlacementError, match="do not pack into the"):
+            legalize_rows(cells, desired, rows, 0.0, 1.5, {0: 0.0, 1: 0.0})
+
+    def test_clump_spreads_over_the_rows(self):
+        rows = [Row(i, i * ROW_H, 0.0, 12.0, ROW_H) for i in range(4)]
+        cells = [_inst(i, 10) for i in range(8)]  # half of 4 x 40 sites
+        desired = {c.name: (6.0, 6.0) for c in cells}
+        placed = legalize_rows(
+            cells, desired, rows, 0.0, 12.0, {r.index: 0.0 for r in rows}
+        )
+        # Two 3 um cells per row, each pair centred on the clump's x.
+        for row in rows:
+            xs = sorted(c.x for c in placed.values() if c.y == row.y)
+            assert xs == pytest.approx([3.0, 6.0])
+
+    def test_finish_placement_names_a_cell_outside_the_core(
+        self, counter_mapped, counter_floorplan
+    ):
+        placed = place(counter_mapped, counter_floorplan).cells
+        cell = next(iter(placed.values()))
+        cell.x = counter_floorplan.rows[0].x1 - cell.width / 2.0
+        with pytest.raises(PlacementError) as exc:
+            finish_placement(counter_mapped, counter_floorplan, placed)
+        assert str(exc.value).startswith(
+            f"cell {cell.name!r} at x {cell.x:.3f}.."
+            f"{cell.x + cell.width:.3f} um, y {cell.y:.3f} um is outside "
+            f"the core rows"
+        )
+        assert str(exc.value).endswith("; cells outside: 1")
+        cell.x = counter_floorplan.rows[0].x0
+        cell.y += 0.5  # between rows
+        with pytest.raises(PlacementError, match=f"cell {cell.name!r} at"):
+            finish_placement(counter_mapped, counter_floorplan, placed)
+
+
+def _signoff_designs():
+    """The GDS-in LVS gate's 17 designs under the OPEN preset, then
+    tinycpu COMMERCIAL."""
+    yield "counter-example", build_counter(), OPEN
+    yield "research-datapath", build_research_datapath(), OPEN
+    yield "tiny-soc", build_soc(), OPEN
+    for name in catalogue():
+        yield name, generate(name).module, OPEN
+    yield "tinycpu-commercial", generate("tinycpu").module, COMMERCIAL
+
+
+@pytest.fixture(scope="module")
+def signoff_netlists():
+    """(pdk name, design) -> (pdk, preset, flat netlist, stitched
+    netlist), synthesized once for every placer.  The stitched netlist
+    is the edit session's, whose cell names carry the instance regions
+    the hierarchical placer blocks by."""
+    built = {}
+    for pdk_name in ("edu130", "edu180"):
+        pdk = get_pdk(pdk_name)
+        for name, module, preset in _signoff_designs():
+            if preset is COMMERCIAL and pdk_name != "edu130":
+                continue
+            flat = synthesize(
+                module, pdk.library, verify=False,
+                objective=preset.mapping_objective,
+                opt_passes=preset.opt_passes, sizing=preset.gate_sizing,
+                max_load_per_drive_ff=preset.max_load_per_drive_ff,
+            ).mapped
+            stitched = EcoSession().synthesize(
+                module, pdk.library, preset, seed=1
+            ).mapped
+            built[pdk_name, name] = (pdk, preset, flat, stitched)
+    return built
+
+
+class TestContainment:
+    """Every placer keeps every cell inside the core, and the layouts of
+    its placements still sign off from their GDS bytes."""
+
+    @pytest.mark.parametrize("placer", ["quadratic", "hier", "random"])
+    def test_catalogue_contained_and_clean(self, signoff_netlists, placer):
+        for (pdk_name, name), (pdk, preset, flat, stitched) in (
+            signoff_netlists.items()
+        ):
+            mapped = stitched if placer == "hier" else flat
+            # A random placement congests every rip-up round (seconds on
+            # the soc) without changing what this test checks.
+            design = implement(
+                mapped, pdk, placer=placer,
+                utilization=preset.utilization,
+                detailed_placement_passes=preset.detailed_placement_passes,
+                router_rip_up=placer != "random",
+            )
+            where = f"{name} on {pdk_name} ({placer})"
+            rows = {row.y: row for row in design.floorplan.rows}
+            per_row: dict[float, list] = {}
+            for cell in design.placement.cells.values():
+                row = rows[cell.y]
+                assert cell.x >= row.x0 - CONTAIN_TOL_UM, where
+                assert cell.x + cell.width <= row.x1 + CONTAIN_TOL_UM, where
+                per_row.setdefault(cell.y, []).append(cell)
+            for row_cells in per_row.values():
+                row_cells.sort(key=lambda c: c.x)
+                for left, right in zip(row_cells, row_cells[1:]):
+                    assert left.x + left.width <= right.x + CONTAIN_TOL_UM
+            library = build_chip_gds(design)
+            assert check_drc(library, pdk.layers, mapped.name).clean, where
+            report = run_lvs(write_gds(library), mapped, pdk)
+            assert report.clean, (where, report.mismatches[:3])
+            assert report.lec_equivalent is True, where

@@ -6,6 +6,9 @@ import random
 
 import pytest
 
+import repro.core.flow as flow_module
+import repro.pnr.physical as pnr_physical
+import repro.pnr.placement as pnr_placement
 from repro.core import (
     AccessTier,
     CloudPlatform,
@@ -20,7 +23,9 @@ from repro.core import (
 )
 from repro.core.presets import COMMERCIAL, OPEN
 from repro.ip.digital import make_counter
+from repro.layout.fabric import FabricError
 from repro.pdk import get_pdk
+from repro.resil import cachekey
 from repro.resil import (
     DirectoryStore,
     ExponentialBackoff,
@@ -351,6 +356,72 @@ class TestDrillMatrix:
         assert str(exc.value) == f"injected fault at stage {stage!r}"
 
 
+def _unbuildable_layout(physical):
+    raise FabricError("no shorts-free li stub position for pin A at "
+                      "(44.64, 12.0)")
+
+
+def _placement_past_the_core(mapped, floorplan, **kwargs):
+    """The real placement with its first cell pushed past the core."""
+    placed = pnr_placement.place(mapped, floorplan, **kwargs).cells
+    first = next(iter(placed.values()))
+    first.x = floorplan.rows[0].x1
+    return pnr_placement.finish_placement(mapped, floorplan, placed)
+
+
+class TestLocatedEngineErrors:
+    """An engine's located error is a FlowFailure at its step, never an
+    escape: recorded with continue_on_error, a FlowError without."""
+
+    def test_fabric_error_recorded(self, monkeypatch):
+        monkeypatch.setattr(flow_module, "build_chip_gds", _unbuildable_layout)
+        result = run_flow(
+            counter_module(), get_pdk("edu130"),
+            FlowOptions(continue_on_error=True, extract_lvs=True),
+        )
+        assert [(f.stage, f.kind) for f in result.failures] == [
+            ("design_rule_check", "crash")
+        ]
+        assert result.failures[0].message == (
+            "layout build failed: no shorts-free li stub position for pin A "
+            "at (44.64, 12.0)"
+        )
+        assert not result.step(FlowStep.DESIGN_RULE_CHECK).ok
+        # Nothing to export or re-extract; the analyses still ran.
+        assert result.drc is None and result.gds_bytes is None
+        assert result.lvs is None
+        assert result.timing is not None and result.power is not None
+        assert result.partial
+
+    def test_fabric_error_raises_flow_error(self, monkeypatch):
+        monkeypatch.setattr(flow_module, "build_chip_gds", _unbuildable_layout)
+        with pytest.raises(FlowError, match="layout build failed: no "
+                                            "shorts-free li stub"):
+            run_flow(counter_module(), get_pdk("edu130"))
+
+    def test_placement_error_recorded(self, monkeypatch):
+        monkeypatch.setattr(pnr_physical, "place", _placement_past_the_core)
+        result = run_flow(
+            counter_module(), get_pdk("edu130"),
+            FlowOptions(continue_on_error=True),
+        )
+        assert [(f.stage, f.kind) for f in result.failures] == [
+            ("placement", "crash")
+        ]
+        message = result.failures[0].message
+        assert message.startswith("placement failed: cell ")
+        assert message.endswith("; cells outside: 1")
+        assert result.step(FlowStep.FLOORPLANNING).ok
+        assert not result.step(FlowStep.PLACEMENT).ok
+        assert result.physical is None and result.gds_bytes is None
+
+    def test_placement_error_raises_flow_error(self, monkeypatch):
+        monkeypatch.setattr(pnr_physical, "place", _placement_past_the_core)
+        with pytest.raises(FlowError, match="placement failed: cell .* is "
+                                            "outside the core rows"):
+            run_flow(counter_module(), get_pdk("edu130"))
+
+
 @pytest.fixture(params=["MemoryStore", "DirectoryStore"])
 def checkpoint_store(request, tmp_path):
     """An empty checkpoint store of each backend."""
@@ -407,6 +478,20 @@ class TestCheckpointResume:
         store = MemoryStore()
         run_flow(module, pdk, FlowOptions(seed=3, checkpoints=store))
         run_flow(module, pdk, FlowOptions(seed=4, checkpoints=store))
+        assert store.hits == 0
+
+    def test_store_of_another_output_version_misses(self, monkeypatch):
+        # A store written by an engine with other outputs must not serve
+        # its stage artifacts: the key carries the output version.
+        module, pdk = counter_module(), get_pdk("edu130")
+        store = MemoryStore()
+        current = cachekey.OUTPUT_VERSION
+        monkeypatch.setattr(cachekey, "OUTPUT_VERSION", current - 1)
+        stale = flow_cache_key(module, pdk.name, OPEN, 3)
+        run_flow(module, pdk, FlowOptions(seed=3, checkpoints=store))
+        monkeypatch.setattr(cachekey, "OUTPUT_VERSION", current)
+        assert flow_cache_key(module, pdk.name, OPEN, 3) != stale
+        run_flow(module, pdk, FlowOptions(seed=3, checkpoints=store))
         assert store.hits == 0
 
 
