@@ -6,6 +6,8 @@ Times the two halves of the GDS-in signoff path
 * **extract_netlist** — stream parse + fingerprint identification +
   flatten + union-find connectivity, reported as shapes/s (the
   geometry-bound half).
+* **compare_netlists** — the net-by-net connectivity comparison alone,
+  on the extraction above (``compare_s``).
 * **run_lvs** — the full gate: extraction, census pre-check, net-by-net
   comparison, and the LEC miter against the mapped netlist.
 
@@ -27,7 +29,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.extract import extract_netlist, run_lvs
+from repro.extract import compare_netlists, extract_netlist, run_lvs
 from repro.ip.catalog import generate
 from repro.layout import build_chip_gds, write_gds
 from repro.pdk import get_pdk
@@ -51,6 +53,7 @@ def bench_design(name, pdk):
     pins = {pin.name for pin in physical.floorplan.io_pins}
 
     extraction, extract_s = _time(lambda: extract_netlist(data, pdk))
+    _, compare_s = _time(lambda: compare_netlists(extraction, mapped))
     report, lvs_s = _time(lambda: run_lvs(
         data, mapped, pdk, expected_pins=pins))
     row = {
@@ -61,6 +64,7 @@ def bench_design(name, pdk):
         "gds_kib": round(len(data) / 1024, 1),
         "extract_s": round(extract_s, 4),
         "shapes_per_sec": round(extraction.shapes / extract_s),
+        "compare_s": round(compare_s, 4),
         "lvs_s": round(lvs_s, 4),
         "clean": report.clean,
         "lec_equivalent": report.lec_equivalent,
@@ -68,6 +72,7 @@ def bench_design(name, pdk):
     print(f"  {name:>10s}: {row['shapes']:>6d} shapes, "
           f"{row['nets']:>4d} nets, extract {extract_s:.3f}s "
           f"({row['shapes_per_sec']} shapes/s), "
+          f"compare {compare_s:.3f}s, "
           f"lvs+lec {lvs_s:.3f}s, "
           f"{'CLEAN' if report.clean else 'DIRTY'}")
     return row
@@ -85,6 +90,7 @@ def main(argv):
         "designs": rows,
         "total_shapes": sum(r["shapes"] for r in rows),
         "total_extract_s": round(sum(r["extract_s"] for r in rows), 4),
+        "total_compare_s": round(sum(r["compare_s"] for r in rows), 4),
         "total_lvs_s": round(sum(r["lvs_s"] for r in rows), 4),
     }
     directory = os.path.dirname(out_path)

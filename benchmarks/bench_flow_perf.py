@@ -9,7 +9,7 @@ repeated measurement rounds.
 from conftest import build_alu_design, build_counter, build_mac_pipe
 
 from repro.core import COMMERCIAL, OPEN, FlowOptions, run_flow
-from repro.extract import run_lvs
+from repro.extract import compare_netlists, extract_netlist, run_lvs
 from repro.ip import make_soc
 from repro.ip.catalog import generate
 from repro.layout import build_chip_gds, check_drc, write_gds
@@ -152,6 +152,23 @@ def test_perf_lvs_from_bytes(benchmark):
     assert report.lec_equivalent is True
     assert shapes == 10055
     assert report.nets_checked == 498
+
+
+def test_perf_lvs_compare(benchmark):
+    """The connectivity compare alone on tinycpu's COMMERCIAL layout: the
+    joint colour refinement of both netlists, from one extraction."""
+    pdk = get_pdk("edu130")
+    flow = run_flow(generate("tinycpu").module, pdk,
+                    FlowOptions(preset=COMMERCIAL, seed=1))
+    mapped = flow.synthesis.mapped
+    extraction = extract_netlist(flow.gds_bytes, pdk)
+
+    mismatches, pairing = benchmark.pedantic(
+        compare_netlists, args=(extraction, mapped), rounds=5, iterations=1,
+    )
+    assert not mismatches, mismatches[:5]
+    assert len(pairing) == 497
+    assert all(ext.cell.name == ref.cell.name for ext, ref in pairing)
 
 
 def test_perf_fault_sim(benchmark):

@@ -1,26 +1,41 @@
 """Connectivity LVS v2: extracted netlist vs mapped netlist.
 
 The census check (:mod:`repro.layout.lvs`) counts cells; this module
-compares *wiring*.  Both netlists are reduced to anonymous views — cells
-as ``(variant, {pin: net})``, nets as the multiset of ``(port label)``
-and ``(cell signature, pin)`` attachments — and refined with a
-Weisfeiler–Lehman-style iteration: each round hashes every cell from its
-pins' net signatures and every net from its attached cell signatures
-(``hashlib`` digests, deliberately not :func:`hash`, so runs are
-reproducible across interpreter seeds).  Equal signature multisets mean
-the two netlists are attachment-by-attachment indistinguishable;
-signature groups then pair extracted instances with mapped instances,
-which carries the mapped side's register tags and reset values onto the
-extracted netlist so the formal LEC miter (:mod:`repro.formal.lec`) can
-prove full GDS-vs-RTL equivalence.  Pairing inside a group is arbitrary
-— members of one signature class are interchangeable by construction,
-and the LEC proof is over the *extracted* connectivity either way.
+compares *wiring*.  Both netlists become one anonymous graph — cells as
+``(master, {pin: net})``, nets as their port labels plus the multiset of
+their ``(cell class, pin)`` attachments — refined by exact colour
+refinement (the Weisfeiler–Lehman iteration), both sides together.
+Nets start from their sorted port labels.  Each round gives every cell
+a class keyed by its master, its sorted pin names and its pins' net
+classes in that order, then every net a class keyed by its previous
+class and its sorted attachment multiset.  Classes are dense integers
+shared by the two sides: each one is looked up from an exact table of
+its key, so two cells or nets share a class only when their keys are
+equal, and no hash value is ever a class (verdicts cannot depend on the
+interpreter's hash seed).  Refinement stops when the joint class count
+stops growing, at :data:`MAX_ROUNDS`, or at the first round where the two
+sides' class histograms differ: histograms that differ once differ in
+every later round, so the verdict is settled there, and that round's
+classes are the ones closest to the defect.  Mismatch messages list nets
+in ascending example-net order and cells in netlist order.
+
+Equal histograms mean the two netlists are attachment-by-attachment
+indistinguishable; the classes then pair extracted instances with mapped
+instances, which carries the mapped side's register tags and reset
+values onto the extracted netlist so the formal LEC miter
+(:mod:`repro.formal.lec`) can prove full GDS-vs-RTL equivalence.  Inside
+a class the k-th extracted instance pairs with the k-th mapped one, each
+side in netlist order — members of one class are interchangeable by
+construction, and the LEC proof is over the *extracted* connectivity
+either way.
 """
 
 from __future__ import annotations
 
-import hashlib
+import itertools
 from collections import Counter
+
+import numpy as np
 
 from ..layout.gds import GdsLibrary, read_gds
 from ..layout.lvs import LvsReport, census_check
@@ -31,13 +46,9 @@ from ..synth.mapped import CellInst, MappedNetlist
 from .identify import infer_top
 from .netlist import ExtractedInstance, ExtractionResult, extract_netlist
 
-#: Refinement stops when signature classes stabilize, or here at latest.
+#: Refinement stops when the joint class count stops growing, or here at
+#: latest.
 MAX_ROUNDS = 64
-
-
-def _digest(payload: object) -> bytes:
-    return hashlib.md5(repr(payload).encode()).digest()
-
 
 def _port_map(mapped: MappedNetlist) -> dict[str, int]:
     """Flat ``port[bit] -> net`` map over both port directions."""
@@ -57,59 +68,176 @@ def _extracted_port_map(extraction: ExtractionResult) -> dict[str, int]:
     }
 
 
-class _View:
-    """One side of the comparison in anonymous, refinable form."""
+def _rank_columns(keys: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense ids of the columns of ``keys``, equal columns equal ids,
+    and how many ids there are."""
+    order = np.lexsort(keys)
+    ordered = keys[:, order]
+    fresh = np.ones(len(order), dtype=bool)
+    fresh[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    ranks = np.cumsum(fresh) - 1
+    ids = np.empty_like(order)
+    ids[order] = ranks
+    return ids, (int(ranks[-1]) + 1 if len(ranks) else 0)
 
-    def __init__(self, cells: list[tuple[str, dict[str, int]]],
-                 ports: dict[str, int]):
-        self.cells = cells
-        self.nets: set[int] = set(ports.values())
-        for _, pins in cells:
-            self.nets.update(pins.values())
-        port_refs: dict[int, list[str]] = {}
-        for label, net in ports.items():
-            port_refs.setdefault(net, []).append(label)
-        self.port_refs = {
-            net: tuple(sorted(labels)) for net, labels in port_refs.items()
-        }
-        self.net_sig: dict[int, bytes] = {}
-        self.cell_sig: list[bytes] = []
 
-    def refine_round(self) -> None:
-        self.cell_sig = [
-            _digest((kind, tuple(sorted(
-                (pin, self.net_sig[net]) for pin, net in pins.items()
-            ))))
-            for kind, pins in self.cells
-        ]
-        touch: dict[int, list[tuple[bytes, str]]] = {
-            net: [] for net in self.nets
-        }
-        for sig, (_, pins) in zip(self.cell_sig, self.cells):
-            for pin, net in pins.items():
-                touch[net].append((sig, pin))
-        self.net_sig = {
-            net: _digest((self.net_sig[net], tuple(sorted(touch[net]))))
-            for net in self.nets
-        }
+class _Joint:
+    """Both netlists as one anonymous graph, refined together.
+
+    Side 0 is the extracted netlist and side 1 the mapped one; each has
+    its ``port[bit] -> net`` map in ``ports`` and its
+    ``(master, {pin: net})`` cells in ``cells``.  Joint cells and joint
+    nets number side 0's first; ``cell_split`` and ``net_split`` are
+    where side 1's begin.  ``nets[side]`` holds a side's net ids in
+    ascending order, so a class's first joint net on a side is that
+    side's smallest net in the class.
+    """
+
+    def __init__(self, extraction: ExtractionResult, mapped: MappedNetlist):
+        kinds: dict[tuple[str, tuple[str, ...]], tuple[int, list[int]]] = {}
+        pin_ids: dict[str, int] = {}
+        labels: dict[tuple[str, ...], int] = {}
+        self.ports = (_extracted_port_map(extraction), _port_map(mapped))
+        self.cells = tuple(
+            [(inst.cell.name, inst.pins) for inst in instances]
+            for instances in (extraction.instances, mapped.cells)
+        )
+        self.port_refs: list[dict[int, tuple[str, ...]]] = []
+        self.nets: list[list[int]] = []
+        start: list[int] = []
+        kind: list[int] = []
+        rows: list[list[int]] = []
+        att_pin: list[int] = []
+        for cells, ports in zip(self.cells, self.ports):
+            refs: dict[int, list[str]] = {}
+            for label, net in ports.items():
+                refs.setdefault(net, []).append(label)
+            port_refs = {
+                net: tuple(sorted(names)) for net, names in refs.items()
+            }
+            nets = set(port_refs)
+            for _, pins in cells:
+                nets.update(pins.values())
+            ordered = sorted(nets)
+            joint = {net: len(start) + i for i, net in enumerate(ordered)}
+            for net in ordered:
+                start.append(labels.setdefault(
+                    port_refs.get(net, ()), len(labels)
+                ))
+            for master, pins in cells:
+                names = tuple(sorted(pins))
+                entry = kinds.get((master, names))
+                if entry is None:
+                    entry = kinds[(master, names)] = (len(kinds), [
+                        pin_ids.setdefault(pin, len(pin_ids))
+                        for pin in names
+                    ])
+                kind.append(entry[0])
+                att_pin.extend(entry[1])
+                rows.append([joint[pins[pin]] for pin in names])
+            self.port_refs.append(port_refs)
+            self.nets.append(ordered)
+        self.cell_split = len(self.cells[0])
+        self.net_split = len(self.nets[0])
+        self.start = np.array(start, dtype=np.int64)
+        self.kind = np.array(kind, dtype=np.int64)
+        # (pin position, cell) -> joint net; rows shorter than the widest
+        # master point at one extra slot past the last net.
+        n_nets = len(start)
+        width = max(map(len, rows), default=0)
+        self.pin_net = np.array(
+            [row + [n_nets] * (width - len(row)) for row in rows],
+            dtype=np.int64,
+        ).reshape(len(rows), width).T
+        # Attachments grouped by net.  Each round writes a net's key into
+        # its own run of ``self.key``: its previous class, then its
+        # sorted attachment codes.
+        att_net = np.array(
+            [net for row in rows for net in row], dtype=np.int64
+        )
+        att_cell = np.repeat(
+            np.arange(len(rows), dtype=np.int64), list(map(len, rows))
+        )
+        order = np.argsort(att_net, kind="stable")
+        self.att_net = att_net[order]
+        self.att_cell = att_cell[order]
+        self.att_pin = np.array(att_pin, dtype=np.int64)[order]
+        self.n_pins = max(len(pin_ids), 1)
+        degree = np.bincount(att_net, minlength=n_nets)
+        ends = np.cumsum(degree + 1)
+        self.head = ends - degree - 1
+        self.body = np.arange(len(att_net)) + self.att_net + 1
+        self.key = np.empty(len(att_net) + n_nets, dtype=np.int64)
+        bounds = (ends * self.key.itemsize).tolist()
+        self.runs = list(map(slice, [0, *bounds[:-1]], bounds))
 
     def refine(self) -> None:
-        self.net_sig = {
-            net: _digest(("net", self.port_refs.get(net, ())))
-            for net in self.nets
-        }
-        classes = 0
+        """Refine both sides together; stop when the joint class count
+        stops growing, at :data:`MAX_ROUNDS`, or at the first round whose
+        class histograms differ between the sides."""
+        net_class = self.start
+        count = 0
         for _ in range(MAX_ROUNDS):
-            self.refine_round()
-            now = len(set(self.net_sig.values())) + len(set(self.cell_sig))
-            if now == classes:
+            cell_class, cell_count = _rank_columns(np.vstack((
+                np.append(net_class, -1)[self.pin_net], self.kind,
+            )))
+            # Sorting net-major keys sorts each net's codes in place.
+            span = cell_count * self.n_pins
+            major = self.att_net * span
+            self.key[self.head] = net_class
+            self.key[self.body] = np.sort(
+                major + cell_class[self.att_cell] * self.n_pins
+                + self.att_pin
+            ) - major
+            data = self.key.tobytes()
+            keys = list(map(data.__getitem__, self.runs))
+            table = dict(zip(dict.fromkeys(keys), itertools.count()))
+            net_class = np.fromiter(
+                map(table.__getitem__, keys), np.int64, len(keys)
+            )
+            self.cell_class, self.net_class = cell_class, net_class
+            now = cell_count + len(table)
+            if now == count or self.differ():
                 break
-            classes = now
+            count = now
 
-    def describe_net(self, net: int) -> str:
+    def histograms(
+        self, classes: np.ndarray, split: int,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-class member counts on side 0 and on side 1."""
+        size = int(classes.max()) + 1 if len(classes) else 0
+        return (np.bincount(classes[:split], minlength=size),
+                np.bincount(classes[split:], minlength=size))
+
+    def differ(self) -> bool:
+        """Whether the current classes' histograms differ between the
+        sides, for cells or for nets."""
+        return any(
+            not np.array_equal(*self.histograms(classes, split))
+            for classes, split in ((self.cell_class, self.cell_split),
+                                   (self.net_class, self.net_split))
+        )
+
+    def excess(self, classes: np.ndarray, split: int,
+               side: int) -> list[tuple[int, int]]:
+        """``(first member, surplus)`` for every class with more members
+        on ``side`` than on the other, in order of first member (an
+        index into that side)."""
+        counts = self.histograms(classes, split)
+        members = (classes[:split], classes[split:])[side].tolist()
+        first: dict[int, int] = {}
+        for index, cls in enumerate(members):
+            first.setdefault(cls, index)
+        return [
+            (index, int(counts[side][cls] - counts[1 - side][cls]))
+            for cls, index in first.items()
+            if counts[side][cls] > counts[1 - side][cls]
+        ]
+
+    def describe_net(self, side: int, net: int) -> str:
         """Human-readable attachment list for mismatch messages."""
-        refs = list(self.port_refs.get(net, ()))
-        for index, (kind, pins) in enumerate(self.cells):
+        refs = list(self.port_refs[side].get(net, ()))
+        for index, (kind, pins) in enumerate(self.cells[side]):
             for pin, pin_net in pins.items():
                 if pin_net == net:
                     refs.append(f"{kind}#{index}.{pin}")
@@ -123,66 +251,43 @@ def compare_netlists(
     """Net-by-net comparison of extracted vs mapped connectivity.
 
     Returns ``(mismatches, pairing)``; the pairing (one mapped instance
-    per extracted instance, matched by signature class) is complete only
-    when there are no mismatches.
+    per extracted instance, matched by class, in extracted order) is
+    complete only when there are no mismatches.
     """
     mismatches: list[str] = []
-
-    ref_ports = _port_map(mapped)
-    ext_ports = _extracted_port_map(extraction)
+    joint = _Joint(extraction, mapped)
+    ext_ports, ref_ports = joint.ports
     for name in sorted(set(ref_ports) - set(ext_ports)):
         mismatches.append(f"port {name} missing from the layout")
     for name in sorted(set(ext_ports) - set(ref_ports)):
         mismatches.append(f"layout has unexpected port {name}")
 
-    ext_view = _View(
-        [(inst.cell.name, inst.pins) for inst in extraction.instances],
-        ext_ports,
-    )
-    ref_view = _View(
-        [(inst.cell.name, dict(inst.pins)) for inst in mapped.cells],
-        ref_ports,
-    )
-    ext_view.refine()
-    ref_view.refine()
+    joint.refine()
 
-    ext_net_counts = Counter(ext_view.net_sig.values())
-    ref_net_counts = Counter(ref_view.net_sig.values())
-    if ext_net_counts != ref_net_counts:
-        # Describe nets whose signature class sizes differ, each side.
-        shown = 0
-        for sig in sorted(ref_net_counts, key=lambda s: s.hex()):
-            deficit = ref_net_counts[sig] - ext_net_counts.get(sig, 0)
-            if deficit <= 0:
-                continue
-            example = min(
-                net for net, s in ref_view.net_sig.items() if s == sig
-            )
-            mismatches.append(
-                f"netlist net {example} {ref_view.describe_net(example)} "
-                f"has no matching layout net ({deficit}x)"
-            )
-            shown += 1
-            if shown >= max_messages:
-                break
-        for sig in sorted(ext_net_counts, key=lambda s: s.hex()):
-            surplus = ext_net_counts[sig] - ref_net_counts.get(sig, 0)
-            if surplus <= 0:
-                continue
-            example = min(
-                net for net, s in ext_view.net_sig.items() if s == sig
-            )
-            mismatches.append(
-                f"layout net {example} {ext_view.describe_net(example)} "
-                f"matches no netlist net ({surplus}x)"
-            )
-            shown += 1
-            if shown >= max_messages:
-                break
+    # Describe nets whose class sizes differ, each side.
+    shown = 0
+    for index, deficit in joint.excess(joint.net_class, joint.net_split, 1):
+        example = joint.nets[1][index]
+        mismatches.append(
+            f"netlist net {example} {joint.describe_net(1, example)} "
+            f"has no matching layout net ({deficit}x)"
+        )
+        shown += 1
+        if shown >= max_messages:
+            break
+    for index, surplus in joint.excess(joint.net_class, joint.net_split, 0):
+        example = joint.nets[0][index]
+        mismatches.append(
+            f"layout net {example} {joint.describe_net(0, example)} "
+            f"matches no netlist net ({surplus}x)"
+        )
+        shown += 1
+        if shown >= max_messages:
+            break
 
-    ext_cell_counts = Counter(ext_view.cell_sig)
-    ref_cell_counts = Counter(ref_view.cell_sig)
-    if ext_cell_counts != ref_cell_counts:
+    ext_cells, ref_cells = joint.histograms(joint.cell_class,
+                                            joint.cell_split)
+    if not np.array_equal(ext_cells, ref_cells):
         ext_kinds = Counter(
             inst.cell.name for inst in extraction.instances
         )
@@ -193,11 +298,9 @@ def compare_netlists(
                 "(same cells, different wiring)"
             )
         shown = 0
-        for sig in sorted(ref_cell_counts, key=lambda s: s.hex()):
-            deficit = ref_cell_counts[sig] - ext_cell_counts.get(sig, 0)
-            if deficit <= 0:
-                continue
-            index = ref_view.cell_sig.index(sig)
+        for index, deficit in joint.excess(
+            joint.cell_class, joint.cell_split, 1
+        ):
             inst = mapped.cells[index]
             mismatches.append(
                 f"netlist cell {inst.name} ({inst.cell.name}) has no "
@@ -209,20 +312,16 @@ def compare_netlists(
 
     pairing: list[tuple[ExtractedInstance, CellInst]] = []
     if not mismatches:
-        ext_groups: dict[bytes, list[int]] = {}
-        for index, sig in enumerate(ext_view.cell_sig):
-            ext_groups.setdefault(sig, []).append(index)
-        ref_groups: dict[bytes, list[int]] = {}
-        for index, sig in enumerate(ref_view.cell_sig):
-            ref_groups.setdefault(sig, []).append(index)
-        for sig in sorted(ext_groups, key=lambda s: s.hex()):
-            for ext_index, ref_index in zip(
-                ext_groups[sig], ref_groups[sig]
-            ):
-                pairing.append((
-                    extraction.instances[ext_index],
-                    mapped.cells[ref_index],
-                ))
+        # Equal histograms: both sides sort into the same class sequence.
+        classes = joint.cell_class
+        ext_order = np.argsort(classes[:joint.cell_split], kind="stable")
+        ref_order = np.argsort(classes[joint.cell_split:], kind="stable")
+        partner = np.empty_like(ext_order)
+        partner[ext_order] = ref_order
+        pairing = [
+            (inst, mapped.cells[ref])
+            for inst, ref in zip(extraction.instances, partner.tolist())
+        ]
     return mismatches, pairing
 
 

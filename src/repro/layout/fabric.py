@@ -48,31 +48,45 @@ class FabricError(RuntimeError):
 
 
 class _Band:
-    """Exclusive lattice-line allocator for one grid row or column."""
+    """Exclusive lattice-line allocator for one grid row or column.
 
-    __slots__ = ("lo", "hi", "used")
+    Bit ``i`` of ``free`` is set while line ``lo + i * Q`` is free, so
+    the nearest free line on either side of a wanted one is one shift
+    and one ``bit_length`` away, however full the band is.
+    """
+
+    __slots__ = ("lo", "hi", "free")
 
     def __init__(self, lo: int, hi: int):
         self.lo = -(-lo // Q) * Q
         self.hi = (hi // Q) * Q
-        self.used: set[int] = set()
+        self.free = (
+            (1 << ((self.hi - self.lo) // Q + 1)) - 1
+            if self.lo <= self.hi else 0
+        )
 
     def alloc(self, preferred: int) -> int:
+        """The free line nearest ``preferred`` (ties go up), now taken."""
         if self.lo > self.hi:
             raise FabricError("lattice band is empty")
+        free = self.free
+        if not free:
+            raise FabricError(
+                f"lattice band [{self.lo}, {self.hi}] exhausted "
+                f"({(self.hi - self.lo) // Q + 1} lines in use)"
+            )
         want = min(max(preferred, self.lo), self.hi)
         want = (want + Q // 2) // Q * Q
-        want = min(max(want, self.lo), self.hi)
-        span = (self.hi - self.lo) // Q + 1
-        for k in range(span + 1):
-            for cand in ((want,) if k == 0 else (want + k * Q, want - k * Q)):
-                if self.lo <= cand <= self.hi and cand not in self.used:
-                    self.used.add(cand)
-                    return cand
-        raise FabricError(
-            f"lattice band [{self.lo}, {self.hi}] exhausted "
-            f"({len(self.used)} lines in use)"
-        )
+        k = (min(max(want, self.lo), self.hi) - self.lo) // Q
+        above = free >> k  # bit j: line k + j is free
+        below = free & ((2 << k) - 1)  # free lines at or below line k
+        index = below.bit_length() - 1
+        if above:
+            up = k + (above & -above).bit_length() - 1
+            if not below or up - k <= k - index:
+                index = up
+        self.free = free ^ (1 << index)
+        return self.lo + index * Q
 
 
 class _Run:
@@ -93,26 +107,34 @@ class _Run:
 
 
 class _LiIndex:
-    """Bucketed collision index for li shapes (pads and stubs)."""
+    """Collision index for li shapes (pads and stubs) on an x/y bucket
+    grid, so a query scans only the shapes near it."""
 
     BUCKET = 1024  # nm
 
     def __init__(self):
-        self.buckets: dict[int, list[tuple[int, int, int, int, int]]] = (
-            defaultdict(list)
-        )
+        self.buckets: dict[
+            tuple[int, int], list[tuple[int, int, int, int, int]]
+        ] = defaultdict(list)
 
     def add(self, x0: int, y0: int, x1: int, y1: int, net: int) -> None:
-        for b in range(x0 // self.BUCKET, x1 // self.BUCKET + 1):
-            self.buckets[b].append((x0, y0, x1, y1, net))
+        b = self.BUCKET
+        shape = (x0, y0, x1, y1, net)
+        for bx in range(x0 // b, x1 // b + 1):
+            for by in range(y0 // b, y1 // b + 1):
+                self.buckets[bx, by].append(shape)
 
     def conflict(self, x0: int, y0: int, x1: int, y1: int, net: int) -> bool:
-        for b in range(x0 // self.BUCKET, x1 // self.BUCKET + 1):
-            for ax0, ay0, ax1, ay1, other in self.buckets.get(b, ()):
-                if other != net and (
-                    ax0 <= x1 and x0 <= ax1 and ay0 <= y1 and y0 <= ay1
+        b = self.BUCKET
+        for bx in range(x0 // b, x1 // b + 1):
+            for by in range(y0 // b, y1 // b + 1):
+                for ax0, ay0, ax1, ay1, other in self.buckets.get(
+                    (bx, by), ()
                 ):
-                    return True
+                    if other != net and (
+                        ax0 <= x1 and x0 <= ax1 and ay0 <= y1 and y0 <= ay1
+                    ):
+                        return True
         return False
 
 

@@ -25,6 +25,7 @@ so reordering one moves placements, not just the work.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -261,7 +262,9 @@ def legalize_rows(
     starts = [max(next_x[row.index], x0) for row in rows]
     free = [max(0.0, x1 - start) for start in starts]
     total_free = sum(free)
-    total = sum(widths.values())
+    # Exactly rounded, so the caller's list order cannot move the
+    # deal's quota bounds by an ulp.
+    total = math.fsum(widths.values())
 
     def overfull(what: str) -> PlacementError:
         return PlacementError(

@@ -9,9 +9,17 @@ has to catch.
 
 import dataclasses
 import gc
+import hashlib
+import importlib.util
+import json
+import os
+import pickle
 import random
 import struct as struct_mod
-from collections import defaultdict
+import subprocess
+import sys
+from collections import Counter, defaultdict
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -19,10 +27,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro
+import repro.extract.compare as compare_module
 import repro.extract.geom as geom
 import repro.extract.identify as identify_module
 import repro.extract.netlist as netlist_module
 from repro.cli import main
+from repro.core import COMMERCIAL
 from repro.core.flow import FlowResult, run_flow
 from repro.core.options import FlowOptions
 from repro.core.signoff import run_signoff
@@ -39,6 +50,7 @@ from repro.extract import (
     touches,
 )
 from repro.extract.geom import components, rect_array, touching_pairs
+from repro.extract.netlist import ExtractedInstance, ExtractionResult
 from repro.ip.catalog import catalogue, generate
 from repro.layout import build_chip_gds, flatten_rects, read_gds, write_gds
 from repro.layout.gds import GdsLibrary, GdsSRef, GdsStruct, GdsText
@@ -47,6 +59,7 @@ from repro.layout.lvs import LvsReport, check_lvs
 from repro.pdk import get_pdk, make_edu045, make_edu130, make_edu180
 from repro.pnr import implement
 from repro.synth import synthesize
+from repro.synth.mapped import MappedNetlist
 
 from gds_reference import (
     RefLibrary,
@@ -60,27 +73,67 @@ from gds_reference import (
 )
 
 
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
+#: The LVS gate's example-script designs: ``(name, script, builder)``.
+EXAMPLE_DESIGNS = (
+    ("examples/quickstart", "quickstart", "build_counter"),
+    ("examples/research_node_access", "research_node_access",
+     "build_research_datapath"),
+    ("examples/tiny_soc", "tiny_soc", "build_soc"),
+)
+
+
+def example_module(script, builder):
+    """The design one of the example scripts' builders makes."""
+    spec = importlib.util.spec_from_file_location(
+        f"example_{script}", EXAMPLES / f"{script}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return getattr(module, builder)()
+
+
 @pytest.fixture(scope="module")
 def pdk():
     return get_pdk("edu130")
 
 
 @pytest.fixture(scope="module")
-def catalogue_layouts():
-    """PDK name -> ``(design, chip library)`` for every catalogue design,
-    built once per module on first use."""
+def design_stacks():
+    """PDK name -> ``(design, mapped netlist, chip library)`` for every
+    catalogue design, then the three example-script designs of the LVS
+    gate (``examples/lvs_designs.py``), built once per module on first
+    use."""
     built = {}
 
-    def layouts(pdk_name):
+    def stacks(pdk_name):
         if pdk_name not in built:
             pdk = get_pdk(pdk_name)
-            built[pdk_name] = [
-                (name, build_chip_gds(implement(synthesize(
-                    generate(name).module, pdk.library, verify=False,
-                ).mapped, pdk)))
-                for name in catalogue()
+            modules = [(name, generate(name).module) for name in catalogue()]
+            modules += [
+                (name, example_module(script, builder))
+                for name, script, builder in EXAMPLE_DESIGNS
             ]
+            built[pdk_name] = []
+            for name, module in modules:
+                mapped = synthesize(module, pdk.library, verify=False).mapped
+                built[pdk_name].append(
+                    (name, mapped, build_chip_gds(implement(mapped, pdk)))
+                )
         return built[pdk_name]
+
+    return stacks
+
+
+@pytest.fixture(scope="module")
+def catalogue_layouts(design_stacks):
+    """PDK name -> ``(design, chip library)`` for every catalogue design."""
+
+    def layouts(pdk_name):
+        return [
+            (name, library)
+            for name, _, library in design_stacks(pdk_name)[:len(catalogue())]
+        ]
 
     return layouts
 
@@ -839,3 +892,333 @@ class TestCli:
         assert main(["lvs"]) == 2
         assert main(["lvs", "--ip", "no_such_ip"]) == 2
         assert main(["lvs", "--ip", "lfsr", "--trojan", "bogus"]) == 2
+
+
+# -- the per-side md5 digest refinement the joint classes replaced: oracle --
+
+
+def digest(payload):
+    return hashlib.md5(repr(payload).encode()).digest()
+
+
+class DigestView:
+    """One side of the comparison, refined on its own with md5 digests
+    until its own signature count stops growing."""
+
+    def __init__(self, cells, ports):
+        self.cells = cells
+        self.nets = set(ports.values())
+        for _, pins in cells:
+            self.nets.update(pins.values())
+        port_refs = {}
+        for label, net in ports.items():
+            port_refs.setdefault(net, []).append(label)
+        self.port_refs = {
+            net: tuple(sorted(labels)) for net, labels in port_refs.items()
+        }
+        self.net_sig = {}
+        self.cell_sig = []
+
+    def refine_round(self):
+        self.cell_sig = [
+            digest((kind, tuple(sorted(
+                (pin, self.net_sig[net]) for pin, net in pins.items()
+            ))))
+            for kind, pins in self.cells
+        ]
+        touch = {net: [] for net in self.nets}
+        for sig, (_, pins) in zip(self.cell_sig, self.cells):
+            for pin, net in pins.items():
+                touch[net].append((sig, pin))
+        self.net_sig = {
+            net: digest((self.net_sig[net], tuple(sorted(touch[net]))))
+            for net in self.nets
+        }
+
+    def refine(self):
+        self.net_sig = {
+            net: digest(("net", self.port_refs.get(net, ())))
+            for net in self.nets
+        }
+        classes = 0
+        for _ in range(compare_module.MAX_ROUNDS):
+            self.refine_round()
+            now = len(set(self.net_sig.values())) + len(set(self.cell_sig))
+            if now == classes:
+                break
+            classes = now
+
+
+def digest_views(extraction, mapped):
+    """Both sides refined by the digest oracle: extracted, mapped."""
+    views = (
+        DigestView([(i.cell.name, i.pins) for i in extraction.instances],
+                   compare_module._extracted_port_map(extraction)),
+        DigestView([(i.cell.name, i.pins) for i in mapped.cells],
+                   compare_module._port_map(mapped)),
+    )
+    for view in views:
+        view.refine()
+    return views
+
+
+def digest_clean(extraction, mapped):
+    """The oracle's verdict: same ports, same signature multisets."""
+    ext, ref = digest_views(extraction, mapped)
+    return (
+        set(compare_module._extracted_port_map(extraction))
+        == set(compare_module._port_map(mapped))
+        and Counter(ext.net_sig.values()) == Counter(ref.net_sig.values())
+        and Counter(ext.cell_sig) == Counter(ref.cell_sig)
+    )
+
+
+def digest_pairs(extraction, mapped):
+    """The oracle's pairing as ``(extracted index, mapped index)`` pairs:
+    each signature group's members zipped in netlist order."""
+    groups = [{}, {}]
+    for side, view in enumerate(digest_views(extraction, mapped)):
+        for index, sig in enumerate(view.cell_sig):
+            groups[side].setdefault(sig, []).append(index)
+    return {
+        pair for sig, members in groups[0].items()
+        for pair in zip(members, groups[1].get(sig, ()))
+    }
+
+
+def index_pairs(extraction, mapped, pairing):
+    ext_index = {id(inst): i for i, inst in enumerate(extraction.instances)}
+    ref_index = {id(inst): i for i, inst in enumerate(mapped.cells)}
+    return {(ext_index[id(e)], ref_index[id(r)]) for e, r in pairing}
+
+
+def partition(labels):
+    """Each member's first fellow member: equal lists, equal partitions."""
+    first = {}
+    return [first.setdefault(label, index)
+            for index, label in enumerate(labels)]
+
+
+def joint_partitions(extraction, mapped):
+    """Per side, the cell and the net partition of the joint refinement."""
+    joint = compare_module._Joint(extraction, mapped)
+    joint.refine()
+    cells, nets = joint.cell_class.tolist(), joint.net_class.tolist()
+    c, n = joint.cell_split, joint.net_split
+    return [(partition(cells[:c]), partition(nets[:n])),
+            (partition(cells[c:]), partition(nets[n:]))]
+
+
+def digest_partitions(extraction, mapped):
+    return [
+        (partition(view.cell_sig),
+         partition([view.net_sig[net] for net in sorted(view.nets)]))
+        for view in digest_views(extraction, mapped)
+    ]
+
+
+def assert_matches_digest_oracle(extraction, mapped):
+    """A clean compare whose partitions and pairs are the oracle's."""
+    mismatches, pairing = compare_netlists(extraction, mapped)
+    assert not mismatches, mismatches[:5]
+    assert joint_partitions(extraction, mapped) == digest_partitions(
+        extraction, mapped
+    )
+    pairs = index_pairs(extraction, mapped, pairing)
+    assert len(pairs) == len(pairing) == len(mapped.cells)
+    assert pairs == digest_pairs(extraction, mapped)
+
+
+def twin_extraction(mapped, rng):
+    """``mapped`` as an extraction with renumbered nets and shuffled
+    instances."""
+    nets = {net for inst in mapped.cells for net in inst.pins.values()}
+    for ports in (mapped.inputs, mapped.outputs):
+        for bits in ports.values():
+            nets.update(bits)
+    fresh = rng.sample(range(3 * len(nets) + 1), len(nets))
+    renumber = dict(zip(sorted(nets), fresh))
+    order = list(range(len(mapped.cells)))
+    rng.shuffle(order)
+    return ExtractionResult(
+        top=mapped.name,
+        instances=[
+            ExtractedInstance(
+                f"x{index}", mapped.cells[index].cell,
+                {pin: renumber[net]
+                 for pin, net in mapped.cells[index].pins.items()},
+            )
+            for index in order
+        ],
+        n_nets=len(nets),
+        ports={
+            port: [renumber[net] for net in bits]
+            for ports in (mapped.inputs, mapped.outputs)
+            for port, bits in ports.items()
+        },
+    )
+
+
+#: Run in a fresh interpreter: extract and compare a pickled clean layout
+#: and a trojaned one, print mismatches and pairing names as JSON.
+HASH_SEED_PROBE = """
+import json, pickle, sys
+from pathlib import Path
+from repro.extract import compare_netlists, extract_netlist
+from repro.pdk import get_pdk
+mapped, clean, trojaned = pickle.loads(Path(sys.argv[1]).read_bytes())
+pdk = get_pdk("edu130")
+_, pairing = compare_netlists(extract_netlist(clean, pdk), mapped)
+mismatches, _ = compare_netlists(extract_netlist(trojaned, pdk), mapped)
+print(json.dumps([mismatches, [[e.name, r.name] for e, r in pairing]]))
+"""
+
+
+@pytest.fixture(scope="module")
+def mapped_designs(pdk):
+    """Design name -> its edu130 mapped netlist, synthesized once."""
+    built = {}
+
+    def mapped(name):
+        if name not in built:
+            built[name] = synthesize(
+                generate(name).module, pdk.library, verify=False,
+            ).mapped
+        return built[name]
+
+    return mapped
+
+
+class TestJointRefinement:
+    """The joint integer classes partition and pair exactly like the
+    per-side md5 digest refinement they replaced, and reach its
+    verdict."""
+
+    @pytest.mark.parametrize("pdk_name", ["edu130", "edu180"])
+    def test_lvs_designs_match_digest_oracle(self, pdk_name, design_stacks):
+        pdk = get_pdk(pdk_name)
+        stacks = design_stacks(pdk_name)
+        assert len(stacks) == 17
+        for _, mapped, library in stacks:
+            assert_matches_digest_oracle(extract_netlist(library, pdk), mapped)
+
+    def test_tinycpu_commercial_matches_digest_oracle(self, pdk):
+        flow = run_flow(generate("tinycpu").module, pdk,
+                        FlowOptions(preset=COMMERCIAL, seed=1))
+        mapped = flow.synthesis.mapped
+        extraction = extract_netlist(flow.gds_bytes, pdk)
+        assert len(mapped.cells) == 497
+        assert_matches_digest_oracle(extraction, mapped)
+
+    def test_mutant_verdicts_match_digest_oracle(self, counter_stack, pdk):
+        mapped, _, data = counter_stack
+        for kind in TROJAN_KINDS:
+            for seed in range(3):
+                mutant, _ = mutate_gds(data, seed=seed, kind=kind)
+                extraction = extract_netlist(mutant, pdk)
+                mismatches, pairing = compare_netlists(extraction, mapped)
+                assert (not mismatches) == digest_clean(extraction, mapped)
+                assert bool(pairing) == (not mismatches)
+
+    def test_pin_names_split_cells(self, pdk):
+        # Two NAND2s on the same two nets, each missing a different
+        # input: equal net classes pin for pin, different pin names.
+        nand = pdk.library.cells["NAND2_X1"]
+        a, b = nand.inputs
+        mapped = MappedNetlist("pins", pdk.library)
+        mapped.add_cell(nand, {a: 0, nand.output: 1})
+        mapped.add_cell(nand, {b: 0, nand.output: 1})
+        mapped.inputs, mapped.outputs = {"i": [0]}, {"o": [1]}
+        extraction = twin_extraction(mapped, random.Random(0))
+        assert_matches_digest_oracle(extraction, mapped)
+        assert joint_partitions(extraction, mapped)[1][0] == [0, 1]
+
+    @given(design=st.sampled_from(["counter", "lfsr", "alu", "seven_seg"]),
+           rng=st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_renumbered_twin_compares_clean(self, design, rng,
+                                            mapped_designs):
+        mapped = mapped_designs(design)
+        extraction = twin_extraction(mapped, rng)
+        assert_matches_digest_oracle(extraction, mapped)
+        mismatches, pairing = compare_netlists(extraction, mapped)
+        assert all(e.cell is r.cell for e, r in pairing)
+        # One pin rewired, possibly onto a fresh net: the oracle's verdict.
+        inst = rng.choice(extraction.instances)
+        nets = sorted({n for i in extraction.instances
+                       for n in i.pins.values()})
+        inst.pins[rng.choice(sorted(inst.pins))] = rng.choice(
+            nets + [max(nets) + 1]
+        )
+        mismatches, pairing = compare_netlists(extraction, mapped)
+        assert (not mismatches) == digest_clean(extraction, mapped)
+        assert bool(pairing) == (not mismatches)
+
+    def test_degenerate_inputs(self, counter_stack, pdk):
+        mapped, _, data = counter_stack
+        extraction = extract_netlist(data, pdk)
+        empty = MappedNetlist("empty", pdk.library)
+        wire = MappedNetlist("wire", pdk.library)
+        wire.inputs, wire.outputs = {"a": [0]}, {"y": [0]}
+        # Every placement unidentified: extraction keeps no instance.
+        unplaced = dataclasses.replace(extraction, instances=[])
+        mismatches, pairing = compare_netlists(unplaced, mapped)
+        assert pairing == []
+        assert any("layout cell" in m for m in mismatches)
+        # No cells on either side.
+        assert compare_netlists(ExtractionResult("empty"), empty) == ([], [])
+        # Ports only: one wire clean, two wires not.
+        assert compare_netlists(
+            ExtractionResult("wire", n_nets=1, ports={"a": [7], "y": [7]}),
+            wire,
+        ) == ([], [])
+        mismatches, pairing = compare_netlists(
+            ExtractionResult("wire", n_nets=2, ports={"a": [3], "y": [4]}),
+            wire,
+        )
+        assert pairing == [] and mismatches == [
+            "netlist net 0 {a[0], y[0]} has no matching layout net (1x)",
+            "layout net 3 {a[0]} matches no netlist net (1x)",
+            "layout net 4 {y[0]} matches no netlist net (1x)",
+        ]
+        # Cells against no cells, both ways round.
+        assert compare_netlists(extraction, empty)[0]
+        assert compare_netlists(ExtractionResult("empty"), mapped)[0]
+
+    def test_messages_list_nets_and_cells_in_order(self, counter_stack, pdk):
+        mapped, _, data = counter_stack
+        mutant, _ = mutate_gds(data, seed=0, kind="swap_cells")
+        mismatches, _ = compare_netlists(extract_netlist(mutant, pdk), mapped)
+        assert mismatches
+        for prefix in ("netlist net ", "layout net "):
+            examples = [int(m[len(prefix):].split()[0])
+                        for m in mismatches if m.startswith(prefix)]
+            assert examples == sorted(examples)
+        names = [m.split()[2] for m in mismatches
+                 if m.startswith("netlist cell ")]
+        order = {inst.name: index for index, inst in enumerate(mapped.cells)}
+        assert names and [order[n] for n in names] == sorted(
+            order[n] for n in names
+        )
+
+    def test_verdicts_ignore_the_hash_seed(self, counter_stack, tmp_path):
+        mapped, _, data = counter_stack
+        trojaned, _ = mutate_gds(data, seed=0, kind="swap_cells")
+        stacks = tmp_path / "counter.pkl"
+        stacks.write_bytes(pickle.dumps((mapped, data, trojaned)))
+        path = os.pathsep.join(filter(None, (
+            str(Path(repro.__file__).parents[1]),
+            os.environ.get("PYTHONPATH"),
+        )))
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", HASH_SEED_PROBE, str(stacks)],
+                env={**os.environ, "PYTHONHASHSEED": seed,
+                     "PYTHONPATH": path},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for seed in ("0", "2718")
+        ]
+        assert outputs[0] == outputs[1]
+        mismatches, pairs = json.loads(outputs[0])
+        assert mismatches and len(pairs) == len(mapped.cells)

@@ -1,6 +1,8 @@
 """Tests for geometry, the GDSII codec, chip assembly and DRC."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.hdl import ModuleBuilder, mux
 from repro.layout import (
@@ -19,6 +21,7 @@ from repro.layout import (
     wire_rect,
     write_gds,
 )
+from repro.layout.fabric import Q, FabricError, _Band, _LiIndex
 from repro.layout.gds import _parse_real8, _real8
 from repro.pdk import get_pdk
 from repro.pnr import implement
@@ -317,3 +320,86 @@ class TestDrc:
         top.add_rect_um(met1.gds_layer, 0, 5, 0, 15, w)
         report = check_drc(library, pdk.layers, "top")
         assert report.clean
+
+
+# -- the fabric's linear lattice-line scan the bitmask replaced: oracle --
+
+
+class ScanBand:
+    """Lattice-line allocator that scans outward one line at a time."""
+
+    def __init__(self, lo, hi):
+        self.lo = -(-lo // Q) * Q
+        self.hi = (hi // Q) * Q
+        self.used = set()
+
+    def alloc(self, preferred):
+        if self.lo > self.hi:
+            raise FabricError("lattice band is empty")
+        want = min(max(preferred, self.lo), self.hi)
+        want = (want + Q // 2) // Q * Q
+        want = min(max(want, self.lo), self.hi)
+        span = (self.hi - self.lo) // Q + 1
+        for k in range(span + 1):
+            for cand in ((want,) if k == 0 else (want + k * Q, want - k * Q)):
+                if self.lo <= cand <= self.hi and cand not in self.used:
+                    self.used.add(cand)
+                    return cand
+        raise FabricError(
+            f"lattice band [{self.lo}, {self.hi}] exhausted "
+            f"({len(self.used)} lines in use)"
+        )
+
+
+def alloc_outcome(band, preferred):
+    """The line ``band`` hands out for ``preferred``, or its error text."""
+    try:
+        return band.alloc(preferred)
+    except FabricError as error:
+        return str(error)
+
+
+li_coord = st.builds(
+    lambda bucket, jitter: bucket * _LiIndex.BUCKET + jitter,
+    st.integers(-3, 3), st.sampled_from([-9, -1, 0, 1, 7, 500]),
+)
+li_rect = st.builds(
+    lambda x, y, w, h, net: (x, y, x + w, y + h, net),
+    li_coord, li_coord, st.sampled_from([0, 2, 14, 1024, 2500]),
+    st.sampled_from([0, 2, 14, 1024, 2500]), st.integers(0, 3),
+)
+
+
+class TestFabricKernels:
+    """The fabric's band allocator and li index answer exactly like the
+    linear scan and the brute-force overlap test."""
+
+    @given(lo=st.integers(-40, 40), width=st.integers(-8, 60),
+           preferred=st.lists(st.integers(-80, 120), min_size=1,
+                              max_size=12))
+    @example(lo=4, width=0, preferred=[4])  # one line
+    @example(lo=5, width=2, preferred=[0])  # no lattice line inside
+    @settings(max_examples=300, deadline=None)
+    def test_band_matches_linear_scan(self, lo, width, preferred):
+        fast, scan = _Band(lo, lo + width), ScanBand(lo, lo + width)
+        lines = max(0, (scan.hi - scan.lo) // Q + 1)
+        # Past exhaustion: every further call raises the same text.
+        for step in range(lines + 2):
+            want = preferred[step % len(preferred)]
+            assert alloc_outcome(fast, want) == alloc_outcome(scan, want)
+        assert len(scan.used) == lines
+
+    @given(rects=st.lists(li_rect, max_size=30),
+           queries=st.lists(li_rect, min_size=1, max_size=10))
+    @settings(max_examples=200, deadline=None)
+    def test_li_index_matches_brute_force(self, rects, queries):
+        index = _LiIndex()
+        for rect in rects:
+            index.add(*rect)
+        for x0, y0, x1, y1, net in queries:
+            expected = any(
+                other != net
+                and ax0 <= x1 and x0 <= ax1 and ay0 <= y1 and y0 <= ay1
+                for ax0, ay0, ax1, ay1, other in rects
+            )
+            assert index.conflict(x0, y0, x1, y1, net) == expected

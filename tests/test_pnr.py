@@ -5,7 +5,7 @@ import sys
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import FlowOptions
@@ -342,10 +342,24 @@ def legalizer_inputs(draw):
     return cells, desired, rows, x0, x1, cursors
 
 
+#: Three cells dealt into three rows whose quota bound falls exactly on
+#: a cell's width midpoint: a list-order float sum of the widths moved
+#: that bound by an ulp and the reversed list dealt differently.
+TIED_QUOTA = (
+    [_inst(0, 1), _inst(1, 2), _inst(2, 3)],
+    {f"c{i}": (0.0, 0.0) for i in range(3)},
+    [Row(i, i * ROW_H, 0.0, 1000.0, ROW_H) for i in range(3)],
+    0.0,
+    3 * SITE,
+    {0: 0.0, 1: 0.0, 2: 0.0},
+)
+
+
 class TestLegalizeRows:
     """legalize_rows keeps every cell inside its row's free segment."""
 
     @given(legalizer_inputs())
+    @example(TIED_QUOTA)
     @settings(max_examples=300, deadline=None)
     def test_contained_without_overlap(self, inputs):
         cells, desired, rows, x0, x1, cursors = inputs
