@@ -6,6 +6,8 @@ the engines are visible.  Unlike the experiment benches these use real
 repeated measurement rounds.
 """
 
+import hashlib
+
 from conftest import build_alu_design, build_counter, build_mac_pipe
 
 from repro.core import COMMERCIAL, OPEN, FlowOptions, run_flow
@@ -123,12 +125,15 @@ def test_perf_layout_soc(benchmark):
 
     library, drc, data = benchmark.pedantic(layout, rounds=3, iterations=1)
     top = library.struct(name)
-    assert len(top.rects) == 26_702
+    assert len(top.rects) == 26_678
     assert len(top.srefs) == 1_284
     assert drc.clean
-    assert drc.checked_rects == 3_239
-    assert len(data) == 1_757_506
+    assert drc.checked_rects == 3_227
+    assert len(data) == 1_755_970
     assert data == flow.gds_bytes
+    assert hashlib.sha256(data).hexdigest() == (
+        "0ca4563cb122870baaa50d985c5084e627d7bc402b63bb2fe0eb3abea4ea159b"
+    )
 
 
 def test_perf_lvs_from_bytes(benchmark):
@@ -138,6 +143,9 @@ def test_perf_lvs_from_bytes(benchmark):
     pdk = get_pdk("edu130")
     flow = run_flow(generate("tinycpu").module, pdk,
                     FlowOptions(preset=COMMERCIAL, seed=1))
+    assert hashlib.sha256(flow.gds_bytes).hexdigest() == (
+        "b820ed569c06623f562ec53c139d4418ac76aa8a06cde3f256094fa03567ff54"
+    )
     mapped = flow.synthesis.mapped
     pins = {pin.name for pin in flow.physical.floorplan.io_pins}
 
