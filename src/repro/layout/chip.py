@@ -25,13 +25,17 @@ variants with identical footprints even when struct names are stripped.
 
 from __future__ import annotations
 
+from itertools import chain
+
+import numpy as np
+
 from ..pdk.cells import StandardCell
 from ..pdk.layers import NET_DATATYPE
 from ..pdk.node import ProcessNode
 from ..pdk.pdks import Pdk
 from ..pnr.physical import PhysicalDesign
 from ..pnr.placement import cell_width
-from .gds import GdsLibrary, GdsSRef, GdsStruct, GdsText, to_db
+from .gds import GdsLibrary, GdsSRef, GdsStruct, GdsText, to_db, to_db_array
 
 
 def master_footprint(cell: StandardCell, node: ProcessNode) -> tuple[float, float]:
@@ -110,6 +114,110 @@ def cell_master_struct(cell: StandardCell, pdk: Pdk) -> GdsStruct:
     return struct
 
 
+def wire_rows(design: PhysicalDesign) -> np.ndarray:
+    """The drawing-purpose routing picture as rectangle rows: one wire
+    per occupied grid-cell step and one via per layer change.
+
+    Each net gets a track slot inside every grid cell it draws in: its
+    rank, in ``design.routing.nets`` order, among the nets drawing
+    there, modulo the track count.  Parallel nets so sit
+    ``pitch / tracks`` apart, which the capacity cap
+    (:func:`repro.pnr.route.drc_clean_capacity`) guarantees to satisfy
+    width and spacing rules.  Rows come per net in that order, per
+    route cell in ``cells`` order: a met1 wire to the right neighbour,
+    then a via; or a met2 wire to the upper neighbour.
+    """
+    from ..pnr.route import drc_clean_capacity
+
+    pdk = design.pdk
+    met1 = pdk.layers.by_name("met1")
+    met2 = pdk.layers.by_name("met2")
+    via1 = pdk.layers.by_name("via1")
+    pitch = design.routing.grid_pitch_um
+    tracks = drc_clean_capacity(pdk.node, pdk.layers)
+    trees = [routed.cells for routed in design.routing.nets.values()]
+    sizes = [len(cells) for cells in trees]
+    cells = np.fromiter(
+        chain.from_iterable(chain.from_iterable(trees)),
+        dtype=np.int64, count=3 * sum(sizes),
+    ).reshape(-1, 3)
+    net = np.repeat(np.arange(len(trees)), sizes)
+    col, row, layer = cells.T
+    cols = int(col.max(initial=0)) + 2
+    rows = int(row.max(initial=0)) + 2
+    layers = max(2, int(layer.max(initial=0)) + 1)
+
+    def place(c, r, l):
+        return (c * rows + r) * layers + l
+
+    def key(n, c, r, l):
+        return n * (cols * rows * layers) + place(c, r, l)
+
+    routed = np.unique(key(net, col, row, layer))
+
+    def has(c, r, l):
+        query = key(net, c, r, l)
+        at = np.minimum(np.searchsorted(routed, query), len(routed) - 1)
+        return routed[at] == query
+
+    flat = layer == 0
+    right = flat & has(col + 1, row, 0)
+    via = flat & has(col, row, 1)
+    up = ~flat & has(col, row + 1, 1)
+
+    # Track slots: each (grid cell, net) that draws there, ranked by net
+    # order within its grid cell.
+    here = place(col, row, layer)
+    drawing = right | up | via
+    n_nets = max(1, len(trees))
+    calls, slot_of = np.unique(
+        np.concatenate((
+            here[drawing] * n_nets + net[drawing],
+            place(col[via], row[via], 1) * n_nets + net[via],
+        )),
+        return_inverse=True,
+    )
+    grid_cell = calls // n_nets
+    starts = np.flatnonzero(np.append(True, grid_cell[1:] != grid_cell[:-1]))
+    rank = np.arange(len(calls)) - np.repeat(
+        starts, np.diff(np.append(starts, len(calls)))
+    )
+    offset = ((rank % tracks) - (tracks - 1) / 2.0) * (pitch / tracks)
+    off_here = np.zeros(len(cells))
+    off_here[drawing] = offset[slot_of[: np.count_nonzero(drawing)]]
+    off_above = offset[slot_of[np.count_nonzero(drawing):]]
+
+    x = col * pitch
+    y = row * pitch
+    out = np.empty((2 * len(cells), 6), dtype=np.int64)
+    wires, vias = out[0::2], out[1::2]
+    half = met1.min_width_um / 2.0
+    yc = y[right] + off_here[right]
+    wires[right] = np.column_stack((
+        np.full(len(yc), met1.gds_layer), np.full(len(yc), met1.gds_datatype),
+        to_db_array(x[right]), to_db_array(yc - half),
+        to_db_array(x[right] + pitch), to_db_array(yc + half),
+    ))
+    xv = x[via] + off_above
+    yv = y[via] + off_here[via]
+    vias[via] = np.column_stack((
+        np.full(len(xv), via1.gds_layer), np.full(len(xv), via1.gds_datatype),
+        to_db_array(xv - half), to_db_array(yv - half),
+        to_db_array(xv + half), to_db_array(yv + half),
+    ))
+    half = met2.min_width_um / 2.0
+    xc = x[up] + off_here[up]
+    wires[up] = np.column_stack((
+        np.full(len(xc), met2.gds_layer), np.full(len(xc), met2.gds_datatype),
+        to_db_array(xc - half), to_db_array(y[up]),
+        to_db_array(xc + half), to_db_array(y[up] + pitch),
+    ))
+    keep = np.empty(2 * len(cells), dtype=bool)
+    keep[0::2] = right | up
+    keep[1::2] = via
+    return out[keep]
+
+
 def build_chip_gds(design: PhysicalDesign, top_name: str | None = None) -> GdsLibrary:
     """Assemble the full-chip GDSII library for ``design``."""
     pdk = design.pdk
@@ -128,60 +236,7 @@ def build_chip_gds(design: PhysicalDesign, top_name: str | None = None) -> GdsLi
             GdsSRef(key, (to_db(placed.x), to_db(placed.y)))
         )
 
-    # Routing: one wire rect per occupied grid-cell step.  Each net gets a
-    # deterministic track slot inside every grid cell it crosses, so
-    # parallel nets sit ``pitch / tracks`` apart, which the capacity cap
-    # guarantees to satisfy width+spacing rules.
-    from ..pnr.route import drc_clean_capacity
-
-    met1 = pdk.layers.by_name("met1")
-    met2 = pdk.layers.by_name("met2")
-    via1 = pdk.layers.by_name("via1")
-    pitch = design.routing.grid_pitch_um
-    tracks = drc_clean_capacity(pdk.node, pdk.layers)
-    cell_tracks: dict[tuple[int, int, int], dict[int, int]] = {}
-
-    def offset_for(cell: tuple[int, int, int], net: int) -> float:
-        nets_here = cell_tracks.setdefault(cell, {})
-        if net not in nets_here:
-            nets_here[net] = len(nets_here)
-        slot = nets_here[net] % tracks
-        return (slot - (tracks - 1) / 2.0) * (pitch / tracks)
-
-    for net, routed in design.routing.nets.items():
-        cells = set(routed.cells)
-        for cell in routed.cells:
-            col, row, layer = cell
-            x = col * pitch
-            y = row * pitch
-            if layer == 0:
-                if (col + 1, row, 0) in cells:
-                    yc = y + offset_for(cell, net)
-                    half = met1.min_width_um / 2.0
-                    top.add_rect_um(
-                        met1.gds_layer, met1.gds_datatype,
-                        x, yc - half, x + pitch, yc + half,
-                    )
-                if (col, row, 1) in cells:
-                    off_h = offset_for(cell, net)
-                    off_v = offset_for((col, row, 1), net)
-                    # Vias are drawn at met1 width: it is >= the via rule
-                    # and an exact number of database units, so rounding
-                    # can never shave the rect below minimum width.
-                    half = met1.min_width_um / 2.0
-                    top.add_rect_um(
-                        via1.gds_layer, via1.gds_datatype,
-                        x + off_v - half, y + off_h - half,
-                        x + off_v + half, y + off_h + half,
-                    )
-            else:
-                if (col, row + 1, 1) in cells:
-                    xc = x + offset_for(cell, net)
-                    half = met2.min_width_um / 2.0
-                    top.add_rect_um(
-                        met2.gds_layer, met2.gds_datatype,
-                        xc - half, y, xc + half, y + pitch,
-                    )
+    top.add_rects(wire_rows(design))
 
     # The electrically exact net-purpose fabric extraction reads back.
     from .fabric import draw_net_fabric

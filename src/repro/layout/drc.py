@@ -14,15 +14,14 @@ the check near-linear for our layout sizes.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..obs.trace import get_tracer
 from ..pdk.layers import LayerStack
-from .gds import DB_UNIT_IN_UM, GdsLibrary, from_db
-from .geometry import Rect
+from .gds import DB_UNIT_IN_UM, GdsLibrary, GdsStruct, from_db
+from .geometry import Rect, shared_bin_pairs
 
 
 @dataclass(frozen=True)
@@ -92,27 +91,44 @@ def flatten_rects(
 
     Rows come in placement order, and in stream order within one
     placement.  Each struct's rows on a key are selected and scaled
-    once, and each placement translates them in one numpy add.  Keying
-    by datatype keeps mask purposes apart: DRC checks a layer's drawing
-    purpose without mixing in net-purpose fabric shapes.
+    once, and shifted for all of its placements in one numpy add.
+    Keying by datatype keeps mask purposes apart: DRC checks a layer's
+    drawing purpose without mixing in net-purpose fabric shapes.
     """
-    local: dict[str, dict[tuple[int, int], np.ndarray]] = {}
-    parts = {key: [np.empty((0, 4))] for key in keys}
-    for struct, dx, dy in _placements(library, top_name):
-        blocks = local.get(struct.name)
-        if blocks is None:
-            rows = struct.rects
-            blocks = local[struct.name] = {
-                (layer, datatype): rows[
-                    (rows[:, 0] == layer) & (rows[:, 1] == datatype), 2:
-                ] * DB_UNIT_IN_UM
-                for layer, datatype in keys
-            }
-        shift = np.array((dx, dy, dx, dy))
-        for key, block in blocks.items():
+    placed: dict[str, list[int]] = {}
+    structs: dict[str, GdsStruct] = {}
+    shifts = []
+    for ordinal, (struct, dx, dy) in enumerate(
+        _placements(library, top_name)
+    ):
+        structs.setdefault(struct.name, struct)
+        placed.setdefault(struct.name, []).append(ordinal)
+        shifts.append((dx, dy, dx, dy))
+    shift = np.array(shifts, dtype=np.float64).reshape(-1, 4)
+    blocks = {}
+    for name, struct in structs.items():
+        rows = struct.rects
+        blocks[name] = [
+            rows[(rows[:, 0] == layer) & (rows[:, 1] == datatype), 2:]
+            * DB_UNIT_IN_UM
+            for layer, datatype in keys
+        ]
+    out = {}
+    for k, key in enumerate(keys):
+        count = np.zeros(len(shift), dtype=np.int64)
+        for name, ordinals in placed.items():
+            count[ordinals] = len(blocks[name][k])
+        start = np.cumsum(count) - count
+        flat = np.empty((int(count.sum()), 4))
+        for name, ordinals in placed.items():
+            block = blocks[name][k]
             if len(block):
-                parts[key].append(block + shift)
-    return {key: np.concatenate(p) for key, p in parts.items()}
+                at = start[ordinals][:, None] + np.arange(len(block))
+                flat[at.reshape(-1)] = (
+                    block[None, :, :] + shift[ordinals][:, None, :]
+                ).reshape(-1, 4)
+        out[key] = flat
+    return out
 
 
 def check_drc(
@@ -156,6 +172,24 @@ def check_drc(
     return report
 
 
+def _spacing_candidates(
+    coords: np.ndarray, spacing: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, second)`` row indexes of every pair of rectangles that
+    share a spacing bin: each rectangle, grown by ``spacing``, covers a
+    block of square bins of side ``max(8 * spacing, 1 nm)``, listed as
+    :func:`repro.layout.geometry.shared_bin_pairs` lists them."""
+    bin_size = max(spacing * 8.0, 1e-3)
+
+    def bins(values: np.ndarray) -> np.ndarray:
+        return np.floor_divide(values, bin_size).astype(np.int64)
+
+    return shared_bin_pairs(
+        bins(coords[:, 0] - spacing), bins(coords[:, 1] - spacing),
+        bins(coords[:, 2] + spacing), bins(coords[:, 3] + spacing),
+    )
+
+
 def _check_layer(
     report, layer, coords: np.ndarray, max_violations: int
 ) -> None:
@@ -180,49 +214,17 @@ def _check_layer(
         if len(report.violations) >= max_violations:
             return
 
-    # Spatial binning for the spacing check.
     spacing = layer.min_spacing_um
     if spacing <= 0 or len(coords) < 2:
         return
-    bin_size = max(spacing * 8.0, 1e-3)
-    bins: dict[tuple[int, int], list[int]] = defaultdict(list)
-    for index, (x0, y0, x1, y1) in enumerate(coords.tolist()):
-        for bx in range(
-            int((x0 - spacing) // bin_size),
-            int((x1 + spacing) // bin_size) + 1,
-        ):
-            for by in range(
-                int((y0 - spacing) // bin_size),
-                int((y1 + spacing) // bin_size) + 1,
-            ):
-                bins[(bx, by)].append(index)
-
-    # Candidate pairs from all bins are evaluated in one vectorized
-    # pass.  Every float op mirrors Rect.distance/.intersects bit for
-    # bit (same operand order, and np.sqrt is correctly rounded exactly
-    # like ``** 0.5``), and violations are emitted in the original scan
-    # order: bins in creation order, then the row-major i<j upper
-    # triangle.  A pair sharing several bins appears several times in
-    # the candidate list but is only *emitted* once (at its first
-    # occurrence); re-evaluating duplicates is output-equivalent to the
-    # old evaluate-once skip because evaluation is pure.
-    triu_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    pair_a: list[np.ndarray] = []
-    pair_b: list[np.ndarray] = []
-    for members in bins.values():
-        count = len(members)
-        if count < 2:
-            continue
-        upper = triu_cache.get(count)
-        if upper is None:
-            upper = triu_cache[count] = np.triu_indices(count, 1)
-        idx = np.fromiter(members, dtype=np.int64, count=count)
-        pair_a.append(idx[upper[0]])
-        pair_b.append(idx[upper[1]])
-    if not pair_a:
+    first, second = _spacing_candidates(coords, spacing)
+    if not len(first):
         return
-    first = np.concatenate(pair_a)
-    second = np.concatenate(pair_b)
+    # Every float op below mirrors Rect.distance/.intersects bit for bit
+    # (same operand order, and np.sqrt is correctly rounded exactly
+    # like ``** 0.5``).  A pair sharing several bins appears several
+    # times among the candidates but is only *emitted* once, at its
+    # first occurrence.
     ra, rb = coords[first], coords[second]
     gap_x = np.maximum(
         0.0, np.maximum(ra[:, 0], rb[:, 0]) - np.minimum(ra[:, 2], rb[:, 2])

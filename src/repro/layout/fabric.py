@@ -28,11 +28,15 @@ magnitude thinner than the pitch.
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import chain
+
+import numpy as np
 
 from ..pdk.layers import NET_DATATYPE
 from ..pnr.physical import PhysicalDesign
 from ..pnr.route import RoutingGrid
-from .gds import GdsStruct, to_db
+from .gds import GdsStruct, to_db, to_db_array
+from .geometry import shared_bin_pairs
 
 #: Lattice quantum in nm.  Lines are multiples of Q; with HALF-width
 #: shapes, distinct lines keep a >= Q - 2*HALF = 2 nm clearance.
@@ -89,23 +93,6 @@ class _Band:
         return self.lo + index * Q
 
 
-class _Run:
-    """One backbone: a lattice line plus the interval it spans."""
-
-    __slots__ = ("line", "lo", "hi")
-
-    def __init__(self, line: int, lo: int, hi: int):
-        self.line = line
-        self.lo = lo
-        self.hi = hi
-
-    def cover(self, v: int) -> None:
-        if v < self.lo:
-            self.lo = v
-        if v > self.hi:
-            self.hi = v
-
-
 class _LiIndex:
     """Collision index for li shapes (pads and stubs) on an x/y bucket
     grid, so a query scans only the shapes near it."""
@@ -138,15 +125,71 @@ class _LiIndex:
         return False
 
 
-def _ranges(values: list[int]) -> list[tuple[int, int]]:
-    """Maximal runs of consecutive integers in a sorted list."""
-    out: list[tuple[int, int]] = []
-    for v in values:
-        if out and v == out[-1][1] + 1:
-            out[-1] = (out[-1][0], v)
-        else:
-            out.append((v, v))
-    return out
+
+
+#: Sections of one net's rows, in emission order: layer-transition cuts,
+#: pin shapes, met1 backbones, met2 backbones.
+_CUTS, _PINS, _MET1, _MET2 = range(4)
+#: Slot of a pin's li stub; the pin's join shapes take slots 0, 1, ...
+#: before it, and its other shapes the slots after it.
+_STUB_SLOT = 1 << 30
+
+
+def _split_runs(net: np.ndarray, major: np.ndarray, minor: np.ndarray):
+    """Route cells of one layer as backbone runs.
+
+    Sorts the cells by (net, major, minor) and splits them into maximal
+    runs of consecutive ``minor`` values, so runs come in (net, major,
+    first minor) order, and a repeated cell starts a new run as it does
+    in a scan of the sorted list.  Returns ``(net, major, first, last)``
+    per run and ``(net, major, minor, run)`` per sorted cell.
+    """
+    order = np.lexsort((minor, major, net))
+    net, major, minor = net[order], major[order], minor[order]
+    if not len(net):
+        return (net, major, minor, minor), (net, major, minor, net)
+    start = np.ones(len(net), dtype=bool)
+    start[1:] = (
+        (net[1:] != net[:-1])
+        | (major[1:] != major[:-1])
+        | (minor[1:] != minor[:-1] + 1)
+    )
+    first = np.flatnonzero(start)
+    last = np.append(first[1:], len(net)) - 1
+    runs = (net[first], major[first], minor[first], minor[last])
+    return runs, (net, major, minor, np.cumsum(start) - 1)
+
+
+def _cover_map(keys: np.ndarray, runs: np.ndarray):
+    """Sorted unique node keys, each with the run that covers it (the
+    later of two runs through one node, as when they are assigned in
+    order)."""
+    order = np.argsort(keys, kind="stable")
+    keys, runs = keys[order], runs[order]
+    last = np.ones(len(keys), dtype=bool)
+    last[:-1] = keys[1:] != keys[:-1]
+    return keys[last], runs[last]
+
+
+def _lookup(keys: np.ndarray, values: np.ndarray, query: np.ndarray):
+    """``values`` at each ``query`` found in the sorted ``keys``, else -1."""
+    if not len(keys):
+        return np.full(len(query), -1, dtype=np.int64)
+    at = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+    return np.where(keys[at] == query, values[at], -1)
+
+
+def _rows(layer: int, x0, y0, x1, y1) -> np.ndarray:
+    """Net-purpose rectangle rows on ``layer``."""
+    x0 = np.asarray(x0, dtype=np.int64)
+    rows = np.empty((len(x0), 6), dtype=np.int64)
+    rows[:, 0] = layer
+    rows[:, 1] = NET_DATATYPE
+    rows[:, 2] = x0
+    rows[:, 3] = y0
+    rows[:, 4] = x1
+    rows[:, 5] = y1
+    return rows
 
 
 def draw_net_fabric(top: GdsStruct, design: PhysicalDesign) -> None:
@@ -157,229 +200,606 @@ def draw_net_fabric(top: GdsStruct, design: PhysicalDesign) -> None:
     :func:`repro.layout.chip.cell_master_struct`), IO pads are drawn
     here.  Raises :class:`FabricError` if any shape cannot be placed
     shorts-free — loud failure beats silently wrong mask data.
+
+    Three steps, each over whole tables: :class:`_Fabric` plans the pin
+    table, the backbone runs and every lattice-line request; one loop
+    hands the requests to the bands in order; the shapes are then built
+    as rows with a sort key and appended in one call.
     """
-    pdk = design.pdk
-    mapped = design.mapped
-    fp = design.floorplan
-    li = pdk.layers.by_name("li").gds_layer
-    lic = pdk.layers.by_name("lic").gds_layer
-    met1 = pdk.layers.by_name("met1").gds_layer
-    via1 = pdk.layers.by_name("via1").gds_layer
-    met2 = pdk.layers.by_name("met2").gds_layer
+    fabric = _Fabric(design)
+    fabric.allocate()
+    top.add_rects(fabric.rows())
 
-    grid = RoutingGrid.over(fp, design.routing.grid_pitch_um)
-    p = to_db(grid.pitch)
-    snap = grid.snap
 
-    add_rect = top.add_rect
+class _Fabric:
+    """The fabric of one design as tables.
 
-    def rect(layer: int, x0: int, y0: int, x1: int, y1: int) -> None:
-        add_rect(layer, NET_DATATYPE, x0, y0, x1, y1)
+    Pins are numbered in net order (ascending net id; within a net,
+    cell pins in ``mapped.cells`` order, inputs before the output, then
+    IO pins in floorplan order).  Runs are numbered met1 backbones
+    first, ordered by (net, grid row, first column), then met2
+    backbones by (net, grid column, first row), then single-node runs,
+    then the runs join nets create, in creation order.
 
-    def cut(x: int, y: int) -> None:
-        rect(via1, x - HALF, y - HALF, x + HALF, y + HALF)
+    Lattice lines are requested in this order: per net, its met1 then
+    met2 backbones; then per pin its single-node run (the first pin of
+    an unrouted net whose pins share one node), its spur in the band
+    of its grid row, and its met2 drop in the band of its grid column
+    when no met2 backbone covers its node.  Which requests exist depends
+    on the route alone, so the plan precedes allocation.  A *join net*,
+    one with a pin the route does not cover that is not such a
+    single-node net, requests its backbones the same way and then its
+    pins' lines through :meth:`_join_net`, which L-connects each
+    uncovered pin node to the nearest covered one.
+    """
 
-    row_bands: dict[int, _Band] = {}
-    col_bands: dict[int, _Band] = {}
+    def __init__(self, design: PhysicalDesign):
+        pdk = design.pdk
+        self.layers = {
+            name: pdk.layers.by_name(name).gds_layer
+            for name in ("li", "lic", "met1", "via1", "met2")
+        }
+        grid = RoutingGrid.over(design.floorplan, design.routing.grid_pitch_um)
+        self.p = to_db(grid.pitch)
+        self._plan_pins(design, grid)
+        self._plan_runs(design, grid)
+        self._plan_requests()
 
-    def row_band(r: int) -> _Band:
-        band = row_bands.get(r)
+    def _plan_pins(self, design: PhysicalDesign, grid: RoutingGrid) -> None:
+        """The pin table: net id, pad centre (nm) and grid node per pin,
+        in net order."""
+        from .chip import master_pin_offsets
+
+        pins_of: dict[str, list[tuple[str, int, int]]] = {}
+        boxes: list[tuple[float, float, float, float]] = []
+        owners: list[int] = []
+        nets: list[int] = []
+        dxs: list[int] = []
+        dys: list[int] = []
+        placed_cells = design.placement.cells
+        for owner, inst in enumerate(design.mapped.cells):
+            placed = placed_cells[inst.name]
+            boxes.append((placed.x, placed.y, placed.width, placed.height))
+            pins = pins_of.get(inst.cell.name)
+            if pins is None:
+                offsets = master_pin_offsets(inst.cell, design.pdk.node)
+                names = list(inst.cell.inputs)
+                if inst.cell.output:
+                    names.append(inst.cell.output)
+                pins = pins_of[inst.cell.name] = [
+                    (pin, *offsets[pin]) for pin in names
+                ]
+            for pin, dx, dy in pins:
+                nets.append(inst.pins[pin])
+                dxs.append(dx)
+                dys.append(dy)
+                owners.append(owner)
+        box = np.array(boxes, dtype=np.float64).reshape(-1, 4)
+        owner = np.array(owners, dtype=np.int64)
+        cell_col, cell_row = grid.snap_array(
+            box[:, 0] + box[:, 2] / 2.0, box[:, 1] + box[:, 3] / 2.0
+        )
+        ios = design.floorplan.io_pins
+        io_x = np.array([io.x for io in ios], dtype=np.float64)
+        io_y = np.array([io.y for io in ios], dtype=np.float64)
+        io_col, io_row = grid.snap_array(io_x, io_y)
+        self.io_px, self.io_py = to_db_array(io_x), to_db_array(io_y)
+        net = np.array(nets + [io.net for io in ios], dtype=np.int64)
+        px = np.concatenate((
+            to_db_array(box[:, 0])[owner] + np.array(dxs, dtype=np.int64),
+            self.io_px,
+        ))
+        py = np.concatenate((
+            to_db_array(box[:, 1])[owner] + np.array(dys, dtype=np.int64),
+            self.io_py,
+        ))
+        col = np.concatenate((cell_col[owner], io_col))
+        row = np.concatenate((cell_row[owner], io_row))
+        order = np.argsort(net, kind="stable")
+        self.pin_net, self.px, self.py = net[order], px[order], py[order]
+        self.pin_col, self.pin_row = col[order], row[order]
+        self.nets, self.net_first, self.net_pins = np.unique(
+            self.pin_net, return_index=True, return_counts=True
+        )
+        #: Net index (into :attr:`nets`) of every pin.
+        self.pin_of_net = np.repeat(np.arange(len(self.nets)), self.net_pins)
+
+    def _plan_runs(self, design: PhysicalDesign, grid: RoutingGrid) -> None:
+        """Backbone runs from the route trees, the transition cuts, which
+        run covers each pin node, and which nets need joins."""
+        n_nets = len(self.nets)
+        routing = design.routing.nets
+        trees = [
+            routing[net].cells if net in routing else ()
+            for net in self.nets.tolist()
+        ]
+        sizes = [len(cells) for cells in trees]
+        cells = np.fromiter(
+            chain.from_iterable(chain.from_iterable(trees)),
+            dtype=np.int64, count=3 * sum(sizes),
+        ).reshape(-1, 3)
+        cell_net = np.repeat(np.arange(n_nets), sizes)
+        flat = cells[:, 2] == 0
+        h_runs, self.h_cells = _split_runs(
+            cell_net[flat], cells[flat, 1], cells[flat, 0]
+        )
+        v_runs, self.v_cells = _split_runs(
+            cell_net[~flat], cells[~flat, 0], cells[~flat, 1]
+        )
+        self.h_runs, self.v_runs = h_runs, v_runs
+        n_h = self.met1_runs = len(h_runs[0])
+        cols = max(grid.cols, int(cells[:, 0].max(initial=-1)) + 1)
+        rows = max(grid.rows, int(cells[:, 1].max(initial=-1)) + 1)
+
+        def node(net, col, row):
+            return (net * cols + col) * rows + row
+
+        net, row, col, run = self.h_cells
+        h_nodes, h_cover = _cover_map(node(net, col, row), run)
+        net, col, row, run = self.v_cells
+        v_nodes, v_cover = _cover_map(node(net, col, row), run + n_h)
+        # Layer-transition cuts, in (net, col, row) order.
+        _, at_h, at_v = np.intersect1d(
+            h_nodes, v_nodes, assume_unique=True, return_indices=True
+        )
+        self.cut_h, self.cut_v = h_cover[at_h], v_cover[at_v]
+
+        pin_of_net = self.pin_of_net
+        pin_node = node(pin_of_net, self.pin_col, self.pin_row)
+        self.pin_h = _lookup(h_nodes, h_cover, pin_node)
+        self.pin_v = _lookup(v_nodes, v_cover, pin_node)
+        has_runs = (
+            np.bincount(h_runs[0], minlength=n_nets)
+            + np.bincount(v_runs[0], minlength=n_nets)
+        ) > 0
+        uncovered = np.bincount(
+            pin_of_net[(self.pin_h < 0) & (self.pin_v < 0)], minlength=n_nets
+        ) > 0
+        one_node = np.zeros(n_nets, dtype=bool)
+        if n_nets:
+            one_node = (
+                np.minimum.reduceat(pin_node, self.net_first)
+                == np.maximum.reduceat(pin_node, self.net_first)
+            )
+        # An unrouted net whose pins share one node gets one single-node
+        # met1 run, requested by its first pin and covering all of them.
+        single = ~has_runs & one_node
+        self.single_nets = np.flatnonzero(single)
+        self.join_nets = np.flatnonzero(uncovered & ~single)
+        routed = n_h + len(v_runs[0])
+        self.pin_h[single[pin_of_net]] = np.repeat(
+            routed + np.arange(len(self.single_nets)), self.net_pins[single]
+        )
+
+    def _plan_requests(self) -> None:
+        """The run table and every lattice-line request, sorted into
+        allocation order."""
+        p = self.p
+        h_net, h_row, h_lo, h_hi = self.h_runs
+        v_net, v_col, v_lo, v_hi = self.v_runs
+        singles = self.single_nets
+        single_pin = self.single_pin = self.net_first[singles]
+        self.run_vertical = np.concatenate((
+            np.zeros(len(h_net), dtype=bool), np.ones(len(v_net), dtype=bool),
+            np.zeros(len(singles), dtype=bool),
+        ))
+        self.run_net = np.concatenate((h_net, v_net, singles))
+        self.run_lo = np.concatenate(
+            (h_lo, v_lo, self.pin_col[single_pin])
+        ) * p
+        self.run_hi = np.concatenate(
+            (h_hi, v_hi, self.pin_col[single_pin])
+        ) * p
+        self.planned_runs = len(self.run_net)
+        routed = len(h_net) + len(v_net)
+
+        pin_of_net = self.pin_of_net
+        plain = ~np.isin(pin_of_net, self.join_nets)
+        spur_pins = self.spur_pins = np.flatnonzero(plain)
+        drop_pins = self.drop_pins = np.flatnonzero(plain & (self.pin_v < 0))
+        joins = self.join_nets
+        # Band keys: 2 * index for a grid row's band, 2 * index + 1 for a
+        # grid column's; a join net's one request is -1 - its net index.
+        parts = (
+            # (net, pin or run, slot, band key, preferred line)
+            (np.concatenate((h_net, v_net)), np.arange(routed) - routed, 0,
+             np.concatenate((2 * h_row, 2 * v_col + 1)),
+             np.concatenate((h_row, v_col)) * p),
+            (singles, single_pin, 0, 2 * self.pin_row[single_pin],
+             self.pin_row[single_pin] * p),
+            (pin_of_net[spur_pins], spur_pins, 1,
+             2 * self.pin_row[spur_pins], self.py[spur_pins]),
+            (pin_of_net[drop_pins], drop_pins, 2,
+             2 * self.pin_col[drop_pins] + 1, self.px[drop_pins]),
+            (joins, self.net_first[joins], -1, -1 - joins,
+             np.zeros(len(joins), dtype=np.int64)),
+        )
+        self.part_sizes = [len(part[0]) for part in parts]
+        net, at, slot, band, preferred = (
+            np.concatenate([np.broadcast_to(part[i], len(part[0]))
+                            for part in parts])
+            for i in range(5)
+        )
+        self.order = np.lexsort((slot, at, net))
+        self.req_band = band[self.order]
+        self.req_pref = preferred[self.order]
+        self.bands: dict[int, _Band] = {}
+
+    # -- allocation --------------------------------------------------------
+
+    def band(self, key: int) -> _Band:
+        band = self.bands.get(key)
         if band is None:
-            band = row_bands[r] = _Band(
-                r * p - p // 2 + 2 * Q, r * p + p // 2 - 2 * Q
+            index, p = key >> 1, self.p
+            band = self.bands[key] = _Band(
+                index * p - p // 2 + 2 * Q, index * p + p // 2 - 2 * Q
             )
         return band
 
-    def col_band(c: int) -> _Band:
-        band = col_bands.get(c)
-        if band is None:
-            band = col_bands[c] = _Band(
-                c * p - p // 2 + 2 * Q, c * p + p // 2 - 2 * Q
-            )
-        return band
+    def allocate(self) -> None:
+        """Hand out every lattice line in request order, then choose the
+        li stubs.  On a failure, raises the error that drawing net by
+        net, pin by pin, meets first: a stub failure of a pin whose
+        stub comes before the failing request wins."""
+        n_pins = len(self.pin_net)
+        self.pin_ys = np.zeros(n_pins, dtype=np.int64)
+        self.pin_xd = np.zeros(n_pins, dtype=np.int64)
+        self.new_runs: list[tuple[bool, int, int, int, int]] = []
+        self.covers: list[tuple[int, int]] = []
+        self.join_rows: list[tuple[int, int, int, int, int, int, int, int]] = []
+        self.joined_pins = 0
+        lines = [0] * len(self.req_band)
+        self.lines = lines
+        if len(self.join_nets):
+            self.request_at = np.empty(len(self.order), dtype=np.int64)
+            self.request_at[self.order] = np.arange(len(self.order))
+        bands = self.bands
+        prefs = self.req_pref.tolist()
+        i = 0
+        try:
+            for i, key in enumerate(self.req_band.tolist()):
+                if key < 0:
+                    self._join_net(-1 - key)
+                    continue
+                band = bands.get(key)
+                if band is None:
+                    band = self.band(key)
+                lines[i] = band.alloc(prefs[i])
+        except FabricError as error:
+            self._spread_lines()
+            self.stubs(self._stubs_before(i))
+            raise error
+        self._spread_lines()
+        self.stubs(len(self.pin_net))
 
-    # Pass 1 — collect pins per net and register every li pad, so stub
-    # placement can see all pads before the first stub is chosen.
-    from .chip import master_pin_offsets
+    def _spread_lines(self) -> None:
+        """Copy the allocated lines onto the runs and pins that asked."""
+        got = np.empty(len(self.order), dtype=np.int64)
+        got[self.order] = self.lines
+        routed, singles, spurs, drops, _ = np.split(
+            got, np.cumsum(self.part_sizes)[:-1]
+        )
+        new = self.new_runs
+        self.run_line = np.concatenate((
+            routed, singles, np.array([r[2] for r in new], dtype=np.int64)
+        ))
+        self.pin_ys[self.spur_pins] = spurs
+        self.pin_xd[self.drop_pins] = drops
 
-    pins_by_net: dict[int, list[tuple[int, int, int, int]]] = defaultdict(list)
-    li_index = _LiIndex()
-    offsets_cache: dict[str, dict[str, tuple[int, int]]] = {}
-    for inst in mapped.cells:
-        placed = design.placement.cells[inst.name]
-        offs = offsets_cache.get(inst.cell.name)
-        if offs is None:
-            offs = offsets_cache[inst.cell.name] = master_pin_offsets(
-                inst.cell, pdk.node
-            )
-        ox, oy = to_db(placed.x), to_db(placed.y)
-        node = snap(placed.cx, placed.cy)
-        pin_names = list(inst.cell.inputs)
-        if inst.cell.output:
-            pin_names.append(inst.cell.output)
-        for pin in pin_names:
-            net = inst.pins[pin]
-            px, py = ox + offs[pin][0], oy + offs[pin][1]
-            pins_by_net[net].append((px, py, node[0], node[1]))
-            li_index.add(px - PAD_HALF, py - PAD_HALF,
-                         px + PAD_HALF, py + PAD_HALF, net)
-    for io in fp.io_pins:
-        px, py = to_db(io.x), to_db(io.y)
-        node = snap(io.x, io.y)
-        pins_by_net[io.net].append((px, py, node[0], node[1]))
-        li_index.add(px - PAD_HALF, py - PAD_HALF,
-                     px + PAD_HALF, py + PAD_HALF, io.net)
-        # IO pads are top-level geometry (cell pads live in the masters).
-        rect(li, px - PAD_HALF, py - PAD_HALF, px + PAD_HALF, py + PAD_HALF)
+    def _stubs_before(self, i: int) -> int:
+        """How many pins' stubs precede sorted request ``i``: a pin's
+        stub is chosen right after its spur is allocated."""
+        part = int(np.searchsorted(
+            np.cumsum(self.part_sizes), self.order[i], side="right"
+        ))
+        at = self.order[i] - sum(self.part_sizes[:part])
+        if part == 0:  # a backbone: the net's pins all follow it
+            return int(self.net_first[self.run_net[at]])
+        if part == 1:  # a single-node run, before its pin's spur
+            return int(self.single_pin[at])
+        if part == 2:
+            return int(self.spur_pins[at])
+        if part == 3:
+            return int(self.drop_pins[at]) + 1
+        return self.joined_pins
 
-    # Pass 2 — per net: backbones from the route tree, then pin taps.
-    for net in sorted(pins_by_net):
-        routed = design.routing.nets.get(net)
-        hruns: list[_Run] = []
-        vruns: list[_Run] = []
-        hcover: dict[tuple[int, int], _Run] = {}
-        vcover: dict[tuple[int, int], _Run] = {}
+    def _join_net(self, n: int) -> None:
+        """Allocate the pin lines of join net ``n`` pin by pin, first
+        L-connecting each pin node the route does not cover to the
+        nearest covered node."""
+        p, half, via1 = self.p, HALF, self.layers["via1"]
+        lines, request_at, new_runs = self.lines, self.request_at, self.new_runs
+        covers, join_rows = self.covers, self.join_rows
+        planned = self.planned_runs
+        hcover: dict[tuple[int, int], int] = {}
+        vcover: dict[tuple[int, int], int] = {}
+        for cover, (cell_net, major, minor, run), vertical in (
+            (hcover, self.h_cells, False), (vcover, self.v_cells, True),
+        ):
+            lo, hi = np.searchsorted(cell_net, (n, n + 1))
+            offset = self.met1_runs if vertical else 0
+            if vertical:
+                nodes = zip(major[lo:hi].tolist(), minor[lo:hi].tolist())
+            else:
+                nodes = zip(minor[lo:hi].tolist(), major[lo:hi].tolist())
+            for node, r in zip(nodes, (run[lo:hi] + offset).tolist()):
+                cover[node] = r
 
-        if routed is not None:
-            by_row: dict[int, list[int]] = defaultdict(list)
-            by_col: dict[int, list[int]] = defaultdict(list)
-            for col, row, layer in routed.cells:
-                if layer == 0:
-                    by_row[row].append(col)
-                else:
-                    by_col[col].append(row)
-            for row in sorted(by_row):
-                for c0, c1 in _ranges(sorted(by_row[row])):
-                    run = _Run(row_band(row).alloc(row * p), c0 * p, c1 * p)
-                    hruns.append(run)
-                    for col in range(c0, c1 + 1):
-                        hcover[(col, row)] = run
-            for col in sorted(by_col):
-                for r0, r1 in _ranges(sorted(by_col[col])):
-                    run = _Run(col_band(col).alloc(col * p), r0 * p, r1 * p)
-                    vruns.append(run)
-                    for row in range(r0, r1 + 1):
-                        vcover[(col, row)] = run
+        def line(run: int) -> int:
+            if run < planned:
+                return lines[request_at[run]]
+            return new_runs[run - planned][2]
 
-        # Layer-transition cuts at nodes the route uses on both layers.
-        for node in sorted(set(hcover) & set(vcover)):
-            h, v = hcover[node], vcover[node]
-            cut(v.line, h.line)
-            h.cover(v.line)
-            v.cover(h.line)
+        def new_run(vertical: bool, at: int, lo: int, hi: int) -> int:
+            new_runs.append((vertical, n, at, lo, hi))
+            return planned + len(new_runs) - 1
 
-        def bridge_h(h_a: _Run, h_b: _Run, col: int) -> None:
+        def alloc(key: int, preferred: int) -> int:
+            return self.band(key).alloc(preferred)
+
+        def rect(layer: int, x0: int, y0: int, x1: int, y1: int) -> None:
+            join_rows.append((layer, x0, y0, x1, y1, n, pin, len(join_rows)))
+
+        def cut(x: int, y: int) -> None:
+            rect(via1, x - half, y - half, x + half, y + half)
+
+        def link(a: int, b: int) -> None:
+            """A cut where runs ``a`` (met2) and ``b`` (met1) cross."""
+            cut(line(a), line(b))
+            covers.append((a, line(b)))
+            covers.append((b, line(a)))
+
+        def bridge_h(h_a: int, h_b: int, col: int) -> None:
             """Join two met1 backbones with a met2 jumper in ``col``."""
-            xb = col_band(col).alloc(col * p)
-            lo, hi = sorted((h_a.line, h_b.line))
-            rect(met2, xb - HALF, lo - HALF, xb + HALF, hi + HALF)
-            cut(xb, h_a.line)
-            cut(xb, h_b.line)
-            h_a.cover(xb)
-            h_b.cover(xb)
+            xb = alloc(2 * col + 1, col * p)
+            lo, hi = sorted((line(h_a), line(h_b)))
+            rect(self.layers["met2"], xb - half, lo - half, xb + half,
+                 hi + half)
+            cut(xb, line(h_a))
+            cut(xb, line(h_b))
+            covers.append((h_a, xb))
+            covers.append((h_b, xb))
 
         def join(c: int, r: int, c2: int, r2: int) -> None:
             """Connect uncovered node (c, r) to covered node (c2, r2)."""
-            leg = _Run(row_band(r).alloc(r * p),
-                       min(c, c2) * p, max(c, c2) * p)
-            hruns.append(leg)
+            leg = new_run(False, alloc(2 * r, r * p),
+                          min(c, c2) * p, max(c, c2) * p)
             for col in range(min(c, c2), max(c, c2) + 1):
                 hcover.setdefault((col, r), leg)
             if r != r2:
-                vleg = _Run(col_band(c2).alloc(c2 * p),
-                            min(r, r2) * p, max(r, r2) * p)
-                vruns.append(vleg)
+                vleg = new_run(True, alloc(2 * c2 + 1, c2 * p),
+                               min(r, r2) * p, max(r, r2) * p)
                 for row in range(min(r, r2), max(r, r2) + 1):
                     vcover.setdefault((c2, row), vleg)
-                cut(vleg.line, leg.line)
-                leg.cover(vleg.line)
-                vleg.cover(leg.line)
+                link(vleg, leg)
                 target_h = hcover.get((c2, r2))
                 if target_h is not None:
-                    cut(vleg.line, target_h.line)
-                    vleg.cover(target_h.line)
-                    target_h.cover(vleg.line)
+                    link(vleg, target_h)
                 else:
                     target_v = vcover[(c2, r2)]
-                    if target_v is not vleg:
-                        yb = row_band(r2).alloc(r2 * p)
-                        lo, hi = sorted((vleg.line, target_v.line))
-                        hruns.append(_Run(yb, lo, hi))
-                        cut(vleg.line, yb)
-                        cut(target_v.line, yb)
-                        vleg.cover(yb)
-                        target_v.cover(yb)
+                    if target_v != vleg:
+                        yb = alloc(2 * r2, r2 * p)
+                        lo, hi = sorted((line(vleg), line(target_v)))
+                        new_run(False, yb, lo, hi)
+                        cut(line(vleg), yb)
+                        cut(line(target_v), yb)
+                        covers.append((vleg, yb))
+                        covers.append((target_v, yb))
             else:
                 target_v = vcover.get((c2, r2))
                 if target_v is not None:
-                    cut(target_v.line, leg.line)
-                    leg.cover(target_v.line)
-                    target_v.cover(leg.line)
+                    link(target_v, leg)
                 else:
                     target_h = hcover[(c2, r2)]
-                    if target_h is not leg:
+                    if target_h != leg:
                         bridge_h(leg, target_h, c2)
 
-        for px, py, c, r in pins_by_net[net]:
-            if (c, r) not in hcover and (c, r) not in vcover:
+        first = int(self.net_first[n])
+        end = first + int(self.net_pins[n])
+        self.joined_pins = first
+        for pin, c, r, x, y in zip(
+            range(first, end), self.pin_col[first:end].tolist(),
+            self.pin_row[first:end].tolist(), self.px[first:end].tolist(),
+            self.py[first:end].tolist(),
+        ):
+            node = (c, r)
+            if node not in hcover and node not in vcover:
                 if not hcover and not vcover:
-                    # Single-node net: all pins share one grid node.
-                    run = _Run(row_band(r).alloc(r * p), c * p, c * p)
-                    hruns.append(run)
-                    hcover[(c, r)] = run
+                    hcover[node] = new_run(False, alloc(2 * r, r * p),
+                                           c * p, c * p)
                 else:
-                    # A pin node the router never targeted (e.g. the
-                    # second IO pin of a feedthrough net): L-connect it
-                    # to the nearest covered node.
                     _, c2, r2 = min(
                         (abs(cc - c) + abs(rr - r), cc, rr)
                         for cc, rr in set(hcover) | set(vcover)
                     )
                     join(c, r, c2, r2)
+            ys = self.pin_ys[pin] = alloc(2 * r, y)
+            self.joined_pins = pin + 1
+            v = vcover.get(node)
+            if v is not None:
+                self.pin_v[pin] = v
+                covers.append((v, ys))
+            else:
+                h = self.pin_h[pin] = hcover[node]
+                self.pin_v[pin] = -1
+                xd = self.pin_xd[pin] = alloc(2 * c + 1, x)
+                covers.append((h, xd))
 
-            # Spur line in this grid row's band, as close to the pin as
-            # the band allows (stubs stay short).
-            ys = row_band(r).alloc(py)
-            stub_lo, stub_hi = min(py, ys), max(py, ys)
-            want = (px + Q // 2) // Q * Q
-            for cand in (want, want + Q, want - Q):
-                if not li_index.conflict(cand - HALF, stub_lo - HALF,
-                                         cand + HALF, stub_hi + HALF, net):
-                    x_stub = cand
+    # -- li stubs ------------------------------------------------------------
+
+    def stubs(self, limit: int) -> None:
+        """Choose the li stubs of the first ``limit`` pins in order.
+
+        Each stub goes to the first of the pin's lattice x, one line
+        right and one line left that touches no li shape of another
+        net: every pad, and every stub chosen before it.  All three
+        candidates lie in the pin's *envelope*.  A pin whose envelope
+        touches no pad and no envelope of another net takes its lattice
+        x; only the others are placed one by one, in order, against the
+        pads and stubs their envelopes touch.  That is exact: a stub
+        can only touch a candidate of another net if their envelopes
+        touch, which would put both pins among the others.
+        """
+        x, y = self.px, self.py
+        net = self.pin_net
+        ys = self.pin_ys[:limit]
+        want = (x[:limit] + Q // 2) // Q * Q
+        lo = np.minimum(y[:limit], ys) - HALF
+        hi = np.maximum(y[:limit], ys) + HALF
+        self.x_stub = np.zeros(len(x), dtype=np.int64)
+        self.x_stub[:limit] = want
+        # Envelopes 0..limit-1, then every pad.
+        x0 = np.concatenate((want - Q - HALF, x - PAD_HALF))
+        x1 = np.concatenate((want + Q + HALF, x + PAD_HALF))
+        y0 = np.concatenate((lo, y - PAD_HALF))
+        y1 = np.concatenate((hi, y + PAD_HALF))
+        owner = np.concatenate((net[:limit], net))
+        size = _LiIndex.BUCKET
+        a, b = shared_bin_pairs(x0 // size, y0 // size, x1 // size,
+                                y1 // size)
+        touch = (
+            ((a < limit) | (b < limit))
+            & (owner[a] != owner[b])
+            & (x0[a] <= x1[b]) & (x0[b] <= x1[a])
+            & (y0[a] <= y1[b]) & (y0[b] <= y1[a])
+        )
+        shapes = np.unique(np.concatenate((a[touch], b[touch])))
+        pads = shapes[shapes >= limit]
+        index = _LiIndex()
+        for shape in pads.tolist():
+            index.add(x0[shape], y0[shape], x1[shape], y1[shape],
+                      owner[shape])
+        crowded = shapes[shapes < limit]
+        for pin, px, py, low, high, n in zip(
+            crowded.tolist(), x[crowded].tolist(), y[crowded].tolist(),
+            lo[crowded].tolist(), hi[crowded].tolist(),
+            net[crowded].tolist(),
+        ):
+            cand = (px + Q // 2) // Q * Q
+            for cand in (cand, cand + Q, cand - Q):
+                if not index.conflict(cand - HALF, low, cand + HALF, high, n):
                     break
             else:
                 raise FabricError(
-                    f"no shorts-free li stub position for net {net} "
+                    f"no shorts-free li stub position for net {n} "
                     f"pin at ({px}, {py}) nm"
                 )
-            li_index.add(x_stub - HALF, stub_lo - HALF,
-                         x_stub + HALF, stub_hi + HALF, net)
-            rect(li, x_stub - HALF, stub_lo - HALF,
-                 x_stub + HALF, stub_hi + HALF)
-            rect(lic, x_stub - HALF, ys - HALF, x_stub + HALF, ys + HALF)
+            index.add(cand - HALF, low, cand + HALF, high, n)
+            self.x_stub[pin] = cand
 
-            v = vcover.get((c, r))
-            if v is not None:
-                cut(v.line, ys)
-                v.cover(ys)
-                x_end = v.line
-            else:
-                h = hcover[(c, r)]
-                xd = col_band(c).alloc(px)
-                cut(xd, ys)
-                drop_lo, drop_hi = sorted((ys, h.line))
-                rect(met2, xd - HALF, drop_lo - HALF,
-                     xd + HALF, drop_hi + HALF)
-                cut(xd, h.line)
-                h.cover(xd)
-                x_end = xd
-            spur_lo, spur_hi = sorted((x_stub, x_end))
-            rect(met1, spur_lo - HALF, ys - HALF, spur_hi + HALF, ys + HALF)
+    # -- drawing -------------------------------------------------------------
 
-        # Backbones last: taps may have extended their spans.
-        for run in hruns:
-            rect(met1, run.lo - HALF, run.line - HALF,
-                 run.hi + HALF, run.line + HALF)
-        for run in vruns:
-            rect(met2, run.line - HALF, run.lo - HALF,
-                 run.line + HALF, run.hi + HALF)
+    def rows(self) -> np.ndarray:
+        """Every fabric rectangle, in the per-net emission order.
+
+        IO pads come first.  Then, per net: the layer-transition cuts in
+        (col, row) order; per pin its join shapes, li stub, lic cut, and
+        either the via onto its met2 backbone or via, met2 drop and via
+        onto its met1 backbone, then its met1 spur; the met1 runs; the
+        met2 runs.  A run spans everything that lands on it.
+        """
+        half, layers = HALF, self.layers
+        new = self.new_runs
+        vertical = np.concatenate(
+            (self.run_vertical, np.array([r[0] for r in new], dtype=bool))
+        )
+        run_net = np.concatenate(
+            (self.run_net, np.array([r[1] for r in new], dtype=np.int64))
+        )
+        line = self.run_line
+        lo = np.concatenate(
+            (self.run_lo, np.array([r[3] for r in new], dtype=np.int64))
+        )
+        hi = np.concatenate(
+            (self.run_hi, np.array([r[4] for r in new], dtype=np.int64))
+        )
+
+        ys, pin_v, pin_h = self.pin_ys, self.pin_v, self.pin_h
+        on_v = pin_v >= 0
+        drop = ~on_v
+        xe = np.where(on_v, line[pin_v], self.pin_xd)
+        h_line = line[pin_h[drop]]
+
+        # Run extents: everything that lands on a run widens it.
+        plain = np.zeros(len(ys), dtype=bool)
+        plain[self.spur_pins] = True
+        joined = np.array(self.covers, dtype=np.int64).reshape(-1, 2)
+        landing = np.concatenate((
+            self.cut_h, self.cut_v, pin_v[plain & on_v],
+            pin_h[plain & drop], joined[:, 0],
+        ))
+        value = np.concatenate((
+            line[self.cut_v], line[self.cut_h], ys[plain & on_v],
+            self.pin_xd[plain & drop], joined[:, 1],
+        ))
+        np.minimum.at(lo, landing, value)
+        np.maximum.at(hi, landing, value)
+
+        x_stub, py = self.x_stub, self.py
+        xd, ys_d = xe[drop], ys[drop]
+        pins = np.arange(len(ys))
+        drop_pins = pins[drop]
+        of_pin, of_drop = self.pin_of_net, self.pin_of_net[drop]
+        runs = np.arange(len(line))
+        h, v = runs[~vertical], runs[vertical]
+        joins = np.array(self.join_rows, dtype=np.int64).reshape(-1, 8)
+        n_io = len(self.io_px)
+        # Per table: its (net, section, pin or run, slot) sort key, its
+        # length and how to build it.
+        tables = [
+            ((-1, 0, np.arange(n_io), 0), n_io,
+             lambda: _rows(layers["li"], self.io_px - PAD_HALF,
+                           self.io_py - PAD_HALF, self.io_px + PAD_HALF,
+                           self.io_py + PAD_HALF)),
+            ((run_net[self.cut_h], _CUTS, np.arange(len(self.cut_h)), 0),
+             len(self.cut_h),
+             lambda: _rows(layers["via1"], line[self.cut_v] - half,
+                           line[self.cut_h] - half, line[self.cut_v] + half,
+                           line[self.cut_h] + half)),
+            ((joins[:, 5], _PINS, joins[:, 6], joins[:, 7]), len(joins),
+             lambda: _rows(*joins[:, :5].T)),
+            ((of_pin, _PINS, pins, _STUB_SLOT), len(pins),
+             lambda: _rows(layers["li"], x_stub - half,
+                           np.minimum(py, ys) - half, x_stub + half,
+                           np.maximum(py, ys) + half)),
+            ((of_pin, _PINS, pins, _STUB_SLOT + 1), len(pins),
+             lambda: _rows(layers["lic"], x_stub - half, ys - half,
+                           x_stub + half, ys + half)),
+            ((of_pin, _PINS, pins, _STUB_SLOT + 2), len(pins),
+             lambda: _rows(layers["via1"], xe - half, ys - half, xe + half,
+                           ys + half)),
+            ((of_drop, _PINS, drop_pins, _STUB_SLOT + 3), len(drop_pins),
+             lambda: _rows(layers["met2"], xd - half,
+                           np.minimum(ys_d, h_line) - half, xd + half,
+                           np.maximum(ys_d, h_line) + half)),
+            ((of_drop, _PINS, drop_pins, _STUB_SLOT + 4), len(drop_pins),
+             lambda: _rows(layers["via1"], xd - half, h_line - half,
+                           xd + half, h_line + half)),
+            ((of_pin, _PINS, pins, _STUB_SLOT + 5), len(pins),
+             lambda: _rows(layers["met1"], np.minimum(x_stub, xe) - half,
+                           ys - half, np.maximum(x_stub, xe) + half,
+                           ys + half)),
+            ((run_net[h], _MET1, h, 0), len(h),
+             lambda: _rows(layers["met1"], lo[h] - half, line[h] - half,
+                           hi[h] + half, line[h] + half)),
+            ((run_net[v], _MET2, v, 0), len(v),
+             lambda: _rows(layers["met2"], line[v] - half, lo[v] - half,
+                           line[v] + half, hi[v] + half)),
+        ]
+        net, section, at, slot = (
+            np.concatenate([np.broadcast_to(key[i], size)
+                            for key, size, _ in tables])
+            for i in range(4)
+        )
+        order = np.lexsort((slot, at, section, net))
+        del net, section, at, slot
+        # Each table goes straight to its sorted rows.
+        position = np.empty_like(order)
+        position[order] = np.arange(len(order))
+        out = np.empty((len(order), 6), dtype=np.int64)
+        start = 0
+        for _, size, build in tables:
+            if size:
+                out[position[start:start + size]] = build()
+            start += size
+        return out

@@ -168,9 +168,41 @@ class GdsStruct:
             raise IndexError(f"structure {self.name!r} has no row {index}")
         return 6 * index
 
-    def _extend(self, rows: np.ndarray) -> None:
+    def add_rects(self, rows) -> None:
+        """Append an ``(n, 6)`` table of integer layer, datatype, x0, y0,
+        x1, y1 rows in one call, as ``n`` :meth:`add_rect` calls would.
+
+        Raises :class:`ValueError` naming the first row that is not six
+        integers or has ``x0 > x1`` or ``y0 > y1``.
+        """
+        try:
+            table = np.asarray(rows)
+        except ValueError:  # ragged rows
+            table = None
+        if table is not None and table.size == 0:
+            return
+        if table is None or table.ndim != 2 or table.shape[1] != 6:
+            index = next(
+                (i for i, row in enumerate(rows) if np.shape(row) != (6,)), 0
+            )
+            raise ValueError(
+                f"structure {self.name!r}: row {index} is not "
+                f"(layer, datatype, x0, y0, x1, y1)"
+            )
+        if table.dtype.kind not in "iu":
+            raise ValueError(
+                f"structure {self.name!r}: row 0 is not integers "
+                f"({table.dtype})"
+            )
+        bad = (table[:, 2] > table[:, 4]) | (table[:, 3] > table[:, 5])
+        if bad.any():
+            index = int(bad.argmax())
+            raise ValueError(
+                f"structure {self.name!r}: row {index} "
+                f"{table[index].tolist()} has x0 > x1 or y0 > y1"
+            )
         self._table.frombytes(
-            np.ascontiguousarray(rows, dtype=np.int64).tobytes()
+            memoryview(np.ascontiguousarray(table, dtype=np.int64)).cast("B")
         )
 
 
@@ -193,6 +225,14 @@ class GdsLibrary:
 def to_db(um: float) -> int:
     """Micrometres to database units (nm)."""
     return int(round(um / DB_UNIT_IN_UM))
+
+
+def to_db_array(um) -> np.ndarray:
+    """:func:`to_db` of every element, as int64: the same division and
+    the same round-half-to-even."""
+    return np.rint(np.asarray(um, dtype=np.float64) / DB_UNIT_IN_UM).astype(
+        np.int64
+    )
 
 
 def from_db(db: int) -> float:
@@ -450,7 +490,7 @@ def _read_rect_run(
         for name, word in _RECT_HEADS.items():
             canonical &= elements[name] == word
         run = count if canonical.all() else int(canonical.argmin())
-        struct_def._extend(np.column_stack(
+        struct_def.add_rects(np.column_stack(
             (elements["layer"], elements["datatype"], corners)
         )[:run])
         total += run

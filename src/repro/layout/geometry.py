@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Rect:
@@ -94,3 +96,47 @@ def wire_rect(x0: float, y0: float, x1: float, y1: float, width: float) -> Rect:
         lo, hi = min(x0, x1), max(x0, x1)
         return Rect(lo - half, y0 - half, hi + half, y0 + half)
     raise ValueError("wire segments must be axis-aligned")
+
+
+def shared_bin_pairs(
+    bx0: np.ndarray, by0: np.ndarray, bx1: np.ndarray, by1: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, second)`` indexes of every pair of boxes that share a
+    bin, box ``i`` covering bins ``bx0[i]..bx1[i]`` by
+    ``by0[i]..by1[i]``.
+
+    Bins come in creation order, the order a scan over the boxes, then
+    bin columns, then bin rows first reaches them; a bin's members come
+    in box order, and its pairs as the row-major ``i < j`` upper
+    triangle.  A pair sharing several bins is listed once per bin.
+    """
+    # One entry per (box, bin), in scan order.
+    high = by1 - by0 + 1
+    per_box = (bx1 - bx0 + 1) * high
+    box = np.repeat(np.arange(len(bx0)), per_box)
+    local = np.arange(len(box)) - np.repeat(np.cumsum(per_box) - per_box,
+                                            per_box)
+    bx = bx0[box] + local // high[box]
+    by = by0[box] + local % high[box]
+    # Entries grouped by bin; the stable sort keeps each bin's members
+    # in scan order, so a group's first entry is the bin's creation.
+    order = np.lexsort((by, bx))
+    bx, by = bx[order], by[order]
+    start = np.flatnonzero(
+        np.append(True, (bx[1:] != bx[:-1]) | (by[1:] != by[:-1]))
+    )
+    size = np.diff(np.append(start, len(order)))
+    shared = size >= 2
+    start, size = start[shared], size[shared]
+    created = np.argsort(order[start])
+    start, size = start[created], size[created]
+    # Members of the shared bins, bins in creation order.
+    offset = np.cumsum(size) - size
+    member = box[order[
+        np.repeat(start - offset, size) + np.arange(int(size.sum()))
+    ]]
+    # Member k of a bin of s pairs with the s - 1 - k members after it.
+    after = np.repeat(offset + size, size) - np.arange(len(member)) - 1
+    head = np.repeat(np.arange(len(member)) + 1, after)
+    step = np.arange(len(head)) - np.repeat(np.cumsum(after) - after, after)
+    return np.repeat(member, after), member[head + step]

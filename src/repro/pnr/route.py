@@ -22,6 +22,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..obs.trace import get_tracer
 from ..pdk.node import ProcessNode
 from ..synth.mapped import MappedNetlist
@@ -109,6 +111,16 @@ class RoutingGrid:
         col = min(self.cols - 1, max(0, int(round(x / self.pitch))))
         row = min(self.rows - 1, max(0, int(round(y / self.pitch))))
         return col, row
+
+    def snap_array(self, x, y) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`snap` of every ``(x, y)`` pair: int64 columns and rows,
+        with the same division, round-half-to-even and clamp."""
+        col = np.rint(np.asarray(x, dtype=np.float64) / self.pitch)
+        row = np.rint(np.asarray(y, dtype=np.float64) / self.pitch)
+        return (
+            np.clip(col, 0, self.cols - 1).astype(np.int64),
+            np.clip(row, 0, self.rows - 1).astype(np.int64),
+        )
 
     def index(self, cell: Cell) -> int:
         col, row, layer = cell
