@@ -479,9 +479,9 @@ class _Fabric:
         routed, singles, spurs, drops, _ = np.split(
             got, np.cumsum(self.part_sizes)[:-1]
         )
-        new = self.new_runs
         self.run_line = np.concatenate((
-            routed, singles, np.array([r[2] for r in new], dtype=np.int64)
+            routed, singles,
+            np.array([run[2] for run in self.new_runs], dtype=np.int64),
         ))
         self.pin_ys[self.spur_pins] = spurs
         self.pin_xd[self.drop_pins] = drops
@@ -538,6 +538,7 @@ class _Fabric:
             return self.band(key).alloc(preferred)
 
         def rect(layer: int, x0: int, y0: int, x1: int, y1: int) -> None:
+            """A join shape of the pin being connected (``pin`` below)."""
             join_rows.append((layer, x0, y0, x1, y1, n, pin, len(join_rows)))
 
         def cut(x: int, y: int) -> None:
@@ -666,9 +667,10 @@ class _Fabric:
         shapes = np.unique(np.concatenate((a[touch], b[touch])))
         pads = shapes[shapes >= limit]
         index = _LiIndex()
-        for shape in pads.tolist():
-            index.add(x0[shape], y0[shape], x1[shape], y1[shape],
-                      owner[shape])
+        for pad in zip(x0[pads].tolist(), y0[pads].tolist(),
+                       x1[pads].tolist(), y1[pads].tolist(),
+                       owner[pads].tolist()):
+            index.add(*pad)
         crowded = shapes[shapes < limit]
         for pin, px, py, low, high, n in zip(
             crowded.tolist(), x[crowded].tolist(), y[crowded].tolist(),
@@ -699,20 +701,13 @@ class _Fabric:
         met2 runs.  A run spans everything that lands on it.
         """
         half, layers = HALF, self.layers
-        new = self.new_runs
-        vertical = np.concatenate(
-            (self.run_vertical, np.array([r[0] for r in new], dtype=bool))
-        )
-        run_net = np.concatenate(
-            (self.run_net, np.array([r[1] for r in new], dtype=np.int64))
-        )
+        # The runs join nets created: vertical, net, line, lo, hi.
+        new = np.array(self.new_runs, dtype=np.int64).reshape(-1, 5)
+        vertical = np.concatenate((self.run_vertical, new[:, 0] != 0))
+        run_net = np.concatenate((self.run_net, new[:, 1]))
         line = self.run_line
-        lo = np.concatenate(
-            (self.run_lo, np.array([r[3] for r in new], dtype=np.int64))
-        )
-        hi = np.concatenate(
-            (self.run_hi, np.array([r[4] for r in new], dtype=np.int64))
-        )
+        lo = np.concatenate((self.run_lo, new[:, 3]))
+        hi = np.concatenate((self.run_hi, new[:, 4]))
 
         ys, pin_v, pin_h = self.pin_ys, self.pin_v, self.pin_h
         on_v = pin_v >= 0

@@ -31,10 +31,6 @@ from repro.pnr.route import RoutingGrid, drc_clean_capacity
 
 # -- net-purpose fabric ---------------------------------------------------------
 
-#: How often :func:`reference_fabric` took each branch of a pin the route
-#: does not cover, so tests can show they reach every one.
-JOIN_BRANCHES: Counter = Counter()
-
 
 class _Run:
     """One backbone: a lattice line plus the interval it spans."""
@@ -65,9 +61,15 @@ def _ranges(values: list[int]) -> list[tuple[int, int]]:
     return out
 
 
-def reference_fabric(top: GdsStruct, design: PhysicalDesign) -> None:
+def reference_fabric(
+    top: GdsStruct, design: PhysicalDesign, branches: Counter | None = None
+) -> None:
     """Draw the net-purpose fabric into ``top`` net by net, one
-    ``add_rect`` call per shape."""
+    ``add_rect`` call per shape.  ``branches`` counts each branch taken
+    for a pin the route does not cover, so tests can show they reach
+    every one."""
+    if branches is None:
+        branches = Counter()
     pdk = design.pdk
     mapped = design.mapped
     fp = design.floorplan
@@ -204,14 +206,14 @@ def reference_fabric(top: GdsStruct, design: PhysicalDesign) -> None:
                 vleg.cover(leg.line)
                 target_h = hcover.get((c2, r2))
                 if target_h is not None:
-                    JOIN_BRANCHES["met2 leg onto met1"] += 1
+                    branches["met2 leg onto met1"] += 1
                     cut(vleg.line, target_h.line)
                     vleg.cover(target_h.line)
                     target_h.cover(vleg.line)
                 else:
                     target_v = vcover[(c2, r2)]
                     if target_v is not vleg:
-                        JOIN_BRANCHES["met2 leg via met1 jumper"] += 1
+                        branches["met2 leg via met1 jumper"] += 1
                         yb = row_band(r2).alloc(r2 * p)
                         lo, hi = sorted((vleg.line, target_v.line))
                         hruns.append(_Run(yb, lo, hi))
@@ -222,20 +224,20 @@ def reference_fabric(top: GdsStruct, design: PhysicalDesign) -> None:
             else:
                 target_v = vcover.get((c2, r2))
                 if target_v is not None:
-                    JOIN_BRANCHES["met1 leg onto met2"] += 1
+                    branches["met1 leg onto met2"] += 1
                     cut(target_v.line, leg.line)
                     leg.cover(target_v.line)
                     target_v.cover(leg.line)
                 else:
                     target_h = hcover[(c2, r2)]
                     if target_h is not leg:
-                        JOIN_BRANCHES["met1 leg via met2 bridge"] += 1
+                        branches["met1 leg via met2 bridge"] += 1
                         bridge_h(leg, target_h, c2)
 
         for px, py, c, r in pins_by_net[net]:
             if (c, r) not in hcover and (c, r) not in vcover:
                 if not hcover and not vcover:
-                    JOIN_BRANCHES["single node"] += 1
+                    branches["single node"] += 1
                     # Single-node net: all pins share one grid node.
                     run = _Run(row_band(r).alloc(r * p), c * p, c * p)
                     hruns.append(run)
@@ -244,7 +246,7 @@ def reference_fabric(top: GdsStruct, design: PhysicalDesign) -> None:
                     # A pin node the router never targeted (e.g. the
                     # second IO pin of a feedthrough net): L-connect it
                     # to the nearest covered node.
-                    JOIN_BRANCHES["join"] += 1
+                    branches["join"] += 1
                     _, c2, r2 = min(
                         (abs(cc - c) + abs(rr - r), cc, rr)
                         for cc, rr in set(hcover) | set(vcover)

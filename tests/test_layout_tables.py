@@ -9,6 +9,7 @@ spacing candidates from both, on real layouts and on perturbed ones.
 """
 
 import random
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -32,7 +33,6 @@ from repro.synth import synthesize
 
 from gds_reference import reference_flatten, to_reference
 from layout_reference import (
-    JOIN_BRANCHES,
     reference_candidates,
     reference_fabric,
     reference_wires,
@@ -174,11 +174,17 @@ def perturb(design, seed, drop_routes, drop_cells, extra_io, stacked,
                    floorplan=replace(floorplan, io_pins=ios))
 
 
-def compare_perturbed(design):
-    """Both fabrics on ``design``; False when the reference fails with
-    anything but a ``FabricError``."""
+def compare_perturbed(design, branches=None):
+    """Both fabrics and both wire pictures on ``design``; False when the
+    reference fabric fails with anything but a ``FabricError``."""
+    wires = GdsStruct("top")
+    reference_wires(wires, design)
+    assert np.array_equal(wire_rows(design), wires.rects)
     try:
-        expected = fabric_outcome(reference_fabric, design)
+        expected = fabric_outcome(
+            lambda top, design: reference_fabric(top, design, branches),
+            design,
+        )
     except Exception:  # an input the per-net code cannot draw at all
         return False
     assert same_outcome(fabric_outcome(draw_net_fabric, design), expected)
@@ -211,7 +217,7 @@ class TestPerturbedFabric:
     def test_perturbations_reach_every_branch_and_error(self, seed_designs):
         """A fixed sweep of perturbations takes every join branch and
         meets every kind of ``FabricError``, with both sides agreeing."""
-        JOIN_BRANCHES.clear()
+        branches = Counter()
         errors = set()
         for seed in range(16):
             for design in seed_designs:
@@ -220,11 +226,11 @@ class TestPerturbedFabric:
                     (0.0, 0.1, 0.3)[seed % 3], seed % 3, seed % 5 // 2,
                     PITCH_SCALES[seed % len(PITCH_SCALES)],
                 )
-                assert compare_perturbed(perturbed)
+                assert compare_perturbed(perturbed, branches)
                 outcome = fabric_outcome(draw_net_fabric, perturbed)
                 if isinstance(outcome, str):
                     errors.add(outcome.split(" [")[0].split(" for net")[0])
-        assert set(JOIN_BRANCHES) == {
+        assert set(branches) == {
             "single node", "join", "met2 leg onto met1",
             "met2 leg via met1 jumper", "met1 leg onto met2",
             "met1 leg via met2 bridge",
