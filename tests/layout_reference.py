@@ -49,7 +49,6 @@ class _Run:
             self.hi = v
 
 
-
 def _ranges(values: list[int]) -> list[tuple[int, int]]:
     """Maximal runs of consecutive integers in a sorted list."""
     out: list[tuple[int, int]] = []

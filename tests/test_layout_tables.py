@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.layout.drc as drc
@@ -205,8 +205,7 @@ class TestPerturbedFabric:
              stacked=0, pitch_scale=1.0)
     @example(start=1, seed=3, drop_routes=0.0, drop_cells=0.0, extra_io=0,
              stacked=0, pitch_scale=0.001)
-    @settings(max_examples=60, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=60, deadline=None)
     def test_same_rows_or_same_error(self, seed_designs, start, seed,
                                      drop_routes, drop_cells, extra_io,
                                      stacked, pitch_scale):
