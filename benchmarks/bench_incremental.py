@@ -14,8 +14,8 @@ applies — against a full from-scratch ``run_flow``:
   rebuild of the edited design bit for bit (GDS compared), because
   every eco engine is deterministic-modulo-memo.  A fast-but-different
   edit path would be a bug, not an optimization.
-* **Proof** — every edit must be proven by the cone-limited LEC (no
-  fallback rebuilds on the happy path).
+* **Proof** — every edit must be proven by the full LEC (no fallback
+  rebuilds on the happy path).
 
 Writes ``BENCH_incremental.json`` and exits nonzero if the edit speedup
 drops below the CI floor (10x), any edit falls back, or the GDS
@@ -77,18 +77,18 @@ def main(argv: list[str]) -> int:
             f"edit {index} fell back to a full rebuild: {report.fallback}"
         )
         assert report.lec is not None and report.lec.equivalent, (
-            f"edit {index} was not proven by the cone-limited LEC"
+            f"edit {index} was not proven by the full LEC"
         )
         edits.append(
             {
                 "edit_ms": round(t_edit * 1e3, 3),
                 "dirty": sorted(report.dirty),
-                "cones": len(report.cones),
+                "cones": len(report.lec.cones),
             }
         )
         print(
             f"edit {index}:       {t_edit * 1e3:8.0f} ms  "
-            f"dirty={sorted(report.dirty)} cones={len(report.cones)}"
+            f"dirty={sorted(report.dirty)} cones={len(report.lec.cones)}"
         )
 
     best_edit_s = min(e["edit_ms"] for e in edits) / 1e3

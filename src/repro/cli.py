@@ -244,12 +244,12 @@ def _cmd_edit(args) -> int:
         if report is None:
             return 2
     edit_ms = (time.perf_counter() - start) * 1e3
+    cones = 0 if report.lec is None else len(report.lec.cones)
     if report.clean:
         print(f"edit {module_name}: clean (no logic change)")
     else:
         print(f"edit {module_name}: dirty={sorted(report.dirty)} "
-              f"cones={len(report.cones)} "
-              f"fallback={report.fallback or 'none'}")
+              f"cones={cones} fallback={report.fallback or 'none'}")
         if report.lec is not None:
             verdict = "equivalent" if report.lec.equivalent else "DIVERGES"
             print(f"lec: {verdict}")
@@ -269,7 +269,7 @@ def _cmd_edit(args) -> int:
                     "module": module_name,
                     "clean": report.clean,
                     "dirty": sorted(report.dirty),
-                    "cones": len(report.cones),
+                    "cones": cones,
                     "fallback": report.fallback,
                     "lec_equivalent": None if report.lec is None
                     else report.lec.equivalent,

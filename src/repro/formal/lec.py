@@ -351,7 +351,6 @@ def check_lec(
     max_conflicts: int | None = 100_000,
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
-    cones: set[str] | None = None,
 ) -> LecResult:
     """Prove (or refute) combinational-cone equivalence of two designs.
 
@@ -360,17 +359,9 @@ def check_lec(
     touching the solver.  The rest go through Tseitin encoding and the
     CDCL solver; a SAT verdict yields a replayable
     :class:`Counterexample`, an exhausted ``max_conflicts`` budget an
-    ``unknown`` verdict (never silently "equivalent").
-
-    ``cones`` restricts proving to the named cones (output port names and
-    ``next(register)`` words, as produced by
-    :meth:`~repro.formal.aig.CombCones.cone_words`); a register's reset
-    comparison rides along with its ``next(...)`` cone.  Port/register
-    correspondence is always checked in full — an interface mismatch is a
-    structural anomaly no cone filter may hide.  The cone filter is the
-    incremental-compilation contract: callers must pass a superset of the
-    cones whose logic could have changed (a taint closure over the dirty
-    cells), making the limited proof as strong as a full one.
+    ``unknown`` verdict (never silently "equivalent").  Every output,
+    ``next(register)`` and reset cone is compared, after port and
+    register correspondence has been checked.
     """
     if tracer is None:
         tracer = get_tracer()
@@ -395,11 +386,7 @@ def check_lec(
 
         # Reset values are compared statically: a register that wakes up
         # different is a day-one mismatch no combinational cone shows.
-        skipped = 0
         for name, ref_reset in sorted(ref.reset_values.items()):
-            if cones is not None and f"next({name})" not in cones:
-                skipped += 1
-                continue
             impl_reset = impl.reset_values.get(name, 0)
             if ref_reset == impl_reset:
                 result.cones.append(ConeVerdict(
@@ -417,9 +404,6 @@ def check_lec(
         ref_cones = ref.cone_words()
         impl_cones = impl.cone_words()
         for cone, (ref_lits, kind) in sorted(ref_cones.items()):
-            if cones is not None and cone not in cones:
-                skipped += 1
-                continue
             impl_lits = impl_cones[cone][0]
             with tracer.span("formal.lec.cone", cone=cone) as cone_span:
                 diff = FALSE
@@ -481,7 +465,6 @@ def check_lec(
                 cones=len(result.cones),
                 structural=result.structural_cones,
                 conflicts=totals.conflicts,
-                skipped=skipped,
             )
 
     metrics.counter("formal.lec.runs").inc()

@@ -14,8 +14,8 @@ scale without giving up any signoff guarantee:
 * :mod:`~repro.inter.session` — the :class:`EcoSession` engine bundle
   injected into :func:`~repro.core.run_flow` via ``FlowOptions.eco``;
 * :mod:`~repro.inter.workspace` — the :class:`Workspace` session API:
-  ``open`` once, ``edit`` in a loop, every patch proved by a
-  cone-limited LEC miter with a full-rebuild fallback.
+  ``open`` once, ``edit`` in a loop, every patch proved by a full LEC
+  miter with a full-rebuild fallback.
 
 Everything is deterministic-modulo-memo: an incremental run and a
 from-scratch rebuild of the same design produce byte-identical flow
@@ -30,11 +30,11 @@ from .hashes import (
     module_table,
     strip_module,
 )
-from .replay import ReplayRouter, RouteBaseline, replay_route
+from .replay import ReplayRouter, RouteBaseline
 from .session import EcoSession
 from .stitch import Shard, instance_paths, shard_memo_key, stitch, \
     synthesize_shard
-from .workspace import EditReport, Workspace, dirty_cones, substitute_module
+from .workspace import EditReport, Workspace, substitute_module
 
 __all__ = [
     "EcoSession",
@@ -45,12 +45,10 @@ __all__ = [
     "Shard",
     "Workspace",
     "content_hash",
-    "dirty_cones",
     "dirty_modules",
     "instance_paths",
     "module_keys",
     "module_table",
-    "replay_route",
     "shard_memo_key",
     "stitch",
     "strip_module",

@@ -48,10 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..pdk.node import ProcessNode
-from ..pnr.placement import Placement
 from ..pnr.route import Cell, GridRouter, RoutedNet, RoutingResult
-from ..synth.mapped import MappedNetlist
 
 
 @dataclass
@@ -383,21 +380,3 @@ class ReplayRouter(GridRouter):
         )
         return result, new_baseline, stats
 
-
-def replay_route(
-    mapped: MappedNetlist,
-    placement: Placement,
-    node: ProcessNode,
-    baseline: RouteBaseline | None,
-    rip_up: bool = True,
-    max_iterations: int = 3,
-    capacity: int = 4,
-    tracer=None,
-) -> tuple[RoutingResult, RouteBaseline, ReplayStats]:
-    """Route ``mapped`` with baseline replay; returns the new baseline."""
-    router = ReplayRouter(
-        mapped, placement, node, capacity=capacity, tracer=tracer
-    )
-    return router.route_with_baseline(
-        baseline, max_iterations=max_iterations, rip_up=rip_up
-    )

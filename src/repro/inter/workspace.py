@@ -15,21 +15,18 @@ memos and the last :class:`~repro.core.flow.FlowResult`.
    net blocks, untouched regions keep seed-stable placements, and the
    verified-replay router substitutes every recorded path whose cost
    landscape provably did not change;
-4. proves the patch with a cone-limited LEC miter over the *dirty
-   cones* — the forward taint closure of the dirty shards' cells.  The
-   shard boundary makes the taint sound: a shard sees its children's
-   signals as symbolic pseudo inputs, so per-shard synthesis can never
-   optimize a cross-module dependency away, and the stitched netlist's
-   structural dependencies are a superset of the design's functional
-   ones.  Register state is a cut (correspondence is always checked in
-   full), so taint stops at DFFs and dirty flops contribute their
-   ``next(...)`` cones instead.
+4. proves the stitched netlist against the edited design with one full
+   LEC miter over every output, register and reset cone.  Both designs
+   go into one structurally hashed AIG, so a cone whose two sides hash
+   the same folds to one literal without a SAT call; on the catalogue
+   soc every cone of every benchmark edit does.
 
 Any structural anomaly — an :class:`~repro.inter.hashes.InterError`
-from the stitcher, a failed flow, a refuted or inconclusive cone proof
-— falls back to a full rebuild on a fresh session, with a full LEC.
-Because every eco engine is deterministic-modulo-memo, the incremental
-result and the fallback rebuild are byte-identical either way.
+from the stitcher, a failed flow, a refuted or inconclusive proof —
+falls back to a full rebuild on a fresh session, proved by the same full
+LEC.  Because every eco engine is deterministic-modulo-memo, the
+incremental result and the fallback rebuild are byte-identical either
+way.
 """
 
 from __future__ import annotations
@@ -45,11 +42,8 @@ from ..hdl.verilog_parser import parse_verilog
 from ..obs.metrics import MetricsRegistry, get_metrics
 from ..obs.trace import Tracer, get_tracer
 from ..pdk.pdks import Pdk
-from ..pnr.hier import cell_region
-from ..synth.mapped import MappedNetlist
 from .hashes import InterError, dirty_modules, module_keys, module_table
 from .session import EcoSession
-from .stitch import instance_paths
 
 
 @dataclass
@@ -64,10 +58,9 @@ class EditReport:
     #: previous result is returned untouched and nothing re-ran.
     clean: bool
     result: FlowResult
-    #: Cone-limited proof of the patch (None for clean edits).
+    #: Full LEC of the committed netlist against the edited design
+    #: (None for clean edits).
     lec: LecResult | None
-    #: Cone names the LEC miter actually proved.
-    cones: tuple[str, ...] = ()
     #: Why the incremental path was abandoned (None when it held).
     fallback: str | None = None
 
@@ -128,64 +121,6 @@ def _rebuild(module: Module, target: str, replacement: Module,
     return clone
 
 
-def dirty_cones(
-    top: Module, mapped: MappedNetlist, dirty: set[str]
-) -> set[str]:
-    """LEC cone names affected by the dirty modules (taint closure).
-
-    Seeds are the combinational cells of every dirty instance's shard;
-    taint propagates forward through combinational cells and stops at
-    flops.  Affected cones: output ports whose nets are tainted, plus
-    ``next(...)`` of every flop that sits in a dirty shard or whose
-    input pins read a tainted net.
-    """
-    dirty_paths = {
-        path
-        for path, module in instance_paths(top)
-        if module.name in dirty
-    }
-    dirty_cells = {
-        inst.name
-        for inst in mapped.cells
-        if cell_region(inst.name) in dirty_paths
-    }
-
-    driver = mapped.net_driver()
-    loads = mapped.net_loads()
-    driven_by: dict[str, list[int]] = {}
-    for net, inst in driver.items():
-        driven_by.setdefault(inst.name, []).append(net)
-
-    tainted: set[int] = set()
-    work: list[int] = []
-    for inst in mapped.comb_cells:
-        if inst.name in dirty_cells:
-            for net in driven_by.get(inst.name, ()):
-                if net not in tainted:
-                    tainted.add(net)
-                    work.append(net)
-    while work:
-        net = work.pop()
-        for sink, _pin in loads.get(net, ()):
-            if sink.cell.is_sequential:
-                continue
-            for out_net in driven_by.get(sink.name, ()):
-                if out_net not in tainted:
-                    tainted.add(out_net)
-                    work.append(out_net)
-
-    cones: set[str] = set()
-    for name, nets in mapped.outputs.items():
-        if any(net in tainted for net in nets):
-            cones.add(name)
-    for inst in mapped.seq_cells:
-        if inst.name in dirty_cells or any(
-            inst.pins[pin] in tainted for pin in inst.cell.inputs
-        ):
-            cones.add(f"next({inst.tag.rpartition('[')[0]})")
-    return cones
-
-
 class Workspace:
     """One open design under interactive editing.  Use :meth:`open`."""
 
@@ -194,21 +129,14 @@ class Workspace:
         design: Module,
         pdk: Pdk,
         opts: FlowOptions,
-        session: EcoSession,
         result: FlowResult,
-        cache=None,
-        cache_hit: bool = False,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
     ):
         self.pdk = pdk
         self.opts = opts
-        self.cache = cache
-        #: Whether :meth:`open` was served from the campaign result cache.
-        self.cache_hit = cache_hit
         self.tracer = tracer if tracer is not None else get_tracer()
         self.metrics = metrics if metrics is not None else get_metrics()
-        self._session = session
         self._top = design
         self._table = module_table(design)
         self._keys = module_keys(design)
@@ -224,7 +152,6 @@ class Workspace:
         design: Module,
         pdk: Pdk,
         options: FlowOptions | None = None,
-        cache=None,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> "Workspace":
@@ -234,9 +161,6 @@ class Workspace:
         ``FlowOptions()``, as for :func:`~repro.core.flow.run_flow`; the
         preset's placer is overridden to the region-stable ``"hier"``
         placer, which both incremental and fallback rebuilds share.
-        ``cache`` (a :class:`~repro.resil.store.Store`) serves the
-        opening flow from the campaign's memo when it already holds an
-        identical request.
         """
         opts = options if options is not None else FlowOptions()
         if not isinstance(opts, FlowOptions):
@@ -245,42 +169,25 @@ class Workspace:
             raise ValueError(
                 "Workspace cannot run formal_lec flows: eco synthesis "
                 "produces no flat gate netlist; edits are proved by the "
-                "workspace's own cone-limited LEC instead"
+                "workspace's own full LEC instead"
             )
         if opts.eco is not None:
             raise ValueError("options already carry an eco session")
         tracer = tracer if tracer is not None else get_tracer()
         metrics = metrics if metrics is not None else get_metrics()
-        session = EcoSession(metrics)
         opts = opts.replace(
-            preset=replace(opts.preset, placer="hier"), eco=session
+            preset=replace(opts.preset, placer="hier"),
+            eco=EcoSession(metrics),
         )
 
         with tracer.span("inter.open", design=design.name) as sp:
-            cache_key = None
-            result = None
-            cache_hit = False
-            if cache is not None:
-                from ..campaign.cache import result_cache_key
-
-                cache_key = result_cache_key(design, pdk.name, opts)
-                result = cache.get(cache_key)
-                cache_hit = result is not None
-            if result is None:
-                result = run_flow(
-                    design, pdk, options=opts, tracer=tracer,
-                    metrics=metrics,
-                )
-                if cache is not None and cache_key is not None:
-                    cache.put(cache_key, result)
+            result = run_flow(
+                design, pdk, options=opts, tracer=tracer, metrics=metrics,
+            )
             if tracer.enabled:
-                sp.set(cache_hit=cache_hit, ok=result.ok)
+                sp.set(ok=result.ok)
         metrics.counter("inter.opens").inc()
-        return cls(
-            design, pdk, opts, session, result,
-            cache=cache, cache_hit=cache_hit,
-            tracer=tracer, metrics=metrics,
-        )
+        return cls(design, pdk, opts, result, tracer=tracer, metrics=metrics)
 
     @property
     def result(self) -> FlowResult:
@@ -338,102 +245,71 @@ class Workspace:
                     result=self._result, lec=None,
                 )
 
+            fallback = None
             try:
-                result = run_flow(
-                    new_top, self.pdk, options=self.opts,
-                    tracer=self.tracer, metrics=self.metrics,
-                )
-                if result.synthesis is None:
-                    raise InterError("incremental flow produced no netlist")
-                cones = dirty_cones(new_top, result.synthesis.mapped, dirty)
-                with self.tracer.span(
-                    "inter.lec", cones=len(cones)
-                ) as lec_sp:
-                    lec = check_lec(
-                        new_top, result.synthesis.mapped, cones=cones,
-                        tracer=self.tracer, metrics=self.metrics,
-                    )
-                    if self.tracer.enabled:
-                        lec_sp.set(equivalent=lec.equivalent)
-                if not lec.equivalent or lec.inconclusive:
-                    raise InterError(
-                        "cone-limited LEC did not prove the patch: "
-                        + "; ".join(
-                            str(cx) for cx in lec.counterexamples[:2]
-                        )
-                    )
+                result, lec = self._prove(new_top, self.opts)
             except (InterError, FlowError) as exc:
-                return self._fallback(
-                    new_top, new_keys, module_name, dirty, str(exc), sp
-                )
+                fallback = str(exc)
+                result, lec = self._fallback(new_top, module_name, fallback)
 
-            self._commit(new_top, new_keys, result)
+            self._top = new_top
+            self._table = module_table(new_top)
+            self._keys = new_keys
+            self._result = result
             if self.tracer.enabled:
-                sp.set(clean=False, dirty=len(dirty), cones=len(cones))
+                sp.set(clean=False, dirty=len(dirty),
+                       fallback=fallback is not None)
             return EditReport(
                 module=module_name,
                 dirty=tuple(sorted(dirty)),
                 clean=False,
                 result=result,
                 lec=lec,
-                cones=tuple(sorted(cones)),
+                fallback=fallback,
             )
 
     # -- internals -----------------------------------------------------------
 
+    def _prove(
+        self, new_top: Module, opts: FlowOptions
+    ) -> tuple[FlowResult, LecResult]:
+        """Run the flow over ``new_top`` and prove its mapped netlist
+        against ``new_top`` with one full LEC.  Raises
+        :class:`InterError` when there is no netlist or no proof."""
+        result = run_flow(
+            new_top, self.pdk, options=opts,
+            tracer=self.tracer, metrics=self.metrics,
+        )
+        if result.synthesis is None:
+            raise InterError("flow produced no netlist")
+        lec = check_lec(
+            new_top, result.synthesis.mapped,
+            tracer=self.tracer, metrics=self.metrics,
+        )
+        if not lec.equivalent:
+            raise InterError(
+                "LEC did not prove the edit: " + lec.summary() + "".join(
+                    f"; {cx}" for cx in lec.counterexamples[:2]
+                )
+            )
+        return result, lec
+
     def _fallback(
-        self,
-        new_top: Module,
-        new_keys: dict[str, str],
-        module_name: str,
-        dirty: set[str],
-        reason: str,
-        edit_span,
-    ) -> EditReport:
-        """Full rebuild on a fresh session, with an unrestricted LEC."""
+        self, new_top: Module, module_name: str, reason: str
+    ) -> tuple[FlowResult, LecResult]:
+        """Full rebuild on a fresh session, proved as an edit is; the
+        session replaces the old one only once the proof holds."""
         self.fallbacks += 1
         self.metrics.counter("inter.fallbacks").inc()
-        with self.tracer.span("inter.fallback", module=module_name) as sp:
-            session = EcoSession(self.metrics)
-            opts = self.opts.replace(eco=session)
-            result = run_flow(
-                new_top, self.pdk, options=opts,
-                tracer=self.tracer, metrics=self.metrics,
-            )
-            lec = None
-            if result.synthesis is not None:
-                lec = check_lec(
-                    new_top, result.synthesis.mapped,
-                    tracer=self.tracer, metrics=self.metrics,
-                )
-                if not lec.equivalent:
-                    raise FlowError(
-                        f"full LEC failed after fallback rebuild of "
-                        f"{new_top.name!r}: "
-                        + "; ".join(
-                            str(cx) for cx in lec.counterexamples[:2]
-                        )
-                    )
-            self._session = session
-            self.opts = opts
-            self._commit(new_top, new_keys, result)
-            if self.tracer.enabled:
-                sp.set(reason=reason[:200])
-        if self.tracer.enabled:
-            edit_span.set(clean=False, dirty=len(dirty), fallback=True)
-        return EditReport(
-            module=module_name,
-            dirty=tuple(sorted(dirty)),
-            clean=False,
-            result=result,
-            lec=lec,
-            fallback=reason,
-        )
-
-    def _commit(
-        self, new_top: Module, new_keys: dict[str, str], result: FlowResult
-    ) -> None:
-        self._top = new_top
-        self._table = module_table(new_top)
-        self._keys = new_keys
-        self._result = result
+        opts = self.opts.replace(eco=EcoSession(self.metrics))
+        with self.tracer.span(
+            "inter.fallback", module=module_name, reason=reason[:200]
+        ):
+            try:
+                built = self._prove(new_top, opts)
+            except InterError as exc:
+                raise FlowError(
+                    f"fallback rebuild of {new_top.name!r} failed: {exc}"
+                ) from exc
+        self.opts = opts
+        return built

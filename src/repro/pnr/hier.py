@@ -19,8 +19,8 @@ The solver, the legalizer, the cell width and the finishing step are the
 flat placer's (:mod:`repro.pnr.placement`).  This placer keeps its own
 choices: per region, nets in net-id order with members as sorted cell
 indexes then the anchor, a pull to the block centre, and one
-legalization call per block, in packing order, between the block's own
-``x0``/``x1`` over cursors shared by every block.
+legalization call per block, between the block's own ``x0``/``x1``
+(blocks never share a row segment).
 
 Stability is a performance property, not a correctness one: the placer
 is a deterministic function of the current netlist and floorplan alone,
@@ -252,16 +252,10 @@ def hier_place(
                 quadratic_positions(cells, nets, block_center[key])
             )
 
-        # Block-by-block legalization over shared per-row cursors, in
-        # packing order: along a shelf, left to right, so a block's
-        # rows are advanced only by its left neighbours, whose cells
-        # stay inside them and so end at or before its x0.
-        next_x = {row.index: row.x0 for row in floorplan.rows}
         placed: dict[str, PlacedCell] = {}
         for key, (bx0, bx1, r0, r1) in blocks.items():
             placed.update(legalize_rows(
-                groups[key], desired, floorplan.rows[r0:r1], bx0, bx1,
-                next_x,
+                groups[key], desired, floorplan.rows[r0:r1], bx0, bx1
             ))
         if tracer.enabled:
             sp.set(regions=len(keys), cells=len(placed))

@@ -232,15 +232,11 @@ def legalize_rows(
     rows: list[Row],
     x0: float,
     x1: float,
-    next_x: dict[int, float],
 ) -> dict[str, PlacedCell]:
     """Contained legalization of ``cells`` into the block of ``rows`` (in
     index order) between ``x0`` and ``x1``; ``desired`` holds centres.
 
-    ``next_x`` maps each row index to the row's first free x and is
-    advanced in place, so a caller legalizing neighbouring blocks of the
-    same rows shares one cursor map across calls.  A row's free segment
-    is ``[max(next_x, x0), x1]``.  Two steps:
+    Each row's free segment is ``[x0, x1]``.  Two steps:
 
     1. **Deal.**  Cells in desired-y order (then desired x, then name,
        so the caller's list order never matters) go to the rows by
@@ -259,8 +255,7 @@ def legalize_rows(
     """
     row_height = rows[0].height
     widths = {inst.name: cell_width(inst.cell, row_height) for inst in cells}
-    starts = [max(next_x[row.index], x0) for row in rows]
-    free = [max(0.0, x1 - start) for start in starts]
+    free = [max(0.0, x1 - x0)] * len(rows)
     total_free = sum(free)
     # Exactly rounded, so the caller's list order cannot move the
     # deal's quota bounds by an ulp.
@@ -309,7 +304,7 @@ def legalize_rows(
         load[target] += width
 
     placed: dict[str, PlacedCell] = {}
-    for row, start, names in zip(rows, starts, dealt):
+    for row, names in zip(rows, dealt):
         if not names:
             continue
         names.sort(key=lambda n: desired[n][0])  # stable: ties in deal order
@@ -323,8 +318,8 @@ def legalize_rows(
             wanted = desired[name][0] - width / 2.0
             while True:
                 x = min(wanted / members, x1 - span)
-                if x < start:
-                    x = start
+                if x < x0:
+                    x = x0
                 if not clusters or clusters[-1][0] + clusters[-1][3] <= x:
                     break
                 # Merge into the cluster on the left, which now sits
@@ -341,7 +336,6 @@ def legalize_rows(
                 width = widths[name]
                 placed[name] = PlacedCell(name, x, row.y, width, row.height)
                 x += width
-        next_x[row.index] = x
     return placed
 
 
@@ -387,10 +381,7 @@ def _legalize_flat(
     block (:func:`~repro.pnr.floorplan.make_floorplan` gives all rows
     the same ``x0``/``x1``)."""
     rows = floorplan.rows
-    return legalize_rows(
-        mapped.cells, desired, rows, rows[0].x0, rows[0].x1,
-        {row.index: row.x0 for row in rows},
-    )
+    return legalize_rows(mapped.cells, desired, rows, rows[0].x0, rows[0].x1)
 
 
 class IncrementalHpwl:

@@ -1,10 +1,11 @@
 """Tests for the interactive edit loop (repro.inter).
 
 Covers the dirty-set oracle's edge cases, the Workspace session API's
-guarantees (clean edits, incremental edits, fallback, byte identity with
-a from-scratch rebuild), the cone-limited LEC's must-fail guard against
-seeded netlist mutations, the replay router's divergence accounting, and
-the composed SoC catalogue entry the benchmark edits.
+guarantees (clean edits, incremental edits each proved by a full LEC,
+fallback, byte identity with a from-scratch rebuild), the edit path's
+must-fail guard against a seeded netlist mutation, the replay router's
+divergence accounting, and the composed SoC catalogue entry the
+benchmark edits.
 """
 
 import gc
@@ -20,7 +21,6 @@ from repro.inter import (
     InterError,
     Workspace,
     content_hash,
-    dirty_cones,
     dirty_modules,
     module_keys,
     module_table,
@@ -33,6 +33,9 @@ from repro.pdk import get_pdk
 from repro.pnr.hier import ROUTABILITY, hier_utilization
 
 OPTIONS = FlowOptions(clock_period_ps=4_000.0)
+#: A :func:`mutate_netlist` seed whose mutant of the edited minisoc's
+#: stitched netlist is not equivalent to it.
+MUTANT_SEED = 0
 
 
 def build_minisoc():
@@ -217,7 +220,6 @@ class TestWorkspace:
         assert not report.clean
         assert report.fallback is None
         assert set(report.dirty) == {"counter8", "minisoc"}
-        assert report.cones
         assert report.lec is not None and report.lec.equivalent
         assert ws.result is report.result
         assert ws.edits == 1 and ws.fallbacks == 0
@@ -245,25 +247,47 @@ class TestWorkspace:
         assert report.fallback is None
         assert garbage == 0
 
+    def test_every_edit_is_proved_by_a_full_lec(self):
+        ws = Workspace.open(build_minisoc(), get_pdk("edu130"),
+                            options=OPTIONS)
+        original = ws.rtl_of("counter8")
+        edits = [
+            ("counter8", to_verilog(make_counter(width=8, step=3).module)),
+            ("sevenseg", sevenseg_recode_rtl()),
+            ("counter8", original),
+        ]
+        for module_name, rtl in edits:
+            report = ws.edit(module_name, rtl)
+            assert not report.clean and report.fallback is None
+            full = check_lec(ws.design, report.result.synthesis.mapped)
+            assert full.equivalent
+            assert report.lec.to_dict() == full.to_dict()
+
     def test_structural_anomaly_falls_back_to_full_rebuild(
         self, monkeypatch
     ):
-        import repro.inter.workspace as workspace_mod
+        import repro.inter.session as session_mod
 
         ws = Workspace.open(build_minisoc(), get_pdk("edu130"),
                             options=OPTIONS)
+        stitch = session_mod.stitch
+        calls = []
 
-        def boom(*args, **kwargs):
-            raise InterError("injected anomaly")
+        def boom_once(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise InterError("injected anomaly")
+            return stitch(*args, **kwargs)
 
-        monkeypatch.setattr(workspace_mod, "dirty_cones", boom)
+        monkeypatch.setattr(session_mod, "stitch", boom_once)
         new_rtl = to_verilog(make_counter(width=8, step=3).module)
         report = ws.edit("counter8", new_rtl)
+        assert len(calls) == 2
         assert report.fallback is not None
         assert "injected anomaly" in report.fallback
         assert ws.fallbacks == 1
-        # The fallback is a full rebuild with an unrestricted LEC — and
-        # still byte-identical to any other rebuild of the same tree.
+        # The fallback is a full rebuild proved by the same full LEC —
+        # and still byte-identical to any other rebuild of the same tree.
         assert report.result.ok
         assert report.lec is not None and report.lec.equivalent
         monkeypatch.undo()
@@ -271,29 +295,40 @@ class TestWorkspace:
                               options=OPTIONS)
         assert report.result.gds_bytes == cold.result.gds_bytes
 
+    def test_seeded_mutation_must_fall_back(self, monkeypatch):
+        """The acceptance guard: a rewired gate cannot slip past the
+        edit's LEC.  Random-vector equivalence is off, so the LEC is the
+        only check that can see the mutant."""
+        import repro.inter.session as session_mod
 
-class TestConeLecGuard:
-    def test_seeded_mutation_must_fail(self, warm):
-        """The acceptance guard: a rewired gate cannot slip past LEC."""
-        design = warm.design
-        mapped = warm.result.synthesis.mapped
-        dirty = set(module_table(design))
-        cones = dirty_cones(design, mapped, dirty)
-        caught = False
-        for seed in range(8):
-            mutant, description = mutate_netlist(mapped, seed=seed)
-            verdict = check_lec(design, mutant, cones=cones)
-            if not verdict.equivalent:
-                caught = True
-                assert verdict.counterexamples
-                break
-        assert caught, "no seeded mutation was refuted by the cone LEC"
+        options = OPTIONS.replace(
+            preset=OPTIONS.preset.with_overrides(run_equivalence=False)
+        )
+        ws = Workspace.open(build_minisoc(), get_pdk("edu130"),
+                            options=options)
+        stitch = session_mod.stitch
+        mutants = []
 
-    def test_unmutated_netlist_still_proves(self, warm):
-        mapped = warm.result.synthesis.mapped
-        cones = dirty_cones(warm.design, mapped, {"counter8"})
-        verdict = check_lec(warm.design, mapped, cones=cones)
-        assert verdict.equivalent
+        def mutant_once(*args, **kwargs):
+            mapped = stitch(*args, **kwargs)
+            if mutants:
+                return mapped
+            mutant, description = mutate_netlist(mapped, seed=MUTANT_SEED)
+            mutants.append(description)
+            return mutant
+
+        monkeypatch.setattr(session_mod, "stitch", mutant_once)
+        new_rtl = to_verilog(make_counter(width=8, step=3).module)
+        report = ws.edit("counter8", new_rtl)
+        assert mutants
+        assert report.fallback is not None
+        assert "NOT EQUIVALENT" in report.fallback
+        assert ws.fallbacks == 1
+        assert report.lec is not None and report.lec.equivalent
+        monkeypatch.undo()
+        cold = Workspace.open(ws.design, get_pdk("edu130"),
+                              options=options)
+        assert report.result.gds_bytes == cold.result.gds_bytes
 
 
 class TestReplayDivergence:

@@ -312,7 +312,7 @@ def _inst(i: int, sites: int):
 
 @st.composite
 def legalizer_inputs(draw):
-    """(cells, desired centres, rows, x0, x1, cursors) for one block."""
+    """(cells, desired centres, rows, x0, x1) for one block."""
     first_row = draw(st.integers(0, 4))
     rows = [
         Row(i, i * ROW_H, 0.0, 1000.0, ROW_H)
@@ -322,10 +322,6 @@ def legalizer_inputs(draw):
     x1 = x0 + draw(st.integers(1, 120)) * SITE
     sites = draw(st.lists(st.integers(1, 12), min_size=1, max_size=40))
     cells = [_inst(i, n) for i, n in enumerate(sites)]
-    # Cursors behind the block, inside it or past its end, off the grid.
-    cursors = {
-        row.index: draw(st.floats(x0 - 10.0, x1 + 2.0)) for row in rows
-    }
     spot = st.tuples(st.floats(-100.0, x1 + 100.0),
                      st.floats(-50.0, rows[-1].y + 50.0))
     mode = draw(st.sampled_from(["scattered", "clumped", "identical"]))
@@ -339,7 +335,7 @@ def legalizer_inputs(draw):
                      cy + draw(st.floats(-jitter, jitter)))
             for c in cells
         }
-    return cells, desired, rows, x0, x1, cursors
+    return cells, desired, rows, x0, x1
 
 
 #: Three cells dealt into three rows whose quota bound falls exactly on
@@ -351,29 +347,26 @@ TIED_QUOTA = (
     [Row(i, i * ROW_H, 0.0, 1000.0, ROW_H) for i in range(3)],
     0.0,
     3 * SITE,
-    {0: 0.0, 1: 0.0, 2: 0.0},
 )
 
 
 class TestLegalizeRows:
-    """legalize_rows keeps every cell inside its row's free segment."""
+    """legalize_rows keeps every cell inside its row's ``[x0, x1]``."""
 
     @given(legalizer_inputs())
     @example(TIED_QUOTA)
     @settings(max_examples=300, deadline=None)
     def test_contained_without_overlap(self, inputs):
-        cells, desired, rows, x0, x1, cursors = inputs
-        start = {r.index: max(cursors[r.index], x0) for r in rows}
-        free = sum(max(0.0, x1 - s) for s in start.values())
+        cells, desired, rows, x0, x1 = inputs
+        free = len(rows) * (x1 - x0)
         widths = {c.name: c.cell.area_um2 / ROW_H for c in cells}
         total = sum(widths.values())
-        advanced = dict(cursors)
         if total > free + CONTAIN_TOL_UM:
             with pytest.raises(PlacementError):
-                legalize_rows(cells, desired, rows, x0, x1, advanced)
+                legalize_rows(cells, desired, rows, x0, x1)
             return
         try:
-            placed = legalize_rows(cells, desired, rows, x0, x1, advanced)
+            placed = legalize_rows(cells, desired, rows, x0, x1)
         except PlacementError:
             # Only a block too full to deal whole cells into may refuse.
             assert free - total < len(rows) * max(widths.values())
@@ -383,54 +376,40 @@ class TestLegalizeRows:
         per_row: dict[int, list] = {r.index: [] for r in rows}
         for cell in placed.values():
             assert cell.width == pytest.approx(widths[cell.name])
-            index = by_row[cell.y]
-            assert cell.x >= start[index] - CONTAIN_TOL_UM
+            assert cell.x >= x0 - CONTAIN_TOL_UM
             assert cell.x + cell.width <= x1 + CONTAIN_TOL_UM
-            per_row[index].append(cell)
-        for index, row_cells in per_row.items():
+            per_row[by_row[cell.y]].append(cell)
+        for row_cells in per_row.values():
             row_cells.sort(key=lambda c: c.x)
             for left, right in zip(row_cells, row_cells[1:]):
                 assert left.x + left.width <= right.x + CONTAIN_TOL_UM
-            if row_cells:
-                end = row_cells[-1].x + row_cells[-1].width
-                assert advanced[index] == pytest.approx(end)
-            else:
-                assert advanced[index] == cursors[index]
         # A second call, with the cells in reverse list order, places
         # them identically: the legalizer's own order decides.
-        again = dict(cursors)
-        assert legalize_rows(
-            cells[::-1], desired, rows, x0, x1, again
-        ) == placed
-        assert again == advanced
+        assert legalize_rows(cells[::-1], desired, rows, x0, x1) == placed
 
     def test_too_full_rows_raise(self):
         rows = [Row(i, i * ROW_H, 0.0, 3.0, ROW_H) for i in (4, 5)]
         cells = [_inst(i, 7) for i in range(3)]  # 21 sites, 20 free
         desired = {c.name: (1.5, 13.5) for c in cells}
-        cursors = {4: 0.0, 5: 0.0}
         with pytest.raises(PlacementError) as exc:
-            legalize_rows(cells, desired, rows, 0.0, 3.0, cursors)
+            legalize_rows(cells, desired, rows, 0.0, 3.0)
         assert str(exc.value) == (
             "rows 4..5 between x 0.000 and 3.000 um: 3 cells 6.300 um "
             "wide exceed the 6.000 um of free row width"
         )
-        assert cursors == {4: 0.0, 5: 0.0}
 
     def test_rows_too_fragmented_raise(self):
         rows = [Row(i, i * ROW_H, 0.0, 1.5, ROW_H) for i in (0, 1)]
         cells = [_inst(i, 3) for i in range(3)]  # 9 sites in 2 x 5
         desired = {c.name: (0.75, 3.0) for c in cells}
         with pytest.raises(PlacementError, match="do not pack into the"):
-            legalize_rows(cells, desired, rows, 0.0, 1.5, {0: 0.0, 1: 0.0})
+            legalize_rows(cells, desired, rows, 0.0, 1.5)
 
     def test_clump_spreads_over_the_rows(self):
         rows = [Row(i, i * ROW_H, 0.0, 12.0, ROW_H) for i in range(4)]
         cells = [_inst(i, 10) for i in range(8)]  # half of 4 x 40 sites
         desired = {c.name: (6.0, 6.0) for c in cells}
-        placed = legalize_rows(
-            cells, desired, rows, 0.0, 12.0, {r.index: 0.0 for r in rows}
-        )
+        placed = legalize_rows(cells, desired, rows, 0.0, 12.0)
         # Two 3 um cells per row, each pair centred on the clump's x.
         for row in rows:
             xs = sorted(c.x for c in placed.values() if c.y == row.y)
