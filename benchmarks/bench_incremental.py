@@ -16,6 +16,8 @@ applies — against a full from-scratch ``run_flow``:
   edit path would be a bug, not an optimization.
 * **Proof** — every edit must be proven by the full LEC (no fallback
   rebuilds on the happy path).
+* **Replay** — each edit's replayed and live-routed net counts, read
+  from the workspace's ``inter.route.*`` counters.
 
 Writes ``BENCH_incremental.json`` and exits nonzero if the edit speedup
 drops below the CI floor (10x), any edit falls back, or the GDS
@@ -39,6 +41,7 @@ from repro.core import FlowOptions, run_flow
 from repro.inter import Workspace
 from repro.ip import make_soc
 from repro.ip.soc import sevenseg_recode_rtl
+from repro.obs.metrics import MetricsRegistry
 from repro.pdk import get_pdk
 
 CI_FLOOR = 10.0
@@ -52,6 +55,14 @@ def _time(fn):
     return result, time.perf_counter() - start
 
 
+def _route_counts(metrics: MetricsRegistry) -> dict[str, int]:
+    """Nets the workspace's router has replayed and routed live so far."""
+    return {
+        kind: int(metrics.counter(f"inter.route.{kind}").value)
+        for kind in ("replayed", "routed")
+    }
+
+
 def main(argv: list[str]) -> int:
     out_path = argv[1] if len(argv) > 1 else "BENCH_incremental.json"
     pdk = get_pdk("edu130")
@@ -63,7 +74,10 @@ def main(argv: list[str]) -> int:
     cells = len(classic.synthesis.mapped.cells)
     print(f"full rebuild: {t_classic * 1e3:8.0f} ms  ({cells} cells)")
 
-    ws, t_open = _time(lambda: Workspace.open(soc, pdk, options=options))
+    metrics = MetricsRegistry()
+    ws, t_open = _time(
+        lambda: Workspace.open(soc, pdk, options=options, metrics=metrics)
+    )
     assert ws.result.ok, "workspace open failed on the bench design"
     print(f"open:         {t_open * 1e3:8.0f} ms")
 
@@ -71,7 +85,11 @@ def main(argv: list[str]) -> int:
     original = ws.rtl_of(EDIT_MODULE)
     edits = []
     for index, rtl in enumerate((recoded, original, recoded)):
+        before = _route_counts(metrics)
         report, t_edit = _time(lambda: ws.edit(EDIT_MODULE, rtl))
+        after = _route_counts(metrics)
+        replayed = after["replayed"] - before["replayed"]
+        routed = after["routed"] - before["routed"]
         assert not report.clean, "bench edit canonicalized to a no-op"
         assert report.fallback is None, (
             f"edit {index} fell back to a full rebuild: {report.fallback}"
@@ -84,11 +102,14 @@ def main(argv: list[str]) -> int:
                 "edit_ms": round(t_edit * 1e3, 3),
                 "dirty": sorted(report.dirty),
                 "cones": len(report.lec.cones),
+                "replayed": replayed,
+                "routed": routed,
             }
         )
         print(
             f"edit {index}:       {t_edit * 1e3:8.0f} ms  "
-            f"dirty={sorted(report.dirty)} cones={len(report.lec.cones)}"
+            f"dirty={sorted(report.dirty)} cones={len(report.lec.cones)} "
+            f"replayed={replayed} routed={routed}"
         )
 
     best_edit_s = min(e["edit_ms"] for e in edits) / 1e3

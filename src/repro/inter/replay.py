@@ -1,7 +1,7 @@
 """Verified-replay routing: reuse recorded maze paths, provably safely.
 
 Routing dominates flow runtime, but the maze router's A* search for one
-net only ever *reads* the usage/history of the grid cells it explores.
+net only ever *reads* the search cost of the grid cells it explores.
 :class:`ReplayRouter` exploits that: every live route records the set of
 cells whose cost was read (the *explored set*).  The search kernel
 reports the cells it expanded, and the explored set is their
@@ -12,8 +12,8 @@ the exact signed *divergence delta* — per grid cell, warm-run usage
 minus recorded-run usage at this point of the sequence, plus the same
 delta for congestion-history bumps:
 
-* a net present in both runs with identical pins whose explored set
-  contains no cell with a non-zero delta would see the exact cost
+* a net present in both runs with identical pins, on whose explored
+  set both runs agree on every cell's cost, would see the exact cost
   landscape the recorded search saw, so its recorded path (or recorded
   failure) is substituted verbatim;
 * otherwise the net routes live; every apply/unapply of a route charges
@@ -21,16 +21,26 @@ delta for congestion-history bumps:
   the same sequence point), so cells where the two runs agree cancel
   to zero and leave the divergence.
 
+Only a cell with a non-zero delta can cost differently in the two runs,
+and most do not: a cell's cost (:func:`~repro.pnr.route.cell_cost`) is
+one unit step plus its history, plus congestion only once its usage
+reaches capacity.  So the test is per divergent explored cell: the warm
+run's cost is the router's current one, the recorded run's is the same
+cost function applied to warm usage and history minus the deltas.
+
 The cancellation is what makes replay survive a congested design: a
 live reroute that lands on the recorded path zeroes its own delta, so
 one edited module perturbs the landscape only transiently instead of
 poisoning every later explored-set test.
 
-This is a proof, not a heuristic: the delta is exactly the usage
-difference the two searches would observe, so a substituted net is one
-the cold router would have routed identically, and warm and cold runs
-produce the same :class:`~repro.pnr.route.RoutingResult` byte for byte
-— including the insertion order of the routed-net dict, which
+This is a proof, not a heuristic: the recorded run's usage and history
+at each cell are exactly the warm values minus the deltas, so equal
+costs over the explored set mean the two searches read the same number
+at every lookup, expand the same cells in the same ``(f, g, index)``
+heap order and return the same path or the same failure.  A substituted
+net is one the cold router would have routed identically, and warm and
+cold runs produce the same :class:`~repro.pnr.route.RoutingResult` byte
+for byte — including the insertion order of the routed-net dict, which
 downstream GDS track assignment depends on.  A baseline recorded under
 different grid parameters is discarded wholesale.
 
@@ -48,7 +58,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..pnr.route import Cell, GridRouter, RoutedNet, RoutingResult
+from ..pnr.route import (
+    HISTORY_STEP, Cell, GridRouter, RoutedNet, RoutingResult, cell_cost,
+)
 
 
 @dataclass
@@ -102,11 +114,13 @@ class _Divergence:
 
     ``usage[cell]`` is warm usage minus recorded usage at the current
     point of the merged net sequence; ``hist`` the same for congestion
-    -history bumps.  ``cells`` caches the union of non-zero keys so the
-    per-net disjointness test is one set intersection.
+    -history bumps.  ``cells`` caches the union of non-zero keys.  The
+    warm run's state is ``router``'s; the recorded run's is that state
+    minus the deltas.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, router: GridRouter) -> None:
+        self.router = router
         self.usage: dict[Cell, int] = {}
         self.hist: dict[Cell, int] = {}
         self.cells: set[Cell] = set()
@@ -130,7 +144,21 @@ class _Divergence:
         self._charge(self.hist, cells, sign)
 
     def clean(self, explored: frozenset[Cell]) -> bool:
-        return explored.isdisjoint(self.cells)
+        """Whether both runs give every cell of ``explored`` the same
+        cost; only a cell with a non-zero delta can differ."""
+        router = self.router
+        index = router.grid.index
+        usage, history, cost = router.usage, router.history, router.cost
+        for cell in self.cells.intersection(explored):
+            i = index(cell)
+            recorded = cell_cost(
+                usage[i] - self.usage.get(cell, 0),
+                history[i] - HISTORY_STEP * self.hist.get(cell, 0),
+                router.capacity,
+            )
+            if recorded != cost[i]:
+                return False
+        return True
 
 
 def _applied_cells(routed: RoutedNet) -> set[Cell]:
@@ -186,7 +214,7 @@ class ReplayRouter(GridRouter):
 
         routed: dict[int, RoutedNet] = {}
         failed: list[int] = []
-        div = _Divergence()
+        div = _Divergence(self)
         with self.tracer.span("route.initial") as sp:
             for net in sorted(set(multi) | set(old)):
                 record = old.get(net)
@@ -202,8 +230,8 @@ class ReplayRouter(GridRouter):
                     and record.pins == pins
                     and div.clean(record.explored)
                 ):
-                    # Cost landscape identical on every cell the recorded
-                    # search touched: the cold router would do the same.
+                    # Same cost on every cell the recorded search read:
+                    # the cold router would do the same.
                     # Both runs apply the same route — delta unchanged.
                     stats.replayed += 1
                     new_baseline.records[net] = record

@@ -202,21 +202,27 @@ def hier_place(
         for key, (x0, x1, r0, r1) in blocks.items()
     }
 
-    # Net membership by cell name, in net-id order.
+    # Per region, the nets with a member in it, each with its members by
+    # cell name and the regions it spans, in net-id order: one pass over
+    # the nets.
     driver = mapped.net_driver()
     loads = mapped.net_loads()
     io_position = floorplan.pin_positions()
-    net_cells: dict[int, list[str]] = {}
+    region_of = {
+        inst.name: key for key in keys for inst in groups[key]
+    }
+    region_nets: dict[str, list[tuple[int, list[str], set[str]]]] = {
+        key: [] for key in keys
+    }
     for net in sorted(set(driver) | set(loads)):
         names: list[str] = []
         if net in driver:
             names.append(driver[net].name)
         for sink, _pin in loads.get(net, ()):
             names.append(sink.name)
-        net_cells[net] = names
-    region_of = {
-        inst.name: key for key in keys for inst in groups[key]
-    }
+        spans = {region_of[n] for n in names}
+        for key in spans:
+            region_nets[key].append((net, names, spans))
 
     with tracer.span("place.hier") as sp:
         desired: dict[str, tuple[float, float]] = {}
@@ -224,24 +230,15 @@ def hier_place(
             cells = groups[key]
             index = {inst.name: i for i, inst in enumerate(cells)}
             nets: list[list] = []
-            for net, names in net_cells.items():
+            for net, names, spans in region_nets[key]:
                 members: list = sorted(index[n] for n in names if n in index)
-                if not members:
-                    continue
                 # IO pins and the block centres of the other regions on
                 # the net fold into one fixed anchor: pure geometry,
                 # never another region's cell positions.
                 pulls: list[tuple[float, float]] = []
                 if net in io_position:
                     pulls.append(io_position[net])
-                foreign = sorted(
-                    {
-                        region_of[n]
-                        for n in names
-                        if region_of[n] != key
-                    }
-                )
-                pulls.extend(block_center[r] for r in foreign)
+                pulls.extend(block_center[r] for r in sorted(spans - {key}))
                 if pulls:
                     members.append((
                         sum(p[0] for p in pulls) / len(pulls),

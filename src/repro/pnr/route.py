@@ -10,8 +10,9 @@ miniature.
 
 The A* kernel works on flat lists.  :class:`RoutingGrid` numbers every
 cell with an integer index that sorts like its ``(col, row, layer)``
-tuple, adjacency is built once per router, and each cell's search cost
-sits in a table refreshed whenever the cell's usage or history changes.
+tuple, the cell and adjacency tables are built once per grid shape and
+shared read-only, and each cell's search cost (:func:`cell_cost`) sits
+in a table refreshed whenever the cell's usage or history changes.
 The kernel reports the cells it expands, so the replay router
 (:mod:`repro.inter.replay`) can recover the cells whose cost a search
 read without hooking the cost lookup.
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,6 +33,18 @@ from .floorplan import Floorplan
 from .placement import Placement, net_pin_positions
 
 INF = float("inf")
+
+#: History cost one rip-up round charges to each of its congested cells.
+HISTORY_STEP = 2.0
+
+
+def cell_cost(used: int, history: float, capacity: int) -> float:
+    """Search cost of one grid cell: a unit step, plus congestion once
+    its usage reaches ``capacity``, plus its rip-up history."""
+    congestion = 0.0
+    if used >= capacity:
+        congestion = 4.0 * (used - capacity + 1)
+    return 1.0 + congestion + history
 
 
 @dataclass
@@ -132,7 +146,10 @@ class RoutingGrid:
         return col, row, layer
 
 
-def _adjacency(grid: RoutingGrid) -> list[tuple[tuple[int, float, int, int], ...]]:
+Adjacency = tuple[tuple[tuple[int, float, int, int], ...], ...]
+
+
+def _adjacency(grid: RoutingGrid) -> Adjacency:
     """Per cell index: ``(neighbour, edge weight, its col, its row)``.
 
     Layer 0 steps horizontally, layer 1 vertically; a via to the other
@@ -157,7 +174,17 @@ def _adjacency(grid: RoutingGrid) -> list[tuple[tuple[int, float, int, int], ...
         adjacency.append(tuple(
             (index(cell), edge, cell[0], cell[1]) for cell, edge in steps
         ))
-    return adjacency
+    return tuple(adjacency)
+
+
+@lru_cache(maxsize=4)
+def _grid_tables(grid: RoutingGrid) -> tuple[tuple[Cell, ...], Adjacency]:
+    """The cell tuple of every index and :func:`_adjacency`, per grid.
+
+    Built once per grid shape and shared by every router on it, so the
+    tables are tuples: no router can change what another one reads.
+    """
+    return tuple(map(grid.cell, range(grid.size))), _adjacency(grid)
 
 
 class GridRouter:
@@ -187,9 +214,8 @@ class GridRouter:
         self.capacity = capacity
         self.usage = [0] * grid.size
         self.history = [0.0] * grid.size
-        self.cost = [1.0] * grid.size
-        self._cells = [grid.cell(i) for i in range(grid.size)]
-        self._adjacent = _adjacency(grid)
+        self.cost = [cell_cost(0, 0.0, capacity)] * grid.size
+        self._cells, self._adjacent = _grid_tables(grid)
         # Pin positions per net, resolved once against the placement; the
         # netlist connectivity behind them is memoized on MappedNetlist,
         # so this costs one template resolution, not an index rebuild.
@@ -200,11 +226,9 @@ class GridRouter:
 
     def _refresh_cost(self, index: int) -> None:
         """Recompute one cell's search cost from its usage and history."""
-        used = self.usage[index]
-        congestion = 0.0
-        if used >= self.capacity:
-            congestion = 4.0 * (used - self.capacity + 1)
-        self.cost[index] = 1.0 + congestion + self.history[index]
+        self.cost[index] = cell_cost(
+            self.usage[index], self.history[index], self.capacity
+        )
 
     def _astar(
         self,
@@ -317,7 +341,7 @@ class GridRouter:
         index = self.grid.index
         for cell in congested:
             i = index(cell)
-            self.history[i] += 2.0
+            self.history[i] += HISTORY_STEP
             self._refresh_cost(i)
 
     def _overflow(self) -> int:

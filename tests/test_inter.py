@@ -9,6 +9,7 @@ benchmark edits.
 """
 
 import gc
+from types import SimpleNamespace
 
 import pytest
 
@@ -31,6 +32,7 @@ from repro.ip import make_counter, make_pwm, make_seven_seg, make_soc
 from repro.ip.soc import sevenseg_recode_rtl
 from repro.pdk import get_pdk
 from repro.pnr.hier import ROUTABILITY, hier_utilization
+from repro.pnr.route import cell_cost
 
 OPTIONS = FlowOptions(clock_period_ps=4_000.0)
 #: A :func:`mutate_netlist` seed whose mutant of the edited minisoc's
@@ -331,9 +333,25 @@ class TestWorkspace:
         assert report.result.gds_bytes == cold.result.gds_bytes
 
 
+def _named_router(capacity=4, usage=(), history=()):
+    """Warm router state over cells named "a" to "d", as much of it as
+    :class:`_Divergence` reads."""
+    names = "abcd"
+    used = [dict(usage).get(name, 0) for name in names]
+    hist = [dict(history).get(name, 0.0) for name in names]
+    return SimpleNamespace(
+        grid=SimpleNamespace(index=names.index),
+        capacity=capacity,
+        usage=used,
+        history=hist,
+        cost=[cell_cost(u, h, capacity) for u, h in zip(used, hist)],
+    )
+
+
 class TestReplayDivergence:
     def test_opposite_charges_cancel(self):
-        div = _Divergence()
+        # "b" is at capacity in the warm run, so its delta moves its cost.
+        div = _Divergence(_named_router(usage={"b": 4}))
         div.charge_usage(("a", "b"), +1)
         div.charge_usage(("a",), -1)
         assert div.usage == {"b": 1}
@@ -342,7 +360,7 @@ class TestReplayDivergence:
         assert not div.clean(frozenset(("b",)))
 
     def test_usage_and_history_tracked_independently(self):
-        div = _Divergence()
+        div = _Divergence(_named_router())
         div.charge_usage(("a",), +1)
         div.charge_hist(("a",), +1)
         div.charge_usage(("a",), -1)
@@ -351,6 +369,36 @@ class TestReplayDivergence:
         div.charge_hist(("a",), -1)
         assert div.cells == set()
         assert div.usage == {} and div.hist == {}
+
+    def test_usage_delta_below_capacity_is_clean(self):
+        # Warm usage 3 and recorded usage 2 both cost one unit step.
+        div = _Divergence(_named_router(usage={"b": 3}))
+        div.charge_usage(("b",), +1)
+        assert div.cells == {"b"}
+        assert div.clean(frozenset(("a", "b")))
+        # Warm usage 1, recorded usage 3: neither reaches 4 either.
+        div = _Divergence(_named_router(usage={"b": 1}))
+        div.charge_usage(("b",), -1)
+        div.charge_usage(("b",), -1)
+        assert div.clean(frozenset(("b",)))
+
+    @pytest.mark.parametrize("warm, delta", [
+        (4, +1),  # the warm run reaches capacity, the recorded one not
+        (3, -1),  # the recorded run reaches capacity, the warm one not
+        (6, +1),  # both above capacity, by different amounts
+    ])
+    def test_usage_delta_at_capacity_is_dirty(self, warm, delta):
+        div = _Divergence(_named_router(usage={"b": warm}))
+        div.charge_usage(("b",), delta)
+        assert not div.clean(frozenset(("b",)))
+        assert div.clean(frozenset(("a", "c")))
+
+    @pytest.mark.parametrize("delta", [+1, -1])
+    def test_any_history_delta_is_dirty(self, delta):
+        div = _Divergence(_named_router(history={"b": 2.0}))
+        div.charge_hist(("b",), delta)
+        assert not div.clean(frozenset(("b",)))
+        assert div.clean(frozenset(("a",)))
 
 
 class TestHierUtilization:

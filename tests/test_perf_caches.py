@@ -2,26 +2,31 @@
 
 The backend's incremental kernels (per-net HPWL cache, memoized netlist
 indexes, the STA stage-delay table, the simulator's batched input path,
-the router's flat-array A* search) are all pure speedups: every one must
-produce *bit-identical* results to the straightforward from-scratch
-computation.  These tests pin that contract down so future cache changes
-cannot silently drift.
+the router's flat-array A* search and its verified replay) are all pure
+speedups: every one must produce *bit-identical* results to the
+straightforward from-scratch computation.  These tests pin that contract
+down so future cache changes cannot silently drift.
 """
 
+import functools
 import heapq
 import pickle
 import random
+from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core import COMMERCIAL, OPEN
 from repro.hdl import HdlError, ModuleBuilder, mux
 from repro.inter import ReplayRouter
+from repro.inter.replay import _Divergence
 from repro.ip.catalog import generate
 from repro.pdk import get_pdk
 from repro.pnr import (
     GridRouter,
     IncrementalHpwl,
+    Placement,
     grid_capacity,
     hpwl,
     make_floorplan,
@@ -474,3 +479,96 @@ class TestRouterKernel:
         assert _explored(baseline) == _explored(oracle_baseline)
         assert baseline == oracle_baseline
         assert fast.iterations == rounds
+
+
+#: Cases whose routes stay below capacity: at most 11 of 16 tracks used.
+UNCONGESTED = (
+    "alu-edu130", "fifo-edu130", "seven_seg-edu180", "uart_tx-edu180",
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _built(case):
+    return ROUTER_CASES[case][0]()
+
+
+def _swap_pairs(placement, seed):
+    """``placement`` with the positions of two seeded cell pairs swapped."""
+    rng = random.Random(seed)
+    cells = dict(placement.cells)
+    for _ in range(2):
+        a, b = rng.sample(sorted(cells), 2)
+        cell_a, cell_b = cells[a], cells[b]
+        cells[a] = replace(cell_a, x=cell_b.x, y=cell_b.y)
+        cells[b] = replace(cell_b, x=cell_a.x, y=cell_a.y)
+    return Placement(cells, placement.floorplan, placement.hpwl_um)
+
+
+def _replay_after_swaps(case, seed):
+    """Record a route, swap two cell pairs, then route the new placement
+    warm against the recording and cold."""
+    route_kw = ROUTER_CASES[case][1]
+    mapped, placement, pdk, router_kw = _built(case)
+
+    def make(cls, where):
+        return cls(mapped, where, pdk.node, **router_kw)
+
+    _, baseline, _ = make(ReplayRouter, placement).route_with_baseline(
+        None, **route_kw
+    )
+    moved = _swap_pairs(placement, seed)
+    router = make(ReplayRouter, moved)
+    warm, _, stats = router.route_with_baseline(baseline, **route_kw)
+    moved_nets = [
+        net
+        for net, pins in router.pins_by_net.items()
+        if len(pins) >= 2 and baseline.records[net].pins != tuple(pins)
+    ]
+    return SimpleNamespace(
+        warm=pickle.dumps(warm),
+        cold=pickle.dumps(make(GridRouter, moved).route(**route_kw)),
+        stats=stats,
+        router=router,
+        moved_nets=moved_nets,
+    )
+
+
+class TestRouterReplay:
+    """A warm replay on a perturbed placement routes as a cold router."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("case", sorted(ROUTER_CASES))
+    def test_matches_cold_route_after_swaps(self, case, seed):
+        run = _replay_after_swaps(case, seed)
+        assert run.moved_nets
+        # Pickled bytes: the routed-net dict's insertion order counts.
+        assert run.warm == run.cold
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("case", UNCONGESTED)
+    def test_routes_only_the_moved_nets_below_capacity(self, case, seed):
+        run = _replay_after_swaps(case, seed)
+        assert max(run.router.usage) < run.router.capacity
+        # No cell's cost moves below capacity, so every net whose pins
+        # stayed replays, whatever usage the moved nets shifted.
+        assert run.stats.routed == len(run.moved_nets)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("case", ["counter-cap1", "tinycpu-commercial"])
+    def test_unverified_replay_is_caught(self, case, seed, monkeypatch):
+        """Must-fail guard: replaying every net whose pins stayed, costs
+        unchecked, routes these congested cases differently from a cold
+        router, and the comparison above sees it."""
+        monkeypatch.setattr(_Divergence, "clean", lambda self, explored: True)
+        run = _replay_after_swaps(case, seed)
+        assert run.warm != run.cold
+
+    def test_routers_share_one_immutable_table_per_grid(self):
+        mapped, placement, pdk, router_kw = _built("alu-edu130")
+        plain = GridRouter(mapped, placement, pdk.node, **router_kw)
+        replay = ReplayRouter(mapped, placement, pdk.node, **router_kw)
+        assert plain._cells is replay._cells
+        assert plain._adjacent is replay._adjacent
+        assert isinstance(plain._cells, tuple)
+        assert isinstance(plain._adjacent, tuple)
+        assert all(isinstance(steps, tuple) for steps in plain._adjacent)
