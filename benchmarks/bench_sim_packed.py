@@ -1,18 +1,21 @@
 """Word-parallel simulation benchmark: packed vs scalar throughput.
 
 Measures the speedup of the 64-lane bit-packed engines
-(:mod:`repro.sim.bitsim`) over the scalar lockstep simulators on the
-three workloads they accelerate:
+(:mod:`repro.sim.bitsim`) over eager scalar simulation on the three
+workloads they accelerate.  The scalar side is ``tests/sim_reference.py``:
+the eager gate and mapped simulators, the lockstep equivalence loop
+over them and the one-witness replay.
 
 * **Random-vector equivalence** — ``check_equivalence`` with
-  ``engine="packed"`` vs ``engine="scalar"`` on catalogue designs,
-  against both gate-level (``lower``) and mapped implementations.  The
-  headline number is the geometric mean over the gate-level workloads,
-  where the packed path is not bound by the scalar RTL reference.
-  Results must stay byte-identical between engines — a fast path that
-  changes answers is a bug, not an optimization.
+  ``engine="packed"`` vs the reference lockstep loop on catalogue
+  designs, against both gate-level (``lower``) and mapped
+  implementations.  The headline number is the geometric mean over the
+  gate-level workloads, where the packed path is not bound by the
+  scalar RTL reference.  Results must stay byte-identical to the
+  reference — a fast path that changes answers is a bug, not an
+  optimization.
 * **Batched LEC replay** — ``replay_counterexamples`` (one lane per
-  witness) vs one scalar replay per counterexample.
+  witness) vs one reference replay per counterexample.
 * **Stuck-at fault simulation** — faults-per-second of the PPSFP
   simulator in :mod:`repro.synth.dft` (there is no scalar fault
   simulator to race; the heuristic it replaced computed nothing).
@@ -35,9 +38,9 @@ import sys
 import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
 
 from repro.formal import check_lec, mutate_netlist, replay_counterexamples
-from repro.formal.lec import _replay_counterexample_scalar
 from repro.ip.catalog import generate
 from repro.pdk import get_pdk
 from repro.sim.bitsim import LANES
@@ -47,6 +50,10 @@ from repro.synth import (
     lower,
     simulate_faults,
     synthesize,
+)
+from sim_reference import (
+    check_equivalence_scalar,
+    replay_counterexample_scalar,
 )
 
 CYCLES = 256
@@ -65,7 +72,8 @@ def _time(fn):
 
 
 def bench_equivalence(library):
-    """Packed vs scalar random-vector equivalence, same results required."""
+    """Packed vs reference random-vector equivalence, same results
+    required."""
     rows = []
     for name in HEADLINE_DESIGNS:
         module = generate(name).module
@@ -77,8 +85,8 @@ def bench_equivalence(library):
 
     workloads = []
     for name, impl_kind, module, impl in rows:
-        scalar, scalar_s = _time(lambda: check_equivalence(
-            module, impl, cycles=CYCLES, seed=SEED, engine="scalar"))
+        scalar, scalar_s = _time(lambda: check_equivalence_scalar(
+            module, impl, cycles=CYCLES, seed=SEED))
         packed, packed_s = _time(lambda: check_equivalence(
             module, impl, cycles=CYCLES, seed=SEED, engine="packed"))
         identical = scalar.to_json() == packed.to_json()
@@ -119,7 +127,7 @@ def bench_replay(library):
     batch = (result.counterexamples * LANES)[:LANES - 1]
 
     scalar, scalar_s = _time(lambda: [
-        _replay_counterexample_scalar(module, mutant, cex) for cex in batch
+        replay_counterexample_scalar(module, mutant, cex) for cex in batch
     ])
     packed, packed_s = _time(
         lambda: replay_counterexamples(module, mutant, batch)

@@ -359,8 +359,9 @@ def _cmd_prove(args) -> int:
 
     Returns 0 when every stage is proved equivalent, 1 when any cone has
     a counterexample or exhausted the solver budget, 2 on usage errors.
-    Counterexamples are replayed on the lockstep gate-level simulator so
-    the formal verdict is cross-checked against simulation semantics.
+    Counterexamples are replayed in simulation (the RTL interpreter
+    against a packed gate-level simulator, one lane per witness) so the
+    formal verdict is cross-checked against simulation semantics.
     """
     module = _design(args)
     if module is None:

@@ -13,8 +13,8 @@ proofs:
 * :mod:`repro.formal.sat` — a CDCL SAT solver (two-watched-literal
   propagation, VSIDS-style decisions, first-UIP learning, restarts);
 * :mod:`repro.formal.lec` — miter-based logic equivalence checking with
-  register correspondence by name and counterexamples that replay
-  directly on the lockstep simulators;
+  register correspondence by name and counterexamples that replay in
+  simulation (:func:`~repro.formal.lec.replay_counterexamples`);
 * :mod:`repro.formal.props` — SAT-proved facts (provably-constant nets,
   dead mux arms) consumable by :mod:`repro.lint`.
 """
@@ -29,7 +29,6 @@ from .lec import (
     check_lec,
     lec_flow,
     mutate_netlist,
-    replay_counterexample,
     replay_counterexamples,
 )
 from .props import ProvedFact, prove_facts, refine_lint_report
@@ -54,7 +53,6 @@ __all__ = [
     "check_lec",
     "lec_flow",
     "mutate_netlist",
-    "replay_counterexample",
     "replay_counterexamples",
     "ProvedFact",
     "prove_facts",

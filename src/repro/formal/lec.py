@@ -21,8 +21,9 @@ constructs a miter::
 A satisfying assignment of ``diff`` is a **counterexample**: an exact
 input vector and register state under which the two designs disagree.
 It is extracted as plain ``{name: value}`` dicts that replay directly
-on the lockstep simulators (``load_state`` + ``set``) — a proof a
-student can watch fail in simulation.
+in simulation (:func:`replay_counterexamples`: the RTL interpreter
+against a packed implementation simulator, one lane per witness) — a
+proof a student can watch fail in simulation.
 
 Register correspondence is by name: the lowerer stamps each flip-flop
 with the ``reg[bit]`` label of the RTL register bit it implements, the
@@ -43,10 +44,9 @@ from dataclasses import dataclass, field
 from ..hdl.ir import Module
 from ..obs.metrics import MetricsRegistry, get_metrics
 from ..obs.trace import Tracer, get_tracer
-from ..sim.engine import Simulator
 from ..synth.lower import lower
-from ..synth.mapped import MappedNetlist, MappedSimulator
-from ..synth.netlist import Gate, GateNetlist, GateSimulator
+from ..synth.mapped import MappedNetlist
+from ..synth.netlist import Gate, GateNetlist
 from ..synth.verify import Mismatch, replay_mismatches
 from .aig import FALSE, Aig, CombCones, build_cones, word_value
 from .cnf import tseitin
@@ -518,67 +518,6 @@ def lec_flow(
 # Counterexample replay + netlist mutation (the self-test of the prover)
 # ---------------------------------------------------------------------------
 
-def replay_counterexample(
-    module: Module,
-    implementation: GateNetlist | MappedNetlist,
-    cex: Counterexample,
-) -> Mismatch | None:
-    """Replay a formal counterexample on the lockstep simulators.
-
-    Loads ``cex.state`` into both the RTL and gate-level simulators,
-    applies ``cex.inputs``, and compares the witnessed cone: the output
-    directly for output cones, the register word after one clock edge
-    for next-state cones.  Returns a :class:`Mismatch` when the
-    disagreement reproduces in simulation — the cross-check that the
-    formal and simulation worlds describe the same hardware — or
-    ``None`` when it does not.
-
-    Delegates to :func:`replay_counterexamples`; callers with several
-    witnesses should pass them all at once, which packs up to
-    :data:`repro.sim.bitsim.LANES` replays into one simulation.
-    """
-    return replay_counterexamples(module, implementation, [cex])[0]
-
-
-def _replay_counterexample_scalar(
-    module: Module,
-    implementation: GateNetlist | MappedNetlist,
-    cex: Counterexample,
-) -> Mismatch | None:
-    """One-at-a-time replay on fresh scalar simulators.
-
-    The reference that the differential tests and
-    ``benchmarks/bench_sim_packed.py`` compare
-    :func:`replay_counterexamples` against; no production code calls it.
-    """
-    rtl = Simulator(module)
-    if isinstance(implementation, GateNetlist):
-        gate = GateSimulator(implementation)
-    elif isinstance(implementation, MappedNetlist):
-        gate = MappedSimulator(implementation)
-    else:
-        raise TypeError(
-            f"cannot simulate implementation {type(implementation)!r}"
-        )
-    if cex.state:
-        rtl.load_state(cex.state)
-        gate.load_state(cex.state)
-    for name, value in cex.inputs.items():
-        rtl.set(name, value)
-        gate.set(name, value)
-    if cex.kind == "output":
-        want, got = rtl.get(cex.cone), gate.get(cex.cone)
-    else:
-        register = cex.cone[len("next("):-1]
-        rtl.step()
-        gate.step()
-        want, got = rtl.get_register(register), gate.get_register(register)
-    if want == got:
-        return None
-    return Mismatch(0, cex.cone, want, got, dict(cex.inputs),
-                    dict(cex.state))
-
-
 def replay_counterexamples(
     module: Module,
     implementation: GateNetlist | MappedNetlist,
@@ -595,10 +534,10 @@ def replay_counterexamples(
     witness on the other.  Output cones are compared before the clock
     edge, next-state cones after it.
 
-    Returns one entry per counterexample: a :class:`Mismatch` when the
-    disagreement reproduces, ``None`` when it does not.  ``reset``-kind
-    counterexamples are not replayable (no stimulus reaches a reset
-    value) and raise ``ValueError``.
+    Returns one entry per counterexample, a batch of one included: a
+    :class:`Mismatch` when the disagreement reproduces, ``None`` when it
+    does not.  ``reset``-kind counterexamples are not replayable (no
+    stimulus reaches a reset value) and raise ``ValueError``.
     """
     for cex in cexes:
         if cex.kind not in ("output", "state"):
@@ -628,7 +567,8 @@ def mutate_netlist(
     primary inputs, flop outputs and constants, so the mutant stays
     acyclic; the rewire is the classic LEC self-test: the prover must
     find a counterexample for it, and the counterexample must reproduce
-    in the lockstep simulator.  Returns ``(mutant, description)``.
+    in simulation (:func:`replay_counterexamples`).  Returns
+    ``(mutant, description)``.
     Individual seeds can produce functionally-benign rewires (redundant
     logic); callers loop seeds until the prover objects.
     """

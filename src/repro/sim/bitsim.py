@@ -1,11 +1,11 @@
 """Word-parallel (bit-packed) logic simulation.
 
-The scalar simulators evaluate one test vector at a time: every gate
-costs one Python-level operation per vector.  This module packs
-``W = 64`` *independent* vectors into one Python int per signal **bit**
-— lane ``l`` of the word is the value of that bit under vector ``l`` —
-and evaluates gates with bitwise operations, so one ``&``/``|``/``^``
-simulates all 64 vectors at once.  This is the classic PPSFP technique
+Evaluating one test vector at a time costs one Python-level operation
+per gate per vector.  This module packs ``W = 64`` *independent*
+vectors into one Python int per signal **bit** — lane ``l`` of the
+word is the value of that bit under vector ``l`` — and evaluates gates
+with bitwise operations, so one ``&``/``|``/``^`` simulates all 64
+vectors at once.  This is the classic PPSFP technique
 from EDA fault simulators, and it is pure-Python friendly because
 Python ints are arbitrary-width bit vectors.
 
@@ -18,13 +18,14 @@ first (the same bit ordering the netlists use): ``words[i]`` holds bit
 the int.  :func:`pack_word` transposes a list of per-lane scalar values
 into this layout, :func:`unpack_word` transposes back, and
 :func:`extract_lane` recovers the single scalar value of one lane — the
-mismatch-localization primitive the equivalence checker uses to hand a
-failing lane back to the scalar simulators.
+primitive the equivalence checker and replay read results through.
 
-Two packed engines mirror the scalar simulator APIs
-(``set``/``set_many``/``get``/``step``/``get_register``/``load_state``)
-so lockstep drivers can treat them interchangeably, one per netlist
-kind:
+Two packed engines, one per netlist kind, share the
+``set``/``set_many``/``get``/``step``/``get_register``/``load_state``
+shape of the RTL :class:`repro.sim.Simulator`, with lane words in
+place of scalars.  With ``lanes=1`` an engine is that netlist kind's
+scalar simulator: the lockstep loop of
+``check_equivalence(engine="scalar")`` runs one vector per cycle on it.
 
 * :class:`PackedGateSimulator` — over a ``GateNetlist``;
 * :class:`PackedMappedSimulator` — over a ``MappedNetlist`` of
@@ -98,9 +99,8 @@ def extract_lane(words: list[int], lane: int) -> int:
     """Scalar value of one lane of a packed word.
 
     This is the mismatch-localization routine: given the packed inputs
-    (or outputs) of a failing simulation and the index of the offending
-    lane, it recovers the exact single test vector to replay through
-    the scalar simulators.
+    (or outputs) of a simulation and the index of one lane, it recovers
+    that lane's exact scalar vector (or result).
     """
     value = 0
     for bit, word in enumerate(words):
@@ -125,8 +125,9 @@ def group_bit_labels(labels: list[str]) -> dict[str, list[tuple[int, int]]]:
 
     ``labels[p]`` names state element ``p`` (a flop name or a DFF tag);
     the result maps each word name to ``(bit_index, position)`` pairs.
-    Unlabelled positions become single-bit ``dff<p>`` words — the same
-    convention the scalar gate simulators use.
+    Unlabelled positions become single-bit ``dff<p>`` words, in the
+    packed simulators and in the AIGs of :mod:`repro.formal.aig`
+    alike.
     """
     words: dict[str, list[tuple[int, int]]] = {}
     for position, label in enumerate(labels):
@@ -206,9 +207,8 @@ _OPCODES = {"AND": _OP_AND, "OR": _OP_OR, "XOR": _OP_XOR,
 class PackedGateSimulator:
     """Word-parallel simulator over a ``GateNetlist``.
 
-    Mirrors :class:`repro.synth.netlist.GateSimulator` but every net
-    holds a lane word: one Python-level bitwise op per gate simulates
-    all ``lanes`` vectors.  Packed values are lists of lane words, LSB
+    Every net holds a lane word: one Python-level bitwise op per gate
+    simulates all ``lanes`` vectors.  Packed values are lists of lane words, LSB
     first (see the module docstring).
     """
 

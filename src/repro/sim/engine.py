@@ -128,9 +128,10 @@ class Simulator:
         """Current value of the register word ``name``.
 
         Same as :meth:`get` for RTL, but checked: raises ``KeyError``
-        when ``name`` is not a register.  The gate-level simulators
-        expose the same method, so generic replay code (formal
-        counterexamples) reads state identically across all three.
+        when ``name`` is not a register.  The packed gate-level
+        simulators expose the same method (one lane word per bit), so
+        equivalence and replay read RTL and implementation state by
+        the same name.
         """
         if not any(reg.signal.name == name for reg in self.module.registers):
             raise KeyError(f"no register named {name!r} in module")

@@ -11,9 +11,9 @@ from .dft import (
     simulate_faults,
 )
 from .lower import Lowerer, lower
-from .mapped import CellInst, MappedNetlist, MappedSimulator
+from .mapped import CellInst, MappedNetlist
 from .mapper import MapStats, tech_map
-from .netlist import FlipFlop, Gate, GateNetlist, GateSimulator
+from .netlist import FlipFlop, Gate, GateNetlist
 from .opt import ALL_PASSES, OptStats, dead_code_elim, optimize
 from .sizing import BufferStats, SizingStats, buffer_heavy_nets, size_for_load
 from .synthesize import SynthesisResult, synthesize
@@ -30,11 +30,9 @@ __all__ = [
     "FlipFlop",
     "Gate",
     "GateNetlist",
-    "GateSimulator",
     "Lowerer",
     "MapStats",
     "MappedNetlist",
-    "MappedSimulator",
     "OptStats",
     "ScanReport",
     "SizingStats",

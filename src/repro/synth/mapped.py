@@ -2,8 +2,9 @@
 
 This is the handoff object between synthesis and the physical flow:
 placement arranges its cells, routing connects its nets, STA and power
-read its timing/electrical data, and :class:`MappedSimulator` provides
-gate-level semantics for post-mapping equivalence checks.
+read its timing/electrical data, and
+:class:`repro.sim.bitsim.PackedMappedSimulator` gives it the gate-level
+semantics that post-mapping equivalence checks and fault simulation use.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..pdk.cells import Library, StandardCell
-from ..sim.bitsim import group_bit_labels
 
 
 @dataclass
@@ -224,94 +224,3 @@ class MappedNetlist:
 
     def __repr__(self) -> str:
         return f"MappedNetlist({self.name!r}, cells={len(self.cells)})"
-
-
-class MappedSimulator:
-    """Gate-level simulator over a :class:`MappedNetlist`."""
-
-    def __init__(self, mapped: MappedNetlist):
-        self.mapped = mapped
-        self._order = mapped.topo_comb()
-        self._values: dict[int, int] = {n: 0 for n in mapped.nets()}
-        # Register word -> (bit index, DFF Q net), by the reg[i] tags.
-        seq = mapped.seq_cells
-        self._words = {
-            name: [
-                (bit, seq[position].pins[seq[position].cell.output])
-                for bit, position in pairs
-            ]
-            for name, pairs in group_bit_labels(
-                [inst.tag for inst in seq]
-            ).items()
-        }
-        self.reset()
-
-    def reset(self) -> None:
-        for inst in self.mapped.seq_cells:
-            self._values[inst.pins[inst.cell.output]] = inst.reset_value
-        self._settle()
-
-    def _settle(self) -> None:
-        values = self._values
-        for inst in self._order:
-            fn = inst.cell.function
-            out = inst.pins[inst.cell.output]
-            values[out] = fn(*(values[inst.pins[p]] for p in inst.cell.inputs))
-
-    def _write_input(self, name: str, value: int) -> None:
-        nets = self.mapped.inputs[name]
-        if not 0 <= value < (1 << len(nets)):
-            raise ValueError(f"value {value} too wide for {name!r}")
-        for i, net in enumerate(nets):
-            self._values[net] = (value >> i) & 1
-
-    def set(self, name: str, value: int) -> None:
-        self._write_input(name, value)
-        self._settle()
-
-    def set_many(self, values: dict[str, int]) -> None:
-        """Drive several inputs, settling combinational logic once.
-
-        Mirrors :meth:`repro.sim.Simulator.set_many` so lockstep
-        drivers can batch a whole cycle's stimulus into one sweep.
-        """
-        for name, value in values.items():
-            self._write_input(name, value)
-        if values:
-            self._settle()
-
-    def get(self, name: str) -> int:
-        nets = self.mapped.outputs[name]
-        return sum(self._values[net] << i for i, net in enumerate(nets))
-
-    def load_state(self, state: dict[str, int]) -> None:
-        """Force register words (by DFF tag) to the given values.
-
-        Keys are RTL register names; DFF cells tagged ``reg[i]`` supply
-        bit ``i`` of the word ``reg``.  Used to replay formal
-        counterexamples from an arbitrary state.
-        """
-        for name, value in state.items():
-            if name not in self._words:
-                raise KeyError(f"no register named {name!r} in netlist")
-            for bit_index, q in self._words[name]:
-                self._values[q] = (value >> bit_index) & 1
-        self._settle()
-
-    def get_register(self, name: str) -> int:
-        """Current value of the register word ``name`` (DFF-tag grouping)."""
-        if name not in self._words:
-            raise KeyError(f"no register named {name!r} in netlist")
-        return sum(
-            self._values[q] << bit_index for bit_index, q in self._words[name]
-        )
-
-    def step(self, cycles: int = 1) -> None:
-        for _ in range(cycles):
-            sampled = [
-                (inst, self._values[inst.pins["d"]])
-                for inst in self.mapped.seq_cells
-            ]
-            for inst, value in sampled:
-                self._values[inst.pins[inst.cell.output]] = value
-            self._settle()

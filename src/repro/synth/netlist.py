@@ -2,9 +2,9 @@
 
 Synthesis lowers the word-level IR into a :class:`GateNetlist` of 1/2-input
 primitive gates plus D flip-flops.  Optimization rewrites it, technology
-mapping covers it with standard cells, and the gate-level simulator
-(:class:`GateSimulator`) provides the reference semantics that equivalence
-checking compares against RTL simulation.
+mapping covers it with standard cells, and the packed gate simulator
+(:class:`repro.sim.bitsim.PackedGateSimulator`) gives it the semantics
+that equivalence checking compares against RTL simulation.
 
 Nets are dense integer ids; multi-bit signals are lists of nets, LSB first.
 """
@@ -13,18 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..sim.bitsim import group_bit_labels
-
 #: Primitive gate operators.  NOT/BUF take one input, the rest take two.
 GATE_OPS = frozenset({"AND", "OR", "XOR", "NOT", "BUF"})
-
-_EVAL = {
-    "AND": lambda a, b: a & b,
-    "OR": lambda a, b: a | b,
-    "XOR": lambda a, b: a ^ b,
-    "NOT": lambda a: a ^ 1,
-    "BUF": lambda a: a,
-}
 
 
 @dataclass(frozen=True)
@@ -201,97 +191,3 @@ class GateNetlist:
             f"GateNetlist({self.name!r}, gates={len(self.gates)}, "
             f"dffs={len(self.dffs)})"
         )
-
-
-class GateSimulator:
-    """Cycle-accurate simulator over a :class:`GateNetlist`.
-
-    Mirrors the :class:`repro.sim.Simulator` interface closely enough for
-    the equivalence checker to drive both in lockstep.
-    """
-
-    def __init__(self, netlist: GateNetlist):
-        self.netlist = netlist
-        self._order = netlist.topo_gates()
-        self._values: list[int] = [0] * netlist.n_nets
-        # Register word -> (bit index, flop Q net), by the reg[i] names.
-        self._words = {
-            name: [(bit, netlist.dffs[position].q) for bit, position in pairs]
-            for name, pairs in group_bit_labels(
-                [ff.name for ff in netlist.dffs]
-            ).items()
-        }
-        self.reset()
-
-    def reset(self) -> None:
-        for net, value in self.netlist.const_nets.items():
-            self._values[net] = value
-        for ff in self.netlist.dffs:
-            self._values[ff.q] = ff.reset_value
-        self._settle()
-
-    def _settle(self) -> None:
-        values = self._values
-        for gate in self._order:
-            fn = _EVAL[gate.op]
-            values[gate.output] = fn(*(values[n] for n in gate.inputs))
-
-    def _write_input(self, name: str, value: int) -> None:
-        nets = self.netlist.inputs[name]
-        if not 0 <= value < (1 << len(nets)):
-            raise ValueError(
-                f"value {value} does not fit input {name!r} "
-                f"({len(nets)} bits)"
-            )
-        for i, net in enumerate(nets):
-            self._values[net] = (value >> i) & 1
-
-    def set(self, name: str, value: int) -> None:
-        self._write_input(name, value)
-        self._settle()
-
-    def set_many(self, values: dict[str, int]) -> None:
-        """Drive several inputs, settling combinational logic once.
-
-        Mirrors :meth:`repro.sim.Simulator.set_many` so lockstep
-        drivers can batch a whole cycle's stimulus into one sweep.
-        """
-        for name, value in values.items():
-            self._write_input(name, value)
-        if values:
-            self._settle()
-
-    def load_state(self, state: dict[str, int]) -> None:
-        """Force register words (by flop name) to the given values.
-
-        Keys are RTL register names; flops named ``reg[i]`` supply bit
-        ``i`` of the word ``reg``.  Used to replay formal counterexamples
-        from an arbitrary reachable-or-not state.
-        """
-        for name, value in state.items():
-            if name not in self._words:
-                raise KeyError(f"no register named {name!r} in netlist")
-            for bit_index, q in self._words[name]:
-                self._values[q] = (value >> bit_index) & 1
-        self._settle()
-
-    def get_register(self, name: str) -> int:
-        """Current value of the register word ``name`` (flop-name grouping)."""
-        if name not in self._words:
-            raise KeyError(f"no register named {name!r} in netlist")
-        return sum(
-            self._values[q] << bit_index for bit_index, q in self._words[name]
-        )
-
-    def get(self, name: str) -> int:
-        nets = self.netlist.outputs[name]
-        return sum(self._values[net] << i for i, net in enumerate(nets))
-
-    def step(self, cycles: int = 1) -> None:
-        for _ in range(cycles):
-            next_values = [
-                self._values[ff.d] for ff in self.netlist.dffs
-            ]
-            for ff, value in zip(self.netlist.dffs, next_values):
-                self._values[ff.q] = value
-            self._settle()

@@ -1,7 +1,8 @@
 """Simulation-based equivalence checking.
 
-Runs the RTL simulator and a gate-level simulator (pre- or post-mapping)
-in lockstep on random stimulus and compares every output every cycle.
+Runs the RTL simulator and a packed gate-level simulator (pre- or
+post-mapping, :mod:`repro.sim.bitsim`) in lockstep on random stimulus
+and compares every output every cycle.
 This is the verification backbone of the flow: synthesis, optimization and
 mapping are each checked against the original RTL semantics.
 
@@ -32,8 +33,8 @@ from ..sim.bitsim import (
     pack_word,
 )
 from ..sim.engine import Simulator
-from .mapped import MappedNetlist, MappedSimulator
-from .netlist import GateNetlist, GateSimulator
+from .mapped import MappedNetlist
+from .netlist import GateNetlist
 
 #: Lockstep equivalence stops collecting divergences at this many
 #: mismatches: past that point the netlist is plainly broken and more
@@ -150,14 +151,6 @@ class EquivalenceResult:
         )
 
 
-def _gate_sim(impl):
-    if isinstance(impl, GateNetlist):
-        return GateSimulator(impl)
-    if isinstance(impl, MappedNetlist):
-        return MappedSimulator(impl)
-    raise TypeError(f"cannot simulate implementation of type {type(impl)!r}")
-
-
 def check_equivalence(
     module: Module,
     implementation: GateNetlist | MappedNetlist,
@@ -188,8 +181,14 @@ def check_equivalence(
       through the scalar loop, so the returned
       :class:`EquivalenceResult` — down to its JSON serialization — is
       identical to the scalar engine's for the same seed;
-    * ``"scalar"`` — the classic one-vector-per-cycle lockstep loop, the
-      reference the packed path is measured and tested against.
+    * ``"scalar"`` — one vector per cycle: the lockstep loop, with the
+      implementation on a one-lane packed simulator.  It defines the
+      result the packed path must reproduce.
+
+    With either engine, an RTL input or output the implementation lacks
+    raises ``KeyError`` naming the port before any cycle runs, and a
+    drawn input value wider than the implementation's port raises
+    ``ValueError`` ("does not fit input") at the cycle that draws it.
     """
     if engine not in ("scalar", "packed"):
         raise ValueError(
@@ -215,40 +214,56 @@ def _check_equivalence_scalar(
     cycles: int,
     seed: int,
 ) -> EquivalenceResult:
-    """The reference lockstep loop; defines the result contract."""
+    """The lockstep loop, one vector per cycle; defines the result
+    contract.
+
+    The implementation runs on a one-lane packed simulator: each input
+    is written as a one-lane word, outputs and register words are read
+    from lane 0.
+    """
     rtl = Simulator(module)
-    gate = _gate_sim(implementation)
+    impl = _packed_impl_sim(implementation, lanes=1)
     rng = random.Random(seed)
 
     input_sigs = list(rtl.module.inputs)
     register_names = [reg.signal.name for reg in rtl.module.registers]
     output_names = [sig.name for sig in rtl.module.outputs]
+    impl_inputs = impl.input_widths()
+    for sig in input_sigs:
+        if sig.name not in impl_inputs:
+            raise KeyError(f"implementation has no input named {sig.name!r}")
+    for name in output_names:
+        if name not in implementation.outputs:
+            raise KeyError(f"implementation has no output named {name!r}")
+    # Hand-built netlists may leave flop names empty; those registers
+    # simply get no divergence snapshot (replay then reuses the RTL
+    # state).
+    named = impl.register_words()
+    impl_registers = [name for name in register_names if name in named]
     mismatches: list[Mismatch] = []
-
-    def impl_state() -> dict[str, int]:
-        """The implementation's register words, where flops are named.
-
-        Hand-built netlists may leave flop names empty; they simply get
-        no divergence snapshot (replay then reuses the RTL state).
-        """
-        words: dict[str, int] = {}
-        for name in register_names:
-            try:
-                words[name] = gate.get_register(name)
-            except KeyError:
-                pass
-        return words
 
     for cycle in range(cycles):
         state = {name: rtl.get(name) for name in register_names}
-        gate_state = impl_state()
+        gate_state = {
+            name: extract_lane(impl.get_register(name), 0)
+            for name in impl_registers
+        }
         vector = {
             sig.name: rng.randrange(1 << sig.width) for sig in input_sigs
         }
         rtl.set_many(vector)
-        gate.set_many(vector)
+        words = {}
+        for name, value in vector.items():
+            width = impl_inputs[name]
+            if value >> width:
+                raise ValueError(
+                    f"value {value} does not fit input {name!r} "
+                    f"({width} bits)"
+                )
+            words[name] = pack_word([value], width)
+        impl.set_many(words)
         for name in output_names:
-            want, got = rtl.get(name), gate.get(name)
+            want, got = rtl.get(name), extract_lane(impl.get(name), 0)
             if want != got:
                 mismatches.append(Mismatch(
                     cycle, name, want, got, dict(vector), state,
@@ -259,15 +274,15 @@ def _check_equivalence_scalar(
                         False, cycle + 1, mismatches, seed
                     )
         rtl.step()
-        gate.step()
+        impl.step()
     return EquivalenceResult(not mismatches, cycles, mismatches, seed)
 
 
-def _packed_impl_sim(impl):
+def _packed_impl_sim(impl, lanes: int = LANES):
     if isinstance(impl, GateNetlist):
-        return PackedGateSimulator(impl)
+        return PackedGateSimulator(impl, lanes)
     if isinstance(impl, MappedNetlist):
-        return PackedMappedSimulator(impl)
+        return PackedMappedSimulator(impl, lanes)
     raise TypeError(f"cannot simulate implementation of type {type(impl)!r}")
 
 
@@ -407,22 +422,6 @@ def _check_equivalence_packed(
         # byte-identical to a scalar-engine run.
         return None
     return EquivalenceResult(True, cycles, [], seed)
-
-
-def replay_mismatch(
-    module: Module,
-    implementation: GateNetlist | MappedNetlist,
-    mismatch: Mismatch,
-) -> Mismatch | None:
-    """Re-apply one recorded (or formally derived) failure directly.
-
-    Loads the recorded register state into both simulators, applies the
-    input vector, and compares the failing cone once — no random replay
-    needed.  Returns a fresh :class:`Mismatch` if the divergence
-    reproduces, ``None`` if it does not.  One-witness
-    :func:`replay_mismatches`.
-    """
-    return replay_mismatches(module, implementation, [mismatch])[0]
 
 
 def _state_cone(cone: str) -> str | None:

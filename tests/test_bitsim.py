@@ -1,16 +1,18 @@
 """Differential tests for the word-parallel bit-packed simulators.
 
-The packed engines (:mod:`repro.sim.bitsim`) are a performance fast
-path: every answer they produce must be *bit-exact* against the scalar
-simulators they replace.  These tests pin that down three ways:
+The packed engines (:mod:`repro.sim.bitsim`) are the only netlist
+simulators of the toolkit: every answer they produce must be
+*bit-exact* against the eager scalar simulators of ``sim_reference``.
+These tests pin that down three ways:
 
 * packing round-trips (property tests over widths 1-64);
 * lockstep differential runs — packed lanes vs independent scalar
   simulators, outputs and register state, over catalogue designs and
   randomly generated modules;
-* end-to-end result equality — ``check_equivalence`` must return
-  byte-identical JSON with ``engine="scalar"`` and ``engine="packed"``,
-  both for passing designs and for seeded must-fail mutations, and
+* end-to-end result equality — ``check_equivalence`` must return the
+  JSON of ``sim_reference``'s eager lockstep loop with both
+  ``engine="scalar"`` and ``engine="packed"``, for passing designs,
+  seeded must-fail mutations and a run cut at the mismatch cap, and
   batched LEC replay must agree with scalar replay witness by witness.
 
 Per-lane pin forces (the fault-simulation hook of the mapped engine)
@@ -27,7 +29,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.formal import check_lec, mutate_netlist, replay_counterexamples
-from repro.formal.lec import _replay_counterexample_scalar
 from repro.hdl import ModuleBuilder, mux
 from repro.ip.catalog import generate
 from repro.pdk import get_pdk
@@ -43,16 +44,16 @@ from repro.sim.bitsim import (
     pack_word,
     unpack_word,
 )
-from repro.synth import (
+from repro.synth import check_equivalence, lower, optimize, synthesize
+from repro.synth.dft import fault_sites, insert_scan_chain
+from repro.synth.verify import MISMATCH_CAP, replay_mismatches
+
+from sim_reference import (
     GateSimulator,
     MappedSimulator,
-    check_equivalence,
-    lower,
-    optimize,
-    synthesize,
+    check_equivalence_scalar,
+    replay_counterexample_scalar,
 )
-from repro.synth.dft import fault_sites, insert_scan_chain
-from repro.synth.verify import replay_mismatch
 
 #: The bit-blaster's module (the package re-exports its ``lower``
 #: function under the same name).
@@ -304,6 +305,106 @@ class TestEquivalenceEngines:
         assert parsed.mismatch_cap == result.mismatch_cap == 10
 
 
+ENGINES = ("scalar", "packed")
+
+
+def assert_engines_match_the_eager_loop(module, impl, cycles=96, seed=5):
+    """Both engines return the eager lockstep loop's JSON; returns that
+    reference result."""
+    expected = check_equivalence_scalar(module, impl, cycles, seed)
+    for engine in ENGINES:
+        got = check_equivalence(
+            module, impl, cycles=cycles, seed=seed, engine=engine)
+        assert got.to_json() == expected.to_json(), engine
+    return expected
+
+
+class TestEquivalenceOracle:
+    """Both engines against ``sim_reference``'s eager lockstep loop,
+    the code ``engine="scalar"`` ran before it moved onto one packed
+    lane."""
+
+    @pytest.mark.parametrize("name", EQUIV_DESIGNS)
+    def test_catalogue_matches_the_eager_loop(self, name, library):
+        module = generate(name).module
+        for impl in (
+            lower(module),
+            optimize(lower(module))[0],
+            synthesize(module, library, verify=False).mapped,
+        ):
+            assert assert_engines_match_the_eager_loop(module, impl).passed
+
+    def test_mutants_match_the_eager_loop(self, library):
+        """24 seeded mutants of gate and mapped netlists; the failing
+        ones carry the implementation's diverged register snapshots."""
+        failing = snapshots = 0
+        for name in ("counter", "gray_counter", "uart_tx", "fir"):
+            module = generate(name).module
+            for design in (
+                lower(module),
+                synthesize(module, library, verify=False).mapped,
+            ):
+                for seed in range(3):
+                    mutant, _ = mutate_netlist(design, seed=seed)
+                    expected = assert_engines_match_the_eager_loop(
+                        module, mutant)
+                    failing += not expected.passed
+                    snapshots += sum(
+                        1 for m in expected.mismatches if m.gate_state
+                    )
+        assert failing >= 12, failing
+        assert snapshots, "no mismatch recorded a diverged gate_state"
+
+    def test_a_run_cut_at_the_cap_matches(self, library):
+        module = generate("counter").module
+        mutant, _ = mutate_netlist(lower(module), seed=0)
+        expected = assert_engines_match_the_eager_loop(module, mutant)
+        assert len(expected.mismatches) == MISMATCH_CAP
+        assert expected.cycles < 96
+
+
+class TestEquivalencePortErrors:
+    """A port the implementation lacks or narrows fails with one
+    message, whatever the netlist kind and the engine."""
+
+    @pytest.fixture(params=["lower", "mapped"])
+    def alu(self, request, library):
+        module = generate("alu").module
+        if request.param == "lower":
+            return module, lower(module)
+        return module, synthesize(module, library, verify=False).mapped
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_a_missing_input_is_named(self, alu, engine):
+        module, impl = alu
+        del impl.inputs["b"]
+        for cycles in (64, 0):
+            with pytest.raises(
+                KeyError, match="implementation has no input named 'b'"
+            ):
+                check_equivalence(module, impl, cycles=cycles, engine=engine)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_a_missing_output_is_named(self, alu, engine):
+        module, impl = alu
+        del impl.outputs["zero"]
+        for cycles in (64, 0):
+            with pytest.raises(
+                KeyError, match="implementation has no output named 'zero'"
+            ):
+                check_equivalence(module, impl, cycles=cycles, engine=engine)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_an_over_wide_value_fails_at_its_cycle(self, alu, engine):
+        """Seed 5 draws ``op`` 0, 0, 5: the third cycle's value is the
+        first that a 1-bit port cannot take."""
+        module, impl = alu
+        impl.inputs["op"] = impl.inputs["op"][:1]
+        with pytest.raises(ValueError) as caught:
+            check_equivalence(module, impl, seed=5, engine=engine)
+        assert str(caught.value) == "value 5 does not fit input 'op' (1 bits)"
+
+
 # ---------------------------------------------------------------------------
 # Batched LEC replay vs scalar replay
 # ---------------------------------------------------------------------------
@@ -326,7 +427,7 @@ class TestBatchedReplay:
         for design in (synth.netlist, synth.mapped):
             for mutant, cexes in refuted_mutants(module, design):
                 scalar = [
-                    _replay_counterexample_scalar(module, mutant, cex)
+                    replay_counterexample_scalar(module, mutant, cex)
                     for cex in cexes
                 ]
                 # One witness, the natural batch, and two lane chunks.
@@ -370,7 +471,7 @@ class TestBatchedReplay:
                 replay_counterexamples(module, mutant, batch)
             assert message in str(caught.value)
         with pytest.raises(error) as caught:
-            replay_mismatch(module, mutant, bad.as_mismatch())
+            replay_mismatches(module, mutant, [bad.as_mismatch()])
         assert message in str(caught.value)
 
     def test_replay_does_not_use_the_lowerer(self, library, monkeypatch):
@@ -379,7 +480,7 @@ class TestBatchedReplay:
         mutant, cexes = next(refuted_mutants(module, mapped))
         batch = (cexes * 4)[:4]
         expected = [
-            _replay_counterexample_scalar(module, mutant, cex)
+            replay_counterexample_scalar(module, mutant, cex)
             for cex in batch
         ]
 

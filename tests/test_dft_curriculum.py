@@ -17,7 +17,7 @@ from repro.core.curriculum import (
 from repro.core.steps import FlowStep
 from repro.hdl import ModuleBuilder, mux
 from repro.pdk import get_pdk
-from repro.synth import MappedSimulator, check_equivalence, synthesize
+from repro.synth import check_equivalence, synthesize
 from repro.synth.dft import (
     DftError,
     coverage_estimate,
@@ -25,6 +25,8 @@ from repro.synth.dft import (
     insert_scan_chain,
     simulate_faults,
 )
+
+from sim_reference import MappedSimulator
 
 
 def build_counter_mapped(width=4):

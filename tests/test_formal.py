@@ -21,7 +21,7 @@ from repro.formal import (
     mutate_netlist,
     prove_facts,
     refine_lint_report,
-    replay_counterexample,
+    replay_counterexamples,
     solve_cnf,
     tseitin,
 )
@@ -31,8 +31,8 @@ from repro.hdl.ir import BinOp, Const, Module, Mux, Ref, UnaryOp
 from repro.ip import catalogue, generate
 from repro.lint import lint_module
 from repro.pdk.pdks import get_pdk
-from repro.synth import GateSimulator, MappedSimulator, lower, synthesize
-from repro.synth.verify import check_equivalence, replay_mismatch
+from repro.synth import lower, synthesize
+from repro.synth.verify import check_equivalence, replay_mismatches
 
 
 @pytest.fixture(scope="module")
@@ -249,8 +249,10 @@ class TestLec:
             if result.equivalent:
                 continue  # benign rewire (redundant logic)
             found += 1
-            for cex in result.counterexamples:
-                mismatch = replay_counterexample(module, mutant, cex)
+            replays = replay_counterexamples(
+                module, mutant, result.counterexamples
+            )
+            for cex, mismatch in zip(result.counterexamples, replays):
                 assert mismatch is not None, (
                     f"{description}: formal counterexample does not "
                     f"reproduce in simulation: {cex}"
@@ -296,7 +298,7 @@ class TestEquivalenceMismatches:
         assert set(first.inputs) == {"en"}
         assert "count" in first.state
         # The recorded vector replays to the same disagreement.
-        replayed = replay_mismatch(module, mutant, first)
+        replayed, = replay_mismatches(module, mutant, [first])
         assert replayed is not None
         assert replayed.output == first.output
         assert replayed.expect == first.expect

@@ -43,7 +43,9 @@ from repro.layout.gds import _parse_real8, _real8
 from repro.pdk import get_pdk
 from repro.sim import Simulator
 from repro.swstack import StackVm, compile_source
-from repro.synth import GateSimulator, check_equivalence, lower, optimize, tech_map
+from repro.synth import check_equivalence, lower, optimize, tech_map
+
+from sim_reference import GateSimulator
 
 # -- expression-tree strategy -----------------------------------------------
 

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.hdl import ModuleBuilder, cat, mux
-from repro.synth import GateSimulator, check_equivalence, lower
+from repro.synth import check_equivalence, lower
+
+from sim_reference import GateSimulator
 
 
 def lower_and_sim(module):
