@@ -181,7 +181,8 @@ def test_perf_lvs_compare(benchmark):
 
 def test_perf_fault_sim(benchmark):
     """Word-parallel stuck-at fault simulation on scan-inserted tinycpu:
-    63 faulty machines per packed word, one settle per pattern."""
+    one 64-lane block per 63 faults in one wide word, one settle per
+    pattern for all blocks."""
     mapped = synthesize(
         generate("tinycpu").module, get_pdk("edu130").library, verify=False
     ).mapped
@@ -191,6 +192,20 @@ def test_perf_fault_sim(benchmark):
     )
     assert report.total_faults == 2246
     assert report.detected_faults == 1509
+
+
+def test_perf_fault_sim_soc(benchmark):
+    """The same on the scan-inserted soc (edu130): 147 blocks in one
+    pass."""
+    mapped = synthesize(
+        make_soc().module, get_pdk("edu130").library, verify=False
+    ).mapped
+    insert_scan_chain(mapped)
+    report = benchmark.pedantic(
+        lambda: simulate_faults(mapped, scanned=True), rounds=3, iterations=1
+    )
+    assert report.total_faults == 9206
+    assert report.detected_faults == 8551
 
 
 def test_perf_full_flow(benchmark):

@@ -16,13 +16,14 @@ over them and the one-witness replay.
   optimization.
 * **Batched LEC replay** — ``replay_counterexamples`` (one lane per
   witness) vs one reference replay per counterexample.
-* **Stuck-at fault simulation** — faults-per-second of the PPSFP
-  simulator in :mod:`repro.synth.dft` (there is no scalar fault
-  simulator to race; the heuristic it replaced computed nothing).
+* **Stuck-at fault simulation** — ``simulate_faults``, one pass of a
+  wide simulator with one 64-lane block per 63 faults, vs the chunked
+  reference (``simulate_faults_chunked``: one 64-lane run per chunk)
+  on scan-inserted tinycpu.  The ``FaultSimReport`` must be identical.
 
 Writes ``BENCH_sim.json`` and exits nonzero if any equivalence workload
-speeds up less than the CI floor (5x) or any engine disagrees with the
-scalar reference.
+speeds up less than the CI floor (5x) or any engine disagrees with its
+reference.
 
 Usage::
 
@@ -54,6 +55,7 @@ from repro.synth import (
 from sim_reference import (
     check_equivalence_scalar,
     replay_counterexample_scalar,
+    simulate_faults_chunked,
 )
 
 CYCLES = 256
@@ -151,21 +153,29 @@ def bench_replay(library):
 
 
 def bench_fault_sim(library):
-    """PPSFP fault-simulation throughput on the largest catalogue IP."""
+    """The one-pass fault simulator vs the chunked reference on the
+    largest catalogue IP, same report required."""
     module = generate("tinycpu").module
     mapped = synthesize(module, library, verify=False).mapped
     insert_scan_chain(mapped)
-    report, elapsed = _time(lambda: simulate_faults(mapped, scanned=True))
+    reference, reference_s = _time(
+        lambda: simulate_faults_chunked(mapped, scanned=True))
+    report, packed_s = _time(lambda: simulate_faults(mapped, scanned=True))
+    identical = report == reference
     print(f"faults tinycpu: {report.total_faults} faults, "
-          f"coverage {report.coverage:.3f}, {elapsed:.3f}s "
-          f"({report.total_faults / elapsed:.0f} faults/s)")
+          f"coverage {report.coverage:.3f}: reference {reference_s:.3f}s  "
+          f"packed {packed_s:.3f}s  {reference_s / packed_s:.1f}x  "
+          f"identical={identical}")
     return {
         "design": "tinycpu",
         "total_faults": report.total_faults,
         "coverage": round(report.coverage, 4),
         "patterns": report.patterns,
-        "elapsed_s": round(elapsed, 4),
-        "faults_per_sec": round(report.total_faults / elapsed),
+        "reference_s": round(reference_s, 4),
+        "packed_s": round(packed_s, 4),
+        "speedup": round(reference_s / packed_s, 2),
+        "faults_per_sec": round(report.total_faults / packed_s),
+        "identical": identical,
     }
 
 
@@ -209,6 +219,8 @@ def main(argv):
             )
     if not replay["identical_verdicts"]:
         failures.append("replay: packed verdicts differ from scalar")
+    if not faults["identical"]:
+        failures.append("faults: report differs from the chunked reference")
     if failures:
         print("\nBENCH FAILED:\n  " + "\n  ".join(failures))
         return 1

@@ -31,7 +31,8 @@ scalar simulator: the lockstep loop of
 * :class:`PackedMappedSimulator` — over a ``MappedNetlist`` of
   standard cells (packed per-kind boolean functions, with a per-lane
   fallback for unknown cells), plus per-lane stuck-at pin forces for
-  fault simulation.
+  fault simulation, which runs every 63-fault block in one wide
+  simulator of ``64 × blocks`` lanes.
 
 Both settle on read: a write (``set``, ``set_many``, ``load_state``,
 ``reset``, the register update of a clock edge) only stores values and
@@ -52,7 +53,9 @@ from __future__ import annotations
 
 #: Number of vectors packed into one machine word.  64 keeps every
 #: lane word within one CPython "digit spill" of a small int and
-#: matches the classic PPSFP word size.
+#: matches the classic PPSFP word size.  It is the default lane count
+#: and :func:`pack_word`'s cap; a :class:`PackedMappedSimulator` may be
+#: wider, as the fault simulator's ``64 × blocks`` lanes are.
 LANES = 64
 
 #: All-ones mask over the full lane count.
@@ -356,10 +359,15 @@ class PackedGateSimulator:
 class PackedMappedSimulator:
     """Word-parallel simulator over a ``MappedNetlist`` of standard cells.
 
+    ``lanes`` may be any count from 1 up: a lane word is a Python int
+    of that many bits, so wider simulators cost more per bitwise
+    operation but no more Python-level operations.
+
     Any cell pin can be *forced* per lane (:meth:`force`): lane ``l``
     then sees that pin stuck at a constant while every other lane reads
     the real net value, which is how stuck-at fault simulation packs 63
-    faulty machines beside the good one.  A force is an ``(or_mask,
+    faulty machines beside a good one in every 64-lane block of one
+    wide simulator.  A force is an ``(or_mask,
     and_mask)`` pair, ``v' = (v | or_mask) & and_mask``: stuck-at-1 sets
     the lane bit in ``or_mask``, stuck-at-0 clears it in ``and_mask``.
     An input pin is stuck only in its own cell's view of the net; an
@@ -367,8 +375,8 @@ class PackedMappedSimulator:
     """
 
     def __init__(self, mapped, lanes: int = LANES):
-        if not 1 <= lanes <= LANES:
-            raise PackedSimError(f"lanes must be in 1..{LANES}, got {lanes}")
+        if lanes < 1:
+            raise PackedSimError(f"lanes must be at least 1, got {lanes}")
         self.mapped = mapped
         self.lanes = lanes
         self.mask = (1 << lanes) - 1

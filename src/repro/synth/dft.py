@@ -14,15 +14,18 @@ a shift register behind a scan multiplexer:
 Testability is then *measured*, not guessed: :func:`simulate_faults` is
 a word-parallel (PPSFP) stuck-at fault simulator built on
 :class:`repro.sim.bitsim.PackedMappedSimulator` and its per-lane pin
-forces.  Lane 0 of every 64-lane word
-carries the fault-free ("good") machine; each of the other lanes
-carries the same circuit with exactly one stuck-at fault injected, so
-one packed pass simulates 63 faulty machines against their reference
-simultaneously.  A fault is *detected* when its lane's value differs
-from lane 0 at an observation point — the primary outputs, plus (with
-scan) every flip-flop output after a capture pulse, since the chain
-can shift the captured state out.  :func:`coverage_estimate` reports
-the measured detected / total ratio.
+forces.  The fault list is cut into blocks of 63, and the whole list is
+simulated in one pass of a simulator ``64 × blocks`` lanes wide: lane 0
+of every 64-lane block carries the fault-free ("good") machine, and
+each of the block's other lanes carries the same circuit with exactly
+one stuck-at fault injected.  Every block draws its own random
+patterns, so a block is the 64-lane run of its 63 faults, and one
+bitwise operation per cell evaluates all blocks at once.  A fault is
+*detected* when its lane's value differs from its block's lane 0 at an
+observation point — the primary outputs, plus (with scan) every
+flip-flop output after a capture pulse, since the chain can shift the
+captured state out.  :func:`coverage_estimate` reports the measured
+detected / total ratio.
 """
 
 from __future__ import annotations
@@ -32,7 +35,12 @@ from dataclasses import dataclass
 
 from ..obs.metrics import MetricsRegistry, get_metrics
 from ..obs.trace import Tracer, get_tracer
-from ..sim.bitsim import PackedMappedSimulator, group_bit_labels
+from ..sim.bitsim import (
+    FULL_MASK,
+    LANES,
+    PackedMappedSimulator,
+    group_bit_labels,
+)
 from .mapped import MappedNetlist
 
 
@@ -156,6 +164,54 @@ def fault_sites(mapped: MappedNetlist) -> list[FaultSite]:
     return sites
 
 
+#: Faulty machines per 64-lane block; lane 0 of every block carries the
+#: fault-free machine its block's faults are compared against.
+BLOCK_FAULTS = LANES - 1
+
+#: Byte translation that spreads a byte's top bit over all eight bits.
+_TOP_BIT = bytes(0xFF * (byte >> 7) for byte in range(256))
+
+
+def fault_lane(index: int) -> int:
+    """Lane of ``fault_sites(...)[index]``: the sites fill 63-fault
+    blocks in order, each at lanes 1-63 of its own 64-lane block."""
+    block, offset = divmod(index, BLOCK_FAULTS)
+    return LANES * block + 1 + offset
+
+
+def _draw_table(rng: random.Random, blocks: int, count: int) -> bytearray:
+    """``count`` one-bit draws per block, block by block, one byte each.
+
+    Byte ``blocks * i + k`` is 0xFF if block ``k``'s draw ``i`` is 1,
+    else 0x00.  ``rng.getrandbits(32 * count)`` takes ``count`` generator
+    outputs, the first in its least significant 32 bits, and
+    ``getrandbits(1)`` is the top bit of one output, so each block reads
+    the bits, and leaves the generator in the state, that ``count``
+    calls of ``getrandbits(1)`` would.
+    """
+    table = bytearray(blocks * count)
+    for block in range(blocks):
+        outputs = rng.getrandbits(32 * count).to_bytes(4 * count, "little")
+        table[block::blocks] = outputs[3::4]
+    return table.translate(_TOP_BIT)
+
+
+def _block_words(table: bytearray, blocks: int, start: int,
+                 count: int) -> list[int]:
+    """Lane words of draws ``start .. start + count - 1``: all 64 lanes
+    of block ``k`` hold block ``k``'s draw."""
+    row = memoryview(table)[blocks * start:blocks * (start + count)]
+    wide = bytearray(8 * len(row))
+    for byte in range(8):
+        wide[byte::8] = row
+    size = 8 * blocks
+    view = memoryview(wide)
+    return [
+        int.from_bytes(view[size * i:size * (i + 1)], "little")
+        for i in range(count)
+    ]
+
+
 def simulate_faults(
     mapped: MappedNetlist,
     scanned: bool,
@@ -166,8 +222,12 @@ def simulate_faults(
 ) -> FaultSimReport:
     """Word-parallel stuck-at fault simulation over the full fault list.
 
-    Faults are packed 63 per word (lane 0 is the fault-free machine)
-    and simulated against random patterns:
+    The faults are split into blocks of 63 in :func:`fault_sites` order,
+    and every block is one 64-lane block of a single wide simulation:
+    its lane 0 is the fault-free machine and lanes 1-63 carry its faults
+    (:func:`fault_lane`).  Each block draws its own random patterns, all
+    of one block's before the next block's, and is compared only with
+    its own lane 0:
 
     * ``scanned=True`` models scan-based test: every pattern loads a
       random register state (the chain makes any state controllable),
@@ -176,11 +236,11 @@ def simulate_faults(
       output (the chain shifts the captured state out).  Effectively a
       combinational test with full state observability.
     * ``scanned=False`` models functional test: one sequential run from
-      reset per fault chunk, random primary inputs each cycle,
-      observing only the primary outputs.  Faults buried behind
-      sequential depth need their effect to propagate to an output
-      before the budget runs out, which is exactly why unscanned
-      coverage decays with pipeline depth.
+      reset, random primary inputs each cycle, observing only the
+      primary outputs.  Faults buried behind sequential depth need their
+      effect to propagate to an output before the budget runs out,
+      which is exactly why unscanned coverage decays with pipeline
+      depth.
 
     ``patterns`` defaults to 64 scan patterns or 24 functional cycles.
     Deterministic per ``seed``.
@@ -192,12 +252,54 @@ def simulate_faults(
     if patterns is None:
         patterns = 64 if scanned else 24
     sites = fault_sites(mapped)
-    sim = PackedMappedSimulator(mapped)
-    mask = sim.mask
-    rng = random.Random(seed)
+    blocks = -(-len(sites) // BLOCK_FAULTS)
+    detected: list[bool] = [False] * len(sites)
+    with tracer.span(
+        "sim.packed.faults", design=mapped.name, faults=len(sites),
+        scanned=scanned, patterns=patterns,
+    ) as span:
+        if sites:
+            seen = _simulate_blocks(
+                mapped, sites, blocks, scanned, patterns, seed
+            )
+            flags = format(seen, f"0{LANES * blocks}b")[::-1]
+            detected = [
+                flags[fault_lane(index)] == "1" for index in range(len(sites))
+            ]
+            metrics.counter("sim.packed.vectors").inc(
+                patterns * (len(sites) + blocks)
+            )
+        if tracer.enabled:
+            span.set(detected=sum(detected))
 
-    draw = rng.getrandbits
-    n_seq = len(mapped.seq_cells)
+    undetected = [
+        site for site, hit in zip(sites, detected) if not hit
+    ]
+    return FaultSimReport(
+        total_faults=len(sites),
+        detected_faults=sum(detected),
+        patterns=patterns,
+        scanned=scanned,
+        undetected=undetected,
+    )
+
+
+def _simulate_blocks(
+    mapped: MappedNetlist,
+    sites: list[FaultSite],
+    blocks: int,
+    scanned: bool,
+    patterns: int,
+    seed: int,
+) -> int:
+    """One pass over every block; the lanes whose value differed from
+    their block's lane 0 at any observation point."""
+    sim = PackedMappedSimulator(mapped, lanes=LANES * blocks)
+    for index, site in enumerate(sites):
+        sim.force(site.cell_index, site.pin, site.stuck_at, fault_lane(index))
+    full = sim.mask
+    lane0 = full // FULL_MASK  # bit 64k set for every block k
+
     outputs = list(mapped.outputs)
     registers = list(sim.register_words())
     # Register word -> the flop position of each bit; position -1 (a
@@ -213,74 +315,54 @@ def simulate_faults(
     # observes the chain, not the logic.  Every fourth pattern shifts
     # (scan_en high) instead, so scan-path faults are exercised too.
     scan_en = "scan_en" if scanned and "scan_en" in mapped.inputs else None
-    fault_lanes = sim.lanes - 1  # lane 0 carries the good machine
-
-    def random_inputs(shifting: bool = False) -> dict[str, list[int]]:
-        """Broadcast one random bit per input net, port by port."""
-        return {
-            name: (
-                [mask * shifting] * len(nets) if name == scan_en
-                else [mask * draw(1) for _ in nets]
-            )
-            for name, nets in mapped.inputs.items()
-        }
+    inputs = [(name, len(nets)) for name, nets in mapped.inputs.items()]
+    # Each pattern draws one bit per flop (scan only), then one per
+    # input net, port by port, skipping scan_en.
+    n_state = len(mapped.seq_cells) if scanned else 0
+    per_pattern = n_state + sum(
+        width for name, width in inputs if name != scan_en
+    )
+    table = _draw_table(random.Random(seed), blocks, patterns * per_pattern)
 
     def observe(read, names) -> int:
         """Lanes whose value of ``read(name)``, for any of ``names``,
-        differs from the good machine's (lane 0)."""
-        detected = 0
+        differs from their block's lane 0."""
+        differ = 0
         for name in names:
             for word in read(name):
-                detected |= word ^ (-(word & 1) & mask)  # vs lane 0
-        return detected
+                # (word & lane0) * FULL_MASK spreads each block's lane 0
+                # over its block; the blocks are 64 bits apart, so the
+                # product has no carries.
+                differ |= word ^ ((word & lane0) * FULL_MASK)
+        return differ
 
-    detected: list[bool] = [False] * len(sites)
-    with tracer.span(
-        "sim.packed.faults", design=mapped.name, faults=len(sites),
-        scanned=scanned, patterns=patterns,
-    ) as span:
-        for base in range(0, len(sites), fault_lanes):
-            chunk = sites[base:base + fault_lanes]
-            sim.release()
-            for lane, site in enumerate(chunk, start=1):
-                sim.force(site.cell_index, site.pin, site.stuck_at, lane)
-            chunk_detected = 0
-            if scanned:
-                for index in range(patterns):
-                    draws = [draw(1) for _ in range(n_seq)] + [0]
-                    sim.load_state({
-                        name: [mask * draws[p] for p in positions]
-                        for name, positions in layout.items()
-                    })
-                    sim.set_many(random_inputs(shifting=index % 4 == 3))
-                    chunk_detected |= observe(sim.get, outputs)
-                    sim.step()  # capture; chain shifts state out
-                    chunk_detected |= observe(sim.get_register, registers)
-            else:
-                sim.reset()
-                for _ in range(patterns):
-                    sim.set_many(random_inputs())
-                    chunk_detected |= observe(sim.get, outputs)
-                    sim.step()
-            for lane, site in enumerate(chunk, start=1):
-                if (chunk_detected >> lane) & 1:
-                    detected[base + lane - 1] = True
-            metrics.counter("sim.packed.vectors").inc(
-                patterns * (len(chunk) + 1)
+    seen = 0
+    if not scanned:
+        sim.reset()  # from reset, with the forces on flop outputs
+    for index in range(patterns):
+        words = _block_words(
+            table, blocks, index * per_pattern, per_pattern
+        )
+        if scanned:
+            state = words[:n_state] + [0]
+            sim.load_state({
+                name: [state[p] for p in positions]
+                for name, positions in layout.items()
+            })
+        drawn = iter(words[n_state:])
+        shifting = full if index % 4 == 3 else 0
+        sim.set_many({
+            name: (
+                [shifting] * width if name == scan_en
+                else [next(drawn) for _ in range(width)]
             )
-        if tracer.enabled:
-            span.set(detected=sum(detected))
-
-    undetected = [
-        site for site, hit in zip(sites, detected) if not hit
-    ]
-    return FaultSimReport(
-        total_faults=len(sites),
-        detected_faults=sum(detected),
-        patterns=patterns,
-        scanned=scanned,
-        undetected=undetected,
-    )
+            for name, width in inputs
+        })
+        seen |= observe(sim.get, outputs)
+        sim.step()  # capture; with scan the chain shifts state out
+        if scanned:
+            seen |= observe(sim.get_register, registers)
+    return seen
 
 
 def coverage_estimate(

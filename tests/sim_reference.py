@@ -13,7 +13,11 @@ both:
 * :func:`check_equivalence_scalar` is the lockstep loop over those
   simulators that defines :class:`~repro.synth.verify.EquivalenceResult`;
 * :func:`replay_counterexample_scalar` replays one formal
-  counterexample on fresh scalar simulators.
+  counterexample on fresh scalar simulators;
+* :func:`simulate_faults_chunked` is the stuck-at fault simulator that
+  :func:`repro.synth.dft.simulate_faults` replaced: one 64-lane packed
+  run per 63-fault chunk, every chunk drawing its own patterns, which
+  defines :class:`~repro.synth.dft.FaultSimReport`.
 """
 
 from __future__ import annotations
@@ -22,8 +26,11 @@ import random
 
 from repro.formal.lec import Counterexample
 from repro.hdl.ir import Module
-from repro.sim.bitsim import group_bit_labels
+from repro.obs.metrics import MetricsRegistry, get_metrics
+from repro.obs.trace import Tracer, get_tracer
+from repro.sim.bitsim import PackedMappedSimulator, group_bit_labels
 from repro.sim.engine import Simulator
+from repro.synth.dft import FaultSimReport, fault_sites
 from repro.synth.mapped import MappedNetlist
 from repro.synth.netlist import GateNetlist
 from repro.synth.verify import MISMATCH_CAP, EquivalenceResult, Mismatch
@@ -325,3 +332,133 @@ def replay_counterexample_scalar(
         return None
     return Mismatch(0, cex.cone, want, got, dict(cex.inputs),
                     dict(cex.state))
+
+
+# -- stuck-at fault simulation --------------------------------------------------
+
+
+def simulate_faults_chunked(
+    mapped: MappedNetlist,
+    scanned: bool,
+    patterns: int | None = None,
+    seed: int = 2025,
+    tracer: Tracer | None = None,
+    metrics: MetricsRegistry | None = None,
+) -> FaultSimReport:
+    """Word-parallel stuck-at fault simulation over the full fault list.
+
+    Faults are packed 63 per word (lane 0 is the fault-free machine)
+    and simulated against random patterns:
+
+    * ``scanned=True`` models scan-based test: every pattern loads a
+      random register state (the chain makes any state controllable),
+      drives random primary inputs, observes the primary outputs, then
+      pulses the clock once (capture) and observes every flip-flop
+      output (the chain shifts the captured state out).  Effectively a
+      combinational test with full state observability.
+    * ``scanned=False`` models functional test: one sequential run from
+      reset per fault chunk, random primary inputs each cycle,
+      observing only the primary outputs.  Faults buried behind
+      sequential depth need their effect to propagate to an output
+      before the budget runs out, which is exactly why unscanned
+      coverage decays with pipeline depth.
+
+    ``patterns`` defaults to 64 scan patterns or 24 functional cycles.
+    Deterministic per ``seed``.
+    """
+    if tracer is None:
+        tracer = get_tracer()
+    if metrics is None:
+        metrics = get_metrics()
+    if patterns is None:
+        patterns = 64 if scanned else 24
+    sites = fault_sites(mapped)
+    sim = PackedMappedSimulator(mapped)
+    mask = sim.mask
+    rng = random.Random(seed)
+
+    draw = rng.getrandbits
+    n_seq = len(mapped.seq_cells)
+    outputs = list(mapped.outputs)
+    registers = list(sim.register_words())
+    # Register word -> the flop position of each bit; position -1 (a
+    # bit no flop carries) reads the constant 0 appended to the draws.
+    layout: dict[str, list[int]] = {}
+    for name, pairs in group_bit_labels(
+        [inst.tag for inst in mapped.seq_cells]
+    ).items():
+        positions = layout[name] = [-1] * (1 + max(i for i, _ in pairs))
+        for index, position in pairs:
+            positions[index] = position
+    # Scan test holds scan_en low while capturing — a shifting capture
+    # observes the chain, not the logic.  Every fourth pattern shifts
+    # (scan_en high) instead, so scan-path faults are exercised too.
+    scan_en = "scan_en" if scanned and "scan_en" in mapped.inputs else None
+    fault_lanes = sim.lanes - 1  # lane 0 carries the good machine
+
+    def random_inputs(shifting: bool = False) -> dict[str, list[int]]:
+        """Broadcast one random bit per input net, port by port."""
+        return {
+            name: (
+                [mask * shifting] * len(nets) if name == scan_en
+                else [mask * draw(1) for _ in nets]
+            )
+            for name, nets in mapped.inputs.items()
+        }
+
+    def observe(read, names) -> int:
+        """Lanes whose value of ``read(name)``, for any of ``names``,
+        differs from the good machine's (lane 0)."""
+        detected = 0
+        for name in names:
+            for word in read(name):
+                detected |= word ^ (-(word & 1) & mask)  # vs lane 0
+        return detected
+
+    detected: list[bool] = [False] * len(sites)
+    with tracer.span(
+        "sim.packed.faults", design=mapped.name, faults=len(sites),
+        scanned=scanned, patterns=patterns,
+    ) as span:
+        for base in range(0, len(sites), fault_lanes):
+            chunk = sites[base:base + fault_lanes]
+            sim.release()
+            for lane, site in enumerate(chunk, start=1):
+                sim.force(site.cell_index, site.pin, site.stuck_at, lane)
+            chunk_detected = 0
+            if scanned:
+                for index in range(patterns):
+                    draws = [draw(1) for _ in range(n_seq)] + [0]
+                    sim.load_state({
+                        name: [mask * draws[p] for p in positions]
+                        for name, positions in layout.items()
+                    })
+                    sim.set_many(random_inputs(shifting=index % 4 == 3))
+                    chunk_detected |= observe(sim.get, outputs)
+                    sim.step()  # capture; chain shifts state out
+                    chunk_detected |= observe(sim.get_register, registers)
+            else:
+                sim.reset()
+                for _ in range(patterns):
+                    sim.set_many(random_inputs())
+                    chunk_detected |= observe(sim.get, outputs)
+                    sim.step()
+            for lane, site in enumerate(chunk, start=1):
+                if (chunk_detected >> lane) & 1:
+                    detected[base + lane - 1] = True
+            metrics.counter("sim.packed.vectors").inc(
+                patterns * (len(chunk) + 1)
+            )
+        if tracer.enabled:
+            span.set(detected=sum(detected))
+
+    undetected = [
+        site for site, hit in zip(sites, detected) if not hit
+    ]
+    return FaultSimReport(
+        total_faults=len(sites),
+        detected_faults=sum(detected),
+        patterns=patterns,
+        scanned=scanned,
+        undetected=undetected,
+    )

@@ -16,8 +16,10 @@ These tests pin that down three ways:
   batched LEC replay must agree with scalar replay witness by witness.
 
 Per-lane pin forces (the fault-simulation hook of the mapped engine)
-must touch only their own lane.  Settling on read must be invisible:
-every read agrees with a simulator that settles after every write.
+must touch only their own lane, and a mapped simulator wider than 64
+lanes must equal one 64-lane simulator per block.  Settling on read
+must be invisible: every read agrees with a simulator that settles
+after every write.
 """
 
 import importlib
@@ -45,7 +47,7 @@ from repro.sim.bitsim import (
     unpack_word,
 )
 from repro.synth import check_equivalence, lower, optimize, synthesize
-from repro.synth.dft import fault_sites, insert_scan_chain
+from repro.synth.dft import _draw_table, fault_sites, insert_scan_chain
 from repro.synth.verify import MISMATCH_CAP, replay_mismatches
 
 from sim_reference import (
@@ -562,6 +564,119 @@ class TestPinForces:
         sim = PackedMappedSimulator(mapped, lanes=4)
         with pytest.raises(PackedSimError):
             sim.force(0, mapped.cells[0].cell.output, 1, lane=4)
+
+
+# ---------------------------------------------------------------------------
+# Wide simulators: 64-lane blocks of one word
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def uart_scan(library):
+    """uart_tx mapped with its scan chain: flops, muxes, several ports."""
+    mapped = synthesize(generate("uart_tx").module, library,
+                        verify=False).mapped
+    insert_scan_chain(mapped)
+    return mapped
+
+
+def join_blocks(words):
+    """One wide lane word from per-block words, block 0 lowest."""
+    return sum(word << (LANES * block) for block, word in enumerate(words))
+
+
+class TestWideLanes:
+    @pytest.mark.parametrize("lanes", [64, 128, 192, 256, 100])
+    def test_a_wide_simulator_is_independent_blocks(self, uart_scan, lanes):
+        """A ``lanes``-wide simulator equals one simulator per 64-lane
+        block (the last one narrower), force for force and read for
+        read, through reset, load_state and step."""
+        mapped = uart_scan
+        rng = random.Random(lanes)
+        wide = PackedMappedSimulator(mapped, lanes=lanes)
+        widths = [min(LANES, lanes - start)
+                  for start in range(0, lanes, LANES)]
+        blocks = [PackedMappedSimulator(mapped, lanes=w) for w in widths]
+        sites = fault_sites(mapped)
+        flops = {i for i, inst in enumerate(mapped.cells)
+                 if inst.cell.is_sequential}
+        # Every kind of pin: comb inputs and outputs, flop D and Q.
+        picked = rng.sample(sites, 40) + [
+            s for s in sites if s.cell_index in flops
+        ][:8]
+        assert {s.pin for s in picked} >= {"a", "y", "d", "q"}
+        for site in picked:
+            lane = rng.randrange(lanes)
+            wide.force(site.cell_index, site.pin, site.stuck_at, lane)
+            blocks[lane // LANES].force(
+                site.cell_index, site.pin, site.stuck_at, lane % LANES
+            )
+        inputs = wide.input_widths()
+        registers = {name: 1 + max(bits)
+                     for name, bits in wide.register_words().items()}
+
+        def drive(write, widths_by_name):
+            per_block = [
+                {name: [rng.getrandbits(w) for _ in range(width)]
+                 for name, width in widths_by_name.items()}
+                for w in widths
+            ]
+            write(wide, {
+                name: [join_blocks(bits) for bits in zip(
+                    *(values[name] for values in per_block)
+                )]
+                for name in widths_by_name
+            })
+            for sim, values in zip(blocks, per_block):
+                write(sim, values)
+
+        def same():
+            for name in mapped.outputs:
+                assert wide.get(name) == [
+                    join_blocks(bits)
+                    for bits in zip(*(sim.get(name) for sim in blocks))
+                ], name
+            for name in registers:
+                assert wide.get_register(name) == [
+                    join_blocks(bits)
+                    for bits in zip(*(s.get_register(name) for s in blocks))
+                ], name
+
+        for sim in (wide, *blocks):
+            sim.reset()
+        same()
+        for cycle in range(12):
+            if cycle % 3 == 1:
+                drive(type(wide).load_state, registers)
+            drive(type(wide).set_many, inputs)
+            same()
+            for sim in (wide, *blocks):
+                sim.step()
+            same()
+
+    @pytest.mark.parametrize("lanes", [0, -1])
+    def test_no_lanes_is_rejected(self, uart_scan, lanes):
+        with pytest.raises(PackedSimError):
+            PackedMappedSimulator(uart_scan, lanes=lanes)
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 33, 1000])
+    def test_a_bulk_draw_is_one_bit_draws(self, count):
+        """``getrandbits(32 * n)`` takes n generator outputs, the first
+        lowest, and ``getrandbits(1)`` is an output's top bit: the fault
+        simulator's draw table relies on both."""
+        bulk, single = random.Random(count), random.Random(count)
+        word = bulk.getrandbits(32 * count)
+        assert [(word >> (32 * i + 31)) & 1 for i in range(count)] == [
+            single.getrandbits(1) for _ in range(count)
+        ]
+        assert bulk.getstate() == single.getstate()
+
+    def test_the_draw_table_interleaves_blocks(self):
+        table = _draw_table(random.Random(3), blocks=3, count=50)
+        rng = random.Random(3)
+        for block in range(3):
+            for i in range(50):
+                assert table[3 * i + block] == 0xFF * rng.getrandbits(1)
 
 
 # ---------------------------------------------------------------------------

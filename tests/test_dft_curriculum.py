@@ -1,4 +1,7 @@
-"""Tests for scan-chain insertion and the curriculum model."""
+"""Tests for scan-chain insertion, fault simulation and the curriculum
+model."""
+
+import random
 
 import pytest
 
@@ -16,6 +19,8 @@ from repro.core.curriculum import (
 )
 from repro.core.steps import FlowStep
 from repro.hdl import ModuleBuilder, mux
+from repro.ip.catalog import generate
+from repro.obs.metrics import MetricsRegistry
 from repro.pdk import get_pdk
 from repro.synth import check_equivalence, synthesize
 from repro.synth.dft import (
@@ -25,8 +30,9 @@ from repro.synth.dft import (
     insert_scan_chain,
     simulate_faults,
 )
+from repro.synth.mapped import MappedNetlist
 
-from sim_reference import MappedSimulator
+from sim_reference import MappedSimulator, simulate_faults_chunked
 
 
 def build_counter_mapped(width=4):
@@ -163,6 +169,120 @@ class TestScanInsertion:
         deep = coverage_estimate(pipeline(5), scanned=False,
                                  patterns=budget)
         assert deep < shallow
+
+
+#: Stuck-at sites per pin kind: the cost of one cell in fault_sites().
+_CELL_FAULTS = {"NAND2": 6, "XOR2": 6, "MUX2": 8, "INV": 4}
+
+
+def random_mapped(faults, flops, seed):
+    """A random acyclic netlist with exactly ``faults`` stuck-at sites.
+
+    ``flops`` DFFs (tagged ``r[i]``) and random NAND2/XOR2/MUX2/INV
+    cells read a 3-bit input port, the flop outputs and earlier cell
+    outputs; one TIE0 pads an odd pair.  Some nets stay unobserved, so
+    some faults are undetectable.
+    """
+    library = get_pdk("edu130").library
+    rng = random.Random(seed)
+    mapped = MappedNetlist(f"rand{faults}", library)
+    inputs = [mapped.new_net() for _ in range(3)]
+    mapped.set_port("input", "a", inputs)
+    qs = [mapped.new_net() for _ in range(flops)]
+    nets = inputs + qs
+    budget = faults - 4 * flops
+    while budget:
+        kinds = [k for k, cost in _CELL_FAULTS.items() if cost <= budget]
+        kind = rng.choice(kinds) if kinds else "TIE0"
+        cell = library.by_kind(kind)
+        pins = {pin: rng.choice(nets) for pin in cell.inputs}
+        pins[cell.output] = out = mapped.new_net()
+        mapped.add_cell(cell, pins)
+        nets.append(out)
+        budget -= 2 * (len(cell.inputs) + 1)
+    dff = library.by_kind("DFF")
+    for index, q in enumerate(qs):
+        mapped.add_cell(dff, {"d": rng.choice(nets), dff.output: q},
+                        reset_value=index % 2, tag=f"r[{index}]")
+    mapped.set_port("output", "y", nets[-4:])
+    assert len(fault_sites(mapped)) == faults
+    return mapped
+
+
+@pytest.fixture(scope="module")
+def catalogue_mapped():
+    """name -> (mapped, scan-inserted mapped or None) on edu130."""
+    library = get_pdk("edu130").library
+    designs = {}
+    for name in ("counter", "alu", "uart_tx", "fir", "tinycpu"):
+        module = generate(name).module
+        mapped = synthesize(module, library, verify=False).mapped
+        scan = None
+        if mapped.seq_cells:
+            scan = synthesize(module, library, verify=False).mapped
+            insert_scan_chain(scan)
+        designs[name] = (mapped, scan)
+    return designs
+
+
+def assert_same_fault_sim(mapped, scanned, **kwargs):
+    """The packed pass and the chunked reference agree on the whole
+    report (``undetected`` in order) and on ``sim.packed.vectors``."""
+    counted = []
+    for simulate in (simulate_faults, simulate_faults_chunked):
+        metrics = MetricsRegistry()
+        report = simulate(mapped, scanned, metrics=metrics, **kwargs)
+        counted.append((report, metrics.snapshot()))
+    (got, got_metrics), (want, want_metrics) = counted
+    assert got == want
+    assert got_metrics == want_metrics
+    return got
+
+
+class TestFaultSimOracle:
+    @pytest.mark.parametrize("name,chain", [
+        ("counter", False), ("counter", True), ("alu", False),
+        ("uart_tx", False), ("uart_tx", True), ("fir", False), ("fir", True),
+    ])
+    @pytest.mark.parametrize("scanned", [True, False])
+    def test_catalogue_matches_the_chunked_loop(
+        self, catalogue_mapped, name, chain, scanned
+    ):
+        mapped, scan = catalogue_mapped[name]
+        assert_same_fault_sim(scan if chain else mapped, scanned)
+
+    def test_scanned_tinycpu_matches(self, catalogue_mapped):
+        _, scan = catalogue_mapped["tinycpu"]
+        report = assert_same_fault_sim(scan, True)
+        assert (report.total_faults, report.detected_faults) == (2246, 1509)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2025])
+    @pytest.mark.parametrize("patterns", [1, 5, None])
+    @pytest.mark.parametrize("scanned", [True, False])
+    def test_seeds_and_pattern_budgets(
+        self, catalogue_mapped, seed, patterns, scanned
+    ):
+        _, scan = catalogue_mapped["uart_tx"]
+        assert_same_fault_sim(scan, scanned, seed=seed, patterns=patterns)
+
+    @pytest.mark.parametrize("faults", [62, 64, 126, 188, 190, 252])
+    @pytest.mark.parametrize("flops", [0, 3])
+    @pytest.mark.parametrize("scanned", [True, False])
+    def test_block_boundaries(self, faults, flops, scanned):
+        """63k - 1, 63k and 63k + 1 faults: a full last block, a last
+        block of one fault and one lane short of full."""
+        mapped = random_mapped(faults, flops, seed=faults + flops)
+        report = assert_same_fault_sim(mapped, scanned, patterns=6)
+        assert report.total_faults == faults
+        assert 0 < report.detected_faults < faults
+
+    def test_a_netlist_without_cells_simulates_nothing(self):
+        mapped = MappedNetlist("empty", get_pdk("edu130").library)
+        net = mapped.new_net()
+        mapped.set_port("input", "a", [net])
+        mapped.set_port("output", "y", [net])
+        report = assert_same_fault_sim(mapped, True)
+        assert report.total_faults == 0 and report.coverage == 1.0
 
 
 class TestCurriculum:
